@@ -21,6 +21,7 @@ from .inference import (
     FitError,
     FitResult,
     Hypothesis,
+    HypothesisError,
     StageError,
     TestReport,
     adjusted_statistics,
@@ -68,6 +69,7 @@ __all__ = [
     "FitError",
     "FitResult",
     "Hypothesis",
+    "HypothesisError",
     "ModelEval",
     "ModelSpec",
     "NonSPDError",

@@ -139,6 +139,7 @@ def cmd_test(args) -> int:
     sided = {"two": "two", "lower": "lower", "upper": "upper"}[args.sided]
     try:
         hyp = Hypothesis(interest, psi0, sided)
+        hyp.check(model)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     try:

@@ -26,9 +26,12 @@ through the approximate ancillary (see the ancillary module):
 
 with JJ the double-tilde information.  Determinants enter through their
 absolute values; a negative raw determinant is surfaced as a note.
-Degenerate situations (|r| below 1e-4, LR below 1e-8, nonpositive ratio
-terms) skip the adjustment (factor 1) and set a flag rather than
-producing unusable output.
+Degenerate situations skip the adjustment (factor 1) and set a flag
+naming the reason rather than producing unusable output: |r| below 1e-4
+(``near_zero_r``), LR below 1e-8 (``near_zero_LR``), a nonpositive gamma
+ratio (``nonpositive_gamma_ratio``) or rho denominator
+(``nonpositive_rho_denominator``), and a nonpositive score quadratic form
+(``nonpd_info``).
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ from scipy.special import gammaincc, ndtr
 
 from .ancillary import AncillaryBundle, SampleSpaceDerivs, build_ancillary, doubletilde_info, sample_space_gradients
 from .families import EllipticalFamily
-from .likelihood import score_info
+from .likelihood import loglik, score_info
 from .model import Dataset, ModelEval, ModelSpec, NonSPDError, evaluate
 
 __all__ = [
     "FitError",
+    "HypothesisError",
     "StageError",
     "FitResult",
     "Hypothesis",
@@ -71,6 +75,10 @@ FACTOR_SNAP = 1e-10
 
 class FitError(RuntimeError):
     """No usable starting point: the model could not be evaluated anywhere."""
+
+
+class HypothesisError(ValueError):
+    """The hypothesis does not fit the model it is tested against."""
 
 
 class StageError(RuntimeError):
@@ -110,6 +118,24 @@ class Hypothesis:
     @property
     def q(self) -> int:
         return len(self.interest_indices)
+
+    def check(self, model: ModelSpec) -> None:
+        """Raise HypothesisError unless every index and psi0 value fits ``model``.
+
+        Indices must lie in 0..p-1 (a negative index is not taken from the
+        end), psi0 must be finite, and a variance-type parameter must be
+        hypothesized at a positive value.
+        """
+        for j, v in zip(self.interest_indices, self.psi0):
+            if not 0 <= j < model.p:
+                raise HypothesisError(
+                    f"interest index {j} is out of range for {model.name} (parameters 0..{model.p - 1})"
+                )
+            name = model.param_names[j]
+            if not math.isfinite(v):
+                raise HypothesisError(f"psi0 for {name} must be finite, got {v}")
+            if j in model.positive and v <= 0.0:
+                raise HypothesisError(f"psi0 for the variance-type parameter {name} must be positive, got {v}")
 
 
 @dataclass
@@ -160,11 +186,13 @@ class _Objective:
         theta[self.free] = _from_internal(x, self.is_log)
         return theta
 
-    def eval(self, x, want_info=True):
+    def evaluate(self, x):
         theta = self.theta_of(x)
-        ev = evaluate(self.model, theta, self.data)
-        si = score_info(self.family, ev, want_info=want_info)
-        return theta, ev, si
+        return theta, evaluate(self.model, theta, self.data)
+
+    def eval(self, x, want_info=True):
+        theta, ev = self.evaluate(x)
+        return theta, ev, score_info(self.family, ev, want_info=want_info)
 
     def scale(self, x):
         s = np.ones_like(x)
@@ -209,14 +237,19 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
         accepted = False
         for _ in range(40):
             try:
-                theta2, ev2, si2 = obj.eval(x + t * d)
+                theta2, ev2 = obj.evaluate(x + t * d)
             except NonSPDError:
                 t *= 0.5
                 continue
-            ok = np.isfinite(si2.loglik) and np.all(np.isfinite(si2.score[obj.free]))
-            if ok and si2.loglik >= si.loglik + 1e-4 * t * slope:
-                accepted = True
-                break
+            # a trial point is judged on its log-likelihood (stage 0) first;
+            # derivatives, score and J are built only for an Armijo candidate,
+            # which is accepted iff its score is finite
+            ll2 = loglik(obj.family, ev2)
+            if np.isfinite(ll2) and ll2 >= si.loglik + 1e-4 * t * slope:
+                si2 = score_info(obj.family, ev2)
+                if np.all(np.isfinite(si2.score[obj.free])):
+                    accepted = True
+                    break
             t *= 0.5
         iters += 1
         if not accepted:
@@ -339,8 +372,7 @@ def fit(
     diagnostics = list(dict.fromkeys(f"near_zero_residual obs={i}" for i in si.clamped))
     stderr = np.full(p, np.nan)
     try:
-        L = np.linalg.cholesky(si.info)
-        stderr = np.sqrt(np.diag(_cho_inv(L)))
+        stderr = np.sqrt(_inverse_diag(np.linalg.cholesky(si.info)))
     except np.linalg.LinAlgError:
         diagnostics.append("nonpd_info")
     if any(theta[j] < BOUNDARY_EPS for j in model.positive if j in free_set):
@@ -361,9 +393,18 @@ def fit(
     )
 
 
-def _cho_inv(L):
+def _inverse_diag(L):
+    """diag((L L')^{-1}) as squared column norms of L^{-1}.
+
+    One vector triangular solve per column: a multi-column solve would
+    wake a BLAS helper thread that then spins between calls.
+    """
     p = L.shape[0]
-    return _cho_solve(L, np.eye(p))
+    out = np.empty(p)
+    for j in range(p):
+        col = scipy.linalg.solve_triangular(L, np.eye(p)[j], lower=True)
+        out[j] = col @ col
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +488,7 @@ def gamma_factor(
     ratio = r / denom if denom != 0.0 else np.inf
     if not np.isfinite(ratio) or ratio <= 0.0:
         notes.append("nonpositive gamma ratio; adjustment skipped")
-        return 1.0, {"near_zero_r"}, notes
+        return 1.0, {"nonpositive_gamma_ratio"}, notes
     gamma = float(math.exp(lad) * ratio)
     if abs(gamma - 1.0) < FACTOR_SNAP:
         gamma = 1.0
@@ -501,7 +542,7 @@ def rho_factor(
         return 1.0, {"nonpd_info"}, notes
     if denom <= 0.0:
         notes.append("nonpositive rho denominator; adjustment skipped")
-        return 1.0, {"near_zero_LR"}, notes
+        return 1.0, {"nonpositive_rho_denominator"}, notes
     log_rho = lad + 0.5 * q * math.log(quad) - (0.5 * q - 1.0) * math.log(LR) - math.log(denom)
     rho = float(math.exp(log_rho))
     if abs(rho - 1.0) < FACTOR_SNAP:
@@ -646,9 +687,11 @@ def run_test(
 ) -> TestReport:
     """Full pipeline: both fits, ancillary, adjustments, p-values.
 
-    Raises StageError (with the offending stage) on fit failures or
-    singular adjustment systems.
+    Raises HypothesisError before any fit when the hypothesis does not
+    fit the model, and StageError (with the offending stage) on fit
+    failures or singular adjustment systems.
     """
+    hypothesis.check(model)
     interest = hypothesis.interest_indices
     q = hypothesis.q
 

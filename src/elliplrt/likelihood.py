@@ -21,6 +21,14 @@ warning.
 All routines accept an optional residual override so that the
 information matrix can be evaluated with residuals reconstructed through
 the ancillary (z_i = P_i a_i) instead of y_i - mu_i.
+
+Assembly runs in two stages.  Stage 0 needs only mu, Sigma and its
+Cholesky factor: per block it forms z, w = Sigma^{-1} z, u and the
+weights, and sums the log-likelihood.  For the default residuals it is
+cached on the ModelEval, so a line search can test a trial point on its
+log-likelihood alone and finish the score and information of an accepted
+point from the same stage 0, with the same arithmetic as a one-pass
+assembly.
 """
 
 from __future__ import annotations
@@ -58,6 +66,19 @@ def _residuals(ev: ModelEval, z_blocks):
     return [be.data.y - be.mu for be in ev.blocks]
 
 
+@dataclass
+class _Stage0:
+    """Per-block (z, w, v, vdot), per-observation u, v, vdot and the log-likelihood."""
+
+    family: EllipticalFamily
+    blocks: list
+    loglik: float
+    per_u: np.ndarray
+    per_v: np.ndarray
+    per_vdot: np.ndarray
+    clamped: list
+
+
 def _block_core(family: EllipticalFamily, be, z):
     """Shared per-block quantities: w = Sigma^{-1} z, u, weights, logdet."""
     q = z.shape[1]
@@ -66,6 +87,28 @@ def _block_core(family: EllipticalFamily, be, z):
     u = np.maximum(u, 0.0)  # rounding can produce tiny negatives at exact fits
     v, vdot = family.weights(u, q, clamp=True)
     return w, u, v, vdot
+
+
+def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
+    """Stage 0 of the assembly; cached on ``ev`` for the default residuals."""
+    if z_blocks is None and ev.stage0 is not None and ev.stage0.family is family:
+        return ev.stage0
+    n = ev.n
+    st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), np.empty(n), [])
+    for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
+        q = be.data.q
+        w, u, v, vdot = _block_core(family, be, z)
+        st.blocks.append((z, w, v, vdot))
+        st.per_u[be.data.idx] = u
+        st.per_v[be.data.idx] = v
+        st.per_vdot[be.data.idx] = vdot
+        if family.kind == "power_exponential" and family.lam != 1.0:
+            hit = be.data.idx[u < 1e-12]
+            st.clamped.extend(int(i) for i in hit)
+        st.loglik += float(np.sum(-0.5 * logdet_from_chol(be.P) + family.log_g(u, q)))
+    if z_blocks is None:
+        ev.stage0 = st
+    return st
 
 
 def _assemble(family: EllipticalFamily, ev: ModelEval, z_blocks=None, want_score=True, want_info=True):
@@ -77,29 +120,11 @@ def _assemble(family: EllipticalFamily, ev: ModelEval, z_blocks=None, want_score
 
 def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score, want_info):
     p = ev.p
-    total_ll = 0.0
     U = np.zeros(p)
     J = np.zeros((p, p))
-    n = ev.n
-    per_u = np.empty(n)
-    per_v = np.empty(n)
-    per_vdot = np.empty(n)
-    clamped: list = []
+    st = _stage0(family, ev, z_blocks)
 
-    for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
-        q = be.data.q
-        w, u, v, vdot = _block_core(family, be, z)
-        per_u[be.data.idx] = u
-        per_v[be.data.idx] = v
-        per_vdot[be.data.idx] = vdot
-        if family.kind == "power_exponential" and family.lam != 1.0:
-            hit = be.data.idx[u < 1e-12]
-            clamped.extend(int(i) for i in hit)
-
-        total_ll += float(np.sum(-0.5 * logdet_from_chol(be.P) + family.log_g(u, q)))
-        if not (want_score or want_info):
-            continue
-
+    for be, (z, w, v, vdot) in zip(ev.blocks, st.blocks):
         Sinv = chol_inverse(be.P)
         dmu, C = be.dmu, be.dsigma
         alpha = np.einsum("mra,ma->mr", dmu, w)  # d_r' Sigma^{-1} z
@@ -155,19 +180,23 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
                 )
         info = sym
     return ScoreInfo(
-        loglik=total_ll,
+        loglik=st.loglik,
         score=U,
         info=info,
-        per_obs_u=per_u,
-        per_obs_v=per_v,
-        per_obs_vdot=per_vdot,
-        clamped=clamped,
+        per_obs_u=st.per_u,
+        per_obs_v=st.per_v,
+        per_obs_vdot=st.per_vdot,
+        clamped=list(st.clamped),
     )
 
 
 def loglik(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> float:
-    """Log-likelihood at ev.theta (optionally with overridden residuals)."""
-    return _assemble(family, ev, z_blocks, want_score=False, want_info=False).loglik
+    """Log-likelihood at ev.theta (optionally with overridden residuals).
+
+    Runs stage 0 only: no derivative of mu or Sigma is computed.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _stage0(family, ev, z_blocks).loglik
 
 
 def score(family: EllipticalFamily, ev: ModelEval) -> np.ndarray:
@@ -186,5 +215,8 @@ def observed_info(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> np.
 
 
 def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True) -> ScoreInfo:
-    """Log-likelihood, score and (optionally) observed information in one pass."""
+    """Log-likelihood, score and (optionally) observed information.
+
+    Stage 0 is reused when it is already cached on ``ev``.
+    """
     return _assemble(family, ev, want_score=True, want_info=want_info)

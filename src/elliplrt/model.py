@@ -25,7 +25,9 @@ max(1, |theta_r|)).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,6 +96,17 @@ class DataBlock:
     idx: np.ndarray  # (m,) original observation indices
     y: np.ndarray  # (m, q)
     cov: dict  # name -> (m, ...) stacked covariate arrays
+    # theta-independent arrays a model builds from the covariates, by name
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def cached(self, key: str, build: Callable) -> np.ndarray:
+        """``build(self)`` computed once per block and frozen read-only."""
+        arr = self.cache.get(key)
+        if arr is None:
+            arr = build(self)
+            arr.setflags(write=False)
+            self.cache[key] = arr
+        return arr
 
     @property
     def m(self) -> int:
@@ -180,7 +193,9 @@ class ModelSpec:
     d2mu (m,p,p,q); sigma (m,q,q); dsigma (m,p,q,q); d2sigma (m,p,p,q,q).
     A derivative callback returning None (or left unset) means the
     corresponding derivatives are identically zero (d2mu/d2sigma) or must
-    be obtained by finite differences (dmu/dsigma).
+    be obtained by finite differences (dmu/dsigma).  Callbacks may keep
+    theta-independent arrays in ``blk.cached``; those are shared between
+    evaluations and read-only.
     """
 
     name: str
@@ -201,18 +216,64 @@ class ModelSpec:
         return np.asarray(self.start_fn(data), dtype=float)
 
 
-@dataclass
 class BlockEval:
-    """Evaluated model quantities for one block (see ModelSpec for shapes)."""
+    """Evaluated model quantities for one block (see ModelSpec for shapes).
 
-    data: DataBlock
-    mu: np.ndarray
-    dmu: np.ndarray
-    d2mu: np.ndarray | None
-    sigma: np.ndarray
-    dsigma: np.ndarray
-    d2sigma: np.ndarray | None
-    P: np.ndarray  # (m,q,q) lower Cholesky factor of sigma
+    ``mu``, ``sigma`` and ``P``, the lower Cholesky factor of sigma, are
+    computed when the block is evaluated.  The derivative arrays ``dmu``,
+    ``d2mu``, ``dsigma`` and ``d2sigma`` are computed on first access, so
+    a caller that needs only the log-likelihood runs no derivative
+    callback.  Derivatives come from the model's analytic callbacks, or
+    from central finite differences where the model has none or
+    ``force_fd`` is set.
+    """
+
+    def __init__(self, model: ModelSpec, theta: np.ndarray, data: DataBlock, force_fd: bool = False):
+        self.model, self.theta, self.data = model, theta, data
+        self.mu = model.mu_fn(theta, data)
+        self.sigma = model.sigma_fn(theta, data)
+        self.P = _chol_blocks(self.sigma, data.idx)
+        self._analytic_mu = not force_fd and model.dmu_fn is not None
+        self._analytic_sigma = not force_fd and model.dsigma_fn is not None
+
+    def _mu_at(self, t):
+        return self.model.mu_fn(t, self.data)
+
+    def _sigma_at(self, t):
+        return self.model.sigma_fn(t, self.data)
+
+    @cached_property
+    def dmu(self) -> np.ndarray:
+        if self._analytic_mu:
+            return self.model.dmu_fn(self.theta, self.data)
+        return _fd_first(self._mu_at, self.theta)
+
+    @cached_property
+    def d2mu(self) -> np.ndarray | None:
+        if self._analytic_mu:
+            fn = self.model.d2mu_fn
+            d2mu = None if fn is None else fn(self.theta, self.data)
+        else:
+            d2mu = _fd_second(self._mu_at, self.theta)
+        return None if d2mu is None else 0.5 * (d2mu + np.swapaxes(d2mu, 1, 2))
+
+    @cached_property
+    def dsigma(self) -> np.ndarray:
+        if self._analytic_sigma:
+            dsigma = self.model.dsigma_fn(self.theta, self.data)
+        else:
+            dsigma = _fd_first(self._sigma_at, self.theta)
+        # dsigma must be exactly symmetric in its matrix indices
+        return 0.5 * (dsigma + np.swapaxes(dsigma, -1, -2))
+
+    @cached_property
+    def d2sigma(self) -> np.ndarray | None:
+        if self._analytic_sigma:
+            fn = self.model.d2sigma_fn
+            d2sigma = None if fn is None else fn(self.theta, self.data)
+        else:
+            d2sigma = _fd_second(self._sigma_at, self.theta)
+        return None if d2sigma is None else 0.5 * (d2sigma + np.swapaxes(d2sigma, 1, 2))
 
 
 @dataclass
@@ -223,16 +284,16 @@ class ModelEval:
     p: int
     n: int
     blocks: list[BlockEval]
+    # the likelihood's stage 0 for the default residuals, set by likelihood.py
+    stage0: object = field(default=None, repr=False, compare=False)
 
-    def obs(self, i: int):
+    def obs(self, i: int) -> SimpleNamespace:
         """Per-observation view (for tests and reporting)."""
         for be in self.blocks:
             pos = np.nonzero(be.data.idx == i)[0]
             if pos.size:
                 j = int(pos[0])
-                return replace(
-                    be,
-                    data=None,
+                return SimpleNamespace(
                     mu=be.mu[j],
                     dmu=be.dmu[j],
                     d2mu=None if be.d2mu is None else be.d2mu[j],
@@ -303,57 +364,31 @@ def _fd_second(fn: Callable, theta: np.ndarray, h_scale: float = 1e-4):
     return np.moveaxis(out, 2, 0)  # (m, p, p, ...)
 
 
-def _eval_block(model: ModelSpec, theta: np.ndarray, blk: DataBlock, force_fd: bool) -> BlockEval:
-    mu = model.mu_fn(theta, blk)
-    sigma = model.sigma_fn(theta, blk)
-    use_analytic = not force_fd
-    if use_analytic and model.dmu_fn is not None:
-        dmu = model.dmu_fn(theta, blk)
-        d2mu = model.d2mu_fn(theta, blk) if model.d2mu_fn is not None else None
-    else:
-        dmu = _fd_first(lambda t: model.mu_fn(t, blk), theta)
-        d2mu = _fd_second(lambda t: model.mu_fn(t, blk), theta)
-    if use_analytic and model.dsigma_fn is not None:
-        dsigma = model.dsigma_fn(theta, blk)
-        d2sigma = model.d2sigma_fn(theta, blk) if model.d2sigma_fn is not None else None
-    else:
-        dsigma = _fd_first(lambda t: model.sigma_fn(t, blk), theta)
-        d2sigma = _fd_second(lambda t: model.sigma_fn(t, blk), theta)
-    if d2sigma is not None:
-        d2sigma = 0.5 * (d2sigma + np.swapaxes(d2sigma, 1, 2))
-    if d2mu is not None:
-        d2mu = 0.5 * (d2mu + np.swapaxes(d2mu, 1, 2))
-    # dsigma must be exactly symmetric in its matrix indices
-    dsigma = 0.5 * (dsigma + np.swapaxes(dsigma, -1, -2))
-    P = _chol_blocks(sigma, blk.idx)
-    return BlockEval(data=blk, mu=mu, dmu=dmu, d2mu=d2mu, sigma=sigma, dsigma=dsigma, d2sigma=d2sigma, P=P)
+def _evaluate(model: ModelSpec, theta, data: Dataset, force_fd: bool) -> ModelEval:
+    if isinstance(theta, ParameterVector):
+        theta = theta.theta
+    # a private copy: derivatives are computed later from this theta
+    theta = np.array(theta, dtype=float)
+    if theta.shape != (model.p,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({model.p},)")
+    blocks = [BlockEval(model, theta, blk, force_fd) for blk in data.blocks()]
+    return ModelEval(theta=theta, p=model.p, n=data.n, blocks=blocks)
 
 
 def evaluate(model: ModelSpec, theta, data: Dataset) -> ModelEval:
-    """Evaluate mu_i, Sigma_i and all derivatives at theta.
+    """Evaluate mu_i and Sigma_i at theta; derivatives follow on first access.
 
-    Analytic derivatives are used where the model provides them and
-    finite differences otherwise.  Raises NonSPDError (with the offending
-    observation index) if any Sigma_i fails its Cholesky factorization.
+    Every block's Sigma is factored here, so NonSPDError (with the
+    offending observation index) is raised before any derivative
+    callback runs.  Analytic derivatives are used where the model
+    provides them and finite differences otherwise.
     """
-    if isinstance(theta, ParameterVector):
-        theta = theta.theta
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.p,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({model.p},)")
-    blocks = [_eval_block(model, theta, blk, force_fd=False) for blk in data.blocks()]
-    return ModelEval(theta=theta, p=model.p, n=data.n, blocks=blocks)
+    return _evaluate(model, theta, data, force_fd=False)
 
 
 def fd_derivatives(model: ModelSpec, theta, data: Dataset) -> ModelEval:
     """Like evaluate() but with all derivatives from finite differences."""
-    if isinstance(theta, ParameterVector):
-        theta = theta.theta
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.p,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({model.p},)")
-    blocks = [_eval_block(model, theta, blk, force_fd=True) for blk in data.blocks()]
-    return ModelEval(theta=theta, p=model.p, n=data.n, blocks=blocks)
+    return _evaluate(model, theta, data, force_fd=True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +398,13 @@ def fd_derivatives(model: ModelSpec, theta, data: Dataset) -> ModelEval:
 MODEL1_PARAMS = ("beta0", "beta1", "beta2", "beta3", "sigma2")
 
 
-def _m1_terms(blk: DataBlock) -> np.ndarray:
+def _m1_build_terms(blk: DataBlock) -> np.ndarray:
     x1, x2 = blk.cov["x1"], blk.cov["x2"]
     return np.stack([np.ones_like(x1), x1, x2, x2**2], axis=1)  # (m, 4)
+
+
+def _m1_terms(blk: DataBlock) -> np.ndarray:
+    return blk.cached("m1_terms", _m1_build_terms)
 
 
 def _m1_mu(theta, blk):
@@ -457,11 +496,15 @@ def _m2_mu(theta, blk):
     return blk.cov["X"] @ theta[:5]
 
 
-def _m2_dmu(theta, blk):
+def _m2_build_dmu(blk):
     m, q = blk.y.shape
     d = np.zeros((m, 9, q))
     d[:, :5, :] = np.swapaxes(blk.cov["X"], 1, 2)
     return d
+
+
+def _m2_dmu(theta, blk):
+    return blk.cached("m2_dmu", _m2_build_dmu)
 
 
 def _m2_sigma(theta, blk):
@@ -472,7 +515,7 @@ def _m2_sigma(theta, blk):
     return Z @ delta @ np.swapaxes(Z, 1, 2) + s2 * np.eye(q)
 
 
-def _m2_dsigma(theta, blk):
+def _m2_build_dsigma(blk):
     Z = blk.cov["Z"]
     m, q = blk.y.shape
     z1, z2 = Z[:, :, 0], Z[:, :, 1]
@@ -482,6 +525,10 @@ def _m2_dsigma(theta, blk):
     d[:, 7] = z2[:, :, None] * z2[:, None, :]
     d[:, 8] = np.eye(q)
     return d
+
+
+def _m2_dsigma(theta, blk):
+    return blk.cached("m2_dsigma", _m2_build_dsigma)
 
 
 def _m2_start(data: Dataset) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import EllipticalFamily
-from .inference import FitError, Hypothesis, StageError, run_test
+from .inference import FitError, Hypothesis, HypothesisError, StageError, run_test
 from .model import (
     Dataset,
     NonSPDError,
@@ -89,6 +89,10 @@ class SimulationConfig:
         object.__setattr__(self, "alpha_levels", alphas)
         object.__setattr__(self, "interest", tuple(int(i) for i in self.interest))
         object.__setattr__(self, "psi0", tuple(float(v) for v in self.psi0))
+        try:
+            self.hypothesis().check(nonlinear_model1() if self.model == "model1" else mixed_model2())
+        except HypothesisError as exc:
+            raise SimulationError(str(exc)) from None
         true = self.true_theta if self.true_theta is not None else self.default_true_theta()
         true = tuple(float(v) for v in true)
         object.__setattr__(self, "true_theta", true)

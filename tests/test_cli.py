@@ -130,6 +130,18 @@ def test_test_unknown_parameter_name(one_dataset, capsys):
     assert "beta9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "interest, psi0, match",
+    [("7", "0", "out of range"), ("-1", "0", "out of range"), ("sigma2", "-1", "must be positive")],
+    ids=["index_past_p", "negative_index", "nonpositive_variance"],
+)
+def test_test_hypothesis_outside_model_is_input_error(one_dataset, capsys, interest, psi0, match):
+    code = cli.main(["test", "--model", "model1", "--family", "normal", "--data", str(one_dataset),
+                     f"--interest={interest}", f"--psi0={psi0}"])
+    assert code == 1
+    assert match in capsys.readouterr().err
+
+
 def test_family_shape_validation(one_dataset, capsys):
     code = cli.main(["fit", "--model", "model1", "--family", "student_t", "--data", str(one_dataset)])
     assert code == 1

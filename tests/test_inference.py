@@ -26,6 +26,7 @@ from elliplrt import model as M
 from elliplrt.families import EllipticalFamily
 from elliplrt.inference import (
     Hypothesis,
+    HypothesisError,
     StageError,
     TestReport,
     adjusted_statistics,
@@ -108,6 +109,15 @@ def test_fit_reports_nonconvergence_not_silently():
     assert isinstance(res.converged, bool)
     if not res.converged:
         assert res.score_norm > 0
+
+
+def test_stderr_is_root_of_inverse_information_diagonal():
+    for fam, kind in ((EllipticalFamily.student_t(4.0), "model2"), (NORMAL, "model1")):
+        rng = np.random.default_rng(21)
+        model, data = simulate_model1(fam, 15, rng) if kind == "model1" else simulate_model2(fam, 16, rng)
+        res = fit(model, fam, data)
+        expected = np.sqrt(np.diag(np.linalg.inv(res.info)))
+        np.testing.assert_allclose(res.stderr, expected, rtol=1e-10, atol=0)
 
 
 def test_fit_fully_restricted_evaluates_only():
@@ -386,3 +396,39 @@ def test_hypothesis_validation():
         Hypothesis((0,), [0.0], "sideways")
     with pytest.raises(ValueError):
         Hypothesis((0, 0), [0.0, 0.0], "two")
+
+
+@pytest.mark.parametrize(
+    "interest, psi0, match",
+    [((7,), [0.0], "out of range"), ((-1,), [0.0], "out of range"), ((4,), [-1.0], "must be positive"),
+     ((3,), [np.nan], "must be finite")],
+    ids=["index_past_p", "negative_index", "nonpositive_variance", "nan_psi0"],
+)
+def test_hypothesis_checked_against_model_before_fitting(interest, psi0, match, monkeypatch):
+    model, data = simulate_model1(NORMAL, 15, np.random.default_rng(2))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit must not run for an invalid hypothesis")
+
+    monkeypatch.setattr("elliplrt.inference.fit", no_fit)
+    with pytest.raises(HypothesisError, match=match):
+        run_test(model, NORMAL, data, Hypothesis(interest, psi0, "two"))
+
+
+def test_sign_skips_have_their_own_flags():
+    # model 1, Student-t nu=1, config seed 42, replication 3: LR and r are far
+    # from degenerate, yet both factors are skipped for a sign reason
+    from elliplrt.montecarlo import SimulationConfig, simulate_dataset
+
+    config = SimulationConfig(model="model1", family="student_t", nu=1.0, n=15, replications=1,
+                              interest=(3,), psi0=(0.0,), seed=42)
+    rep = run_test(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 3), config.hypothesis(),
+                   start=np.asarray(config.true_theta))
+    assert rep.LR == pytest.approx(7.5648, abs=1e-4)
+    assert rep.r == pytest.approx(2.7504, abs=1e-4)
+    assert {"nonpositive_gamma_ratio", "nonpositive_rho_denominator"} <= set(rep.flags)
+    assert not {"near_zero_r", "near_zero_LR"} & set(rep.flags)
+    # skipped adjustments leave the statistics unadjusted
+    assert rep.gamma == 1.0 and rep.rho == 1.0
+    assert rep.r_star == rep.r and rep.LR_star == rep.LR_star2 == rep.LR
+    assert rep.p_r_star == rep.p_r and rep.p_LR_star == rep.p_LR

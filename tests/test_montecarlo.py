@@ -41,6 +41,8 @@ def test_config_validation():
     with pytest.raises(SimulationError):
         # true theta must satisfy the null being simulated
         dataclasses.replace(BASE, true_theta=(0.5, 0.2, 0.3, 0.0, 0.005))
+    with pytest.raises(SimulationError, match="out of range"):
+        dataclasses.replace(BASE, interest=(7,), psi0=(0.0,))
 
 
 def test_stat_labels_depend_on_interest_dimension():

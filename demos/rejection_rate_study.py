@@ -32,7 +32,9 @@ config = SimulationConfig(
 
 print(f"Simulating {reps} null datasets (model 1, normal errors, n = 15) ...")
 summary = run_simulation(config)
-print(f"done in {summary.wall_time:.1f}s; {summary.failure_count} replications failed to fit\n")
+print(f"done in {summary.wall_time:.1f}s; {summary.redraw_count} datasets redrawn, "
+      f"{summary.failure_count} replications failed to fit; "
+      f"skipped adjustments: {summary.adjustment_skips or 'none'}\n")
 
 print("Null rejection rates (percent, binomial standard errors in parentheses)")
 print(f"{'statistic':>10s}" + "".join(f"{f'alpha = {a:.0%}':>18s}" for a in config.alpha_levels))

@@ -25,11 +25,10 @@ from .inference import (
     StageError,
     TestReport,
     adjusted_statistics,
+    adjustment_factors,
     fit,
-    gamma_factor,
     lr_and_r,
     p_values,
-    rho_factor,
     run_test,
 )
 from .likelihood import ScoreInfo, loglik, observed_info, score, score_info
@@ -39,7 +38,6 @@ from .model import (
     ModelSpec,
     NonSPDError,
     Observation,
-    ParameterVector,
     evaluate,
     fd_derivatives,
     mixed_model2,
@@ -74,7 +72,6 @@ __all__ = [
     "ModelSpec",
     "NonSPDError",
     "Observation",
-    "ParameterVector",
     "SampleSpaceDerivs",
     "ScoreInfo",
     "SimulationConfig",
@@ -84,6 +81,7 @@ __all__ = [
     "StageError",
     "TestReport",
     "adjusted_statistics",
+    "adjustment_factors",
     "build_ancillary",
     "cholesky_derivative",
     "cholesky_lower",
@@ -91,7 +89,6 @@ __all__ = [
     "evaluate",
     "fd_derivatives",
     "fit",
-    "gamma_factor",
     "loglik",
     "lr_and_r",
     "mixed_model2",
@@ -104,7 +101,6 @@ __all__ = [
     "p_values",
     "pvalue_discrepancy",
     "read_dataset_csv",
-    "rho_factor",
     "run_simulation",
     "run_test",
     "sample_space_gradients",

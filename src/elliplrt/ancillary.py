@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import chol_inverse, chol_solve, phi_lower, solve_lower
+from ._linalg import phi_lower, solve_lower
 from .families import EllipticalFamily
-from .likelihood import _block_core, observed_info
+from .likelihood import _block_core, _first_order, _t_kernel, observed_info
 from .model import Dataset, ModelEval, ModelSpec, evaluate
 
 __all__ = [
@@ -84,7 +84,6 @@ class AncillaryBundle:
     identity P_i a_i + mu_i(theta_hat) = y_i holds per observation.
     """
 
-    theta_hat: np.ndarray
     eval_hat: ModelEval
     blocks: list
 
@@ -115,7 +114,7 @@ def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: Elliptical
         M = np.einsum("mab,mrbc,mdc->mrad", Pinv, be.dsigma, Pinv)
         dP = np.einsum("mab,mrbc->mrac", be.P, phi_lower(M))
         blocks.append(BundleBlock(a=a, P=be.P, dP=dP))
-    return AncillaryBundle(theta_hat=ev.theta, eval_hat=ev, blocks=blocks)
+    return AncillaryBundle(eval_hat=ev, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,9 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
     evaluated at eval_at.theta, and
 
     Q_ir = 2 vdot_i z_i (d_ir' Sigma_i^{-1} z_i) + v_i d_ir
-           - vdot_i z_i (z_i' A_ir z_i) + v_i C_ir Sigma_i^{-1} z_i.
+           - vdot_i z_i (z_i' A_ir z_i) + v_i C_ir Sigma_i^{-1} z_i,
+
+    the T term of the observed information at these residuals.
     """
     p = eval_at.p
     ell = np.zeros(p)
@@ -156,16 +157,8 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
 
         ell += -np.einsum("m,mra,ma->r", v, Rhat, w)
 
-        Sinv = chol_inverse(be.P)
-        dmu, C = be.dmu, be.dsigma
-        alpha = np.einsum("mra,ma->mr", dmu, w)
-        Cw = np.einsum("mrab,mb->mra", C, w)
-        SC = np.einsum("mab,mrbc->mrac", Sinv, C)
-        A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
-        kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
-        coef = 2.0 * vdot[:, None] * alpha - vdot[:, None] * kappa
-        Q = coef[:, :, None] * z[:, None, :] + v[:, None, None] * (dmu + Cw)
-
+        Sinv, alpha, Cw = _first_order(be, w)
+        _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw)
         QS = np.einsum("mra,mab->mrb", Q, Sinv)
         Uprime += np.einsum("mrb,msb->rs", QS, Rhat)
     return ell, Uprime

@@ -136,9 +136,8 @@ def cmd_test(args) -> int:
         raise InputError(str(exc)) from None
     interest = _parse_interest(args.interest, model)
     psi0 = _parse_floats(args.psi0) if args.psi0 else [0.0] * len(interest)
-    sided = {"two": "two", "lower": "lower", "upper": "upper"}[args.sided]
     try:
-        hyp = Hypothesis(interest, psi0, sided)
+        hyp = Hypothesis(interest, psi0, args.sided)
         hyp.check(model)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -198,10 +197,24 @@ def _load_sim_config(args) -> SimulationConfig:
             true_theta=raw.get("true_theta"),
             seed=int(args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)),
             max_refit_attempts=int(raw.get("max_refit_attempts", 10)),
-            threads=args.threads,
+            threads=args.threads if args.threads is not None else _env_threads(),
         )
     except (SimulationError, ValueError) as exc:
         raise InputError(str(exc)) from None
+
+
+def _env_threads() -> int:
+    """Worker count from ELLIP_LRT_THREADS (1 when unset)."""
+    env = os.environ.get("ELLIP_LRT_THREADS")
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise InputError(f"ELLIP_LRT_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def cmd_simulate(args) -> int:
@@ -239,14 +252,6 @@ def cmd_discrepancy(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ELLIP_LRT_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elliplrt",
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
     p_sim.add_argument("--seed", type=int, default=None, help="override run seed")
-    p_sim.add_argument("--threads", type=int, default=_default_threads())
+    p_sim.add_argument("--threads", type=int, default=None, help="worker processes (default: ELLIP_LRT_THREADS or 1)")
     p_sim.add_argument("--out-summary", default=None)
     p_sim.add_argument("--out-pvalues", default=None)
     p_sim.add_argument("--emit-one", default=None, metavar="CSV",

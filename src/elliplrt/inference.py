@@ -24,8 +24,11 @@ through the approximate ancillary (see the ancillary module):
     rho   = |J-hat|^(1/2) |U'~|^(-1) |J~_ww|^(1/2) |JJ_ww|^(-1/2) |JJ|^(1/2)
             (U~' JJ^(-1) U~)^(q/2) / [LR^(q/2-1) (l-hat' - l-tilde')' (U'~)^(-1) U~]
 
-with JJ the double-tilde information.  Determinants enter through their
-absolute values; a negative raw determinant is surfaced as a note.
+with JJ the double-tilde information.  ``adjustment_factors`` computes
+both: the first three determinants and the solve against (U'~)' are
+shared, and rho's log-determinant sum continues gamma's.  Determinants
+enter through their absolute values; a negative raw determinant is
+surfaced as a note, once per matrix.
 Degenerate situations skip the adjustment (factor 1) and set a flag
 naming the reason rather than producing unusable output: |r| below 1e-4
 (``near_zero_r``), LR below 1e-8 (``near_zero_LR``), a nonpositive gamma
@@ -44,7 +47,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.special import gammaincc, ndtr
 
-from .ancillary import AncillaryBundle, SampleSpaceDerivs, build_ancillary, doubletilde_info, sample_space_gradients
+from .ancillary import SampleSpaceDerivs, build_ancillary, doubletilde_info, sample_space_gradients
 from .families import EllipticalFamily
 from .likelihood import loglik, score_info
 from .model import Dataset, ModelEval, ModelSpec, NonSPDError, evaluate
@@ -58,8 +61,7 @@ __all__ = [
     "TestReport",
     "fit",
     "lr_and_r",
-    "gamma_factor",
-    "rho_factor",
+    "adjustment_factors",
     "adjusted_statistics",
     "p_values",
     "run_test",
@@ -190,9 +192,9 @@ class _Objective:
         theta = self.theta_of(x)
         return theta, evaluate(self.model, theta, self.data)
 
-    def eval(self, x, want_info=True):
+    def eval(self, x):
         theta, ev = self.evaluate(x)
-        return theta, ev, score_info(self.family, ev, want_info=want_info)
+        return theta, ev, score_info(self.family, ev)
 
     def scale(self, x):
         s = np.ones_like(x)
@@ -272,9 +274,13 @@ def _cho_solve(L, b):
 def _lbfgs(obj: _Objective, x0, maxiter=300):
     def fun(x):
         try:
-            _, _, si = obj.eval(x, want_info=False)
+            _, ev = obj.evaluate(x)
         except NonSPDError:
             return 1e15, np.zeros_like(x)
+        # probes reach extreme theta where intermediate products overflow;
+        # a non-finite result is rejected below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            si = score_info(obj.family, ev, want_info=False)
         g = si.score[obj.free] * obj.scale(x)
         if not (np.isfinite(si.loglik) and np.all(np.isfinite(g))):
             return 1e15, np.zeros_like(x)
@@ -451,103 +457,89 @@ def _curvature_scale(J_hat: np.ndarray) -> np.ndarray:
     return np.ones(J_hat.shape[0])
 
 
-def gamma_factor(
+def adjustment_factors(
     fit_hat: FitResult,
     fit_tilde: FitResult,
-    bundle: AncillaryBundle,
-    derivs: SampleSpaceDerivs,
-    interest,
-):
-    """Barndorff-Nielsen correction factor gamma (scalar interest only).
-
-    Returns (gamma, flags, notes); degenerate cases come back as
-    gamma = 1 with an explanatory flag.
-    """
-    if len(interest) != 1:
-        raise ValueError("gamma is defined for a scalar interest parameter")
-    flags: set = set()
-    notes: list = []
-    LR, r = lr_and_r(fit_hat, fit_tilde, interest)
-    if abs(r) < R_DEGENERATE:
-        return 1.0, {"near_zero_r"}, notes
-    p = fit_hat.theta.size
-    nuis = [j for j in range(p) if j not in set(interest)]
-    s = _curvature_scale(fit_hat.info)
-    ss = np.outer(s, s)
-    lad = (
-        0.5 * _logabsdet(fit_hat.info / ss, notes, "J_hat")
-        - _logabsdet(derivs.U_tilde_prime / ss, notes, "U_tilde_prime")
-        + 0.5 * _logabsdet(fit_tilde.info[np.ix_(nuis, nuis)] / ss[np.ix_(nuis, nuis)], notes, "J_tilde_nuisance")
-    )
-    diff = (derivs.ell_hat_prime - derivs.ell_tilde_prime) / s
-    try:
-        vec = np.linalg.solve(derivs.U_tilde_prime.T / ss, diff)
-    except np.linalg.LinAlgError:
-        raise StageError("adjustment", "singular U_tilde_prime") from None
-    denom = float(vec[interest[0]])
-    ratio = r / denom if denom != 0.0 else np.inf
-    if not np.isfinite(ratio) or ratio <= 0.0:
-        notes.append("nonpositive gamma ratio; adjustment skipped")
-        return 1.0, {"nonpositive_gamma_ratio"}, notes
-    gamma = float(math.exp(lad) * ratio)
-    if abs(gamma - 1.0) < FACTOR_SNAP:
-        gamma = 1.0
-    return gamma, flags, notes
-
-
-def rho_factor(
-    fit_hat: FitResult,
-    fit_tilde: FitResult,
-    bundle: AncillaryBundle,
     derivs: SampleSpaceDerivs,
     interest,
     U_tilde: np.ndarray,
 ):
-    """Skovgaard correction factor rho for a q-dimensional interest block.
+    """Barndorff-Nielsen gamma (scalar interest) and Skovgaard rho.
 
-    Returns (rho, flags, notes).  ``U_tilde`` is the score vector at the
-    restricted estimate with the actual data.
+    Returns (gamma, rho, flags, notes); gamma is None for a vector
+    interest block.  ``U_tilde`` is the score vector at the restricted
+    estimate with the actual data.  |J-hat|, |U'~|, |J~_ww| and the solve
+    against (U'~)' are shared by both factors; degenerate cases come back
+    as a factor of 1 with a flag naming the reason.
     """
     flags: set = set()
     notes: list = []
-    LR, _ = lr_and_r(fit_hat, fit_tilde, interest)
+    LR, r = lr_and_r(fit_hat, fit_tilde, interest)
+    gamma = None if r is None else 1.0
+    rho = 1.0
+    if r is not None and abs(r) < R_DEGENERATE:
+        flags.add("near_zero_r")
     if LR < LR_DEGENERATE:
-        return 1.0, {"near_zero_LR"}, notes
+        flags.add("near_zero_LR")
+    want_gamma = r is not None and "near_zero_r" not in flags
+    want_rho = "near_zero_LR" not in flags
+    if not (want_gamma or want_rho):
+        return gamma, rho, flags, notes
+
     q = len(interest)
     p = fit_hat.theta.size
     nuis = [j for j in range(p) if j not in set(interest)]
     s = _curvature_scale(fit_hat.info)
     ss = np.outer(s, s)
-    JJ = derivs.J_doubletilde / ss
+    # rho's sum continues this one left to right, so each factor gets the
+    # bits a separate sum would give
     lad = (
         0.5 * _logabsdet(fit_hat.info / ss, notes, "J_hat")
         - _logabsdet(derivs.U_tilde_prime / ss, notes, "U_tilde_prime")
         + 0.5 * _logabsdet(fit_tilde.info[np.ix_(nuis, nuis)] / ss[np.ix_(nuis, nuis)], notes, "J_tilde_nuisance")
-        - 0.5 * _logabsdet(JJ[np.ix_(nuis, nuis)], notes, "J_doubletilde_nuisance")
-        + 0.5 * _logabsdet(JJ, notes, "J_doubletilde")
     )
-    U_star = U_tilde / s
-    try:
-        quad = float(U_star @ np.linalg.solve(JJ, U_star))
-    except np.linalg.LinAlgError:
-        raise StageError("adjustment", "singular double-tilde information") from None
     diff = (derivs.ell_hat_prime - derivs.ell_tilde_prime) / s
     try:
         vec = np.linalg.solve(derivs.U_tilde_prime.T / ss, diff)
     except np.linalg.LinAlgError:
         raise StageError("adjustment", "singular U_tilde_prime") from None
-    denom = float(vec @ U_star)
-    if quad <= 0.0:
-        notes.append("nonpositive score quadratic form; adjustment skipped")
-        return 1.0, {"nonpd_info"}, notes
-    if denom <= 0.0:
-        notes.append("nonpositive rho denominator; adjustment skipped")
-        return 1.0, {"nonpositive_rho_denominator"}, notes
-    log_rho = lad + 0.5 * q * math.log(quad) - (0.5 * q - 1.0) * math.log(LR) - math.log(denom)
-    rho = float(math.exp(log_rho))
-    if abs(rho - 1.0) < FACTOR_SNAP:
-        rho = 1.0
-    return rho, flags, notes
+
+    if want_gamma:
+        denom = float(vec[interest[0]])
+        ratio = r / denom if denom != 0.0 else np.inf
+        if not np.isfinite(ratio) or ratio <= 0.0:
+            notes.append("nonpositive gamma ratio; adjustment skipped")
+            flags.add("nonpositive_gamma_ratio")
+        else:
+            gamma = float(math.exp(lad) * ratio)
+            if abs(gamma - 1.0) < FACTOR_SNAP:
+                gamma = 1.0
+
+    if want_rho:
+        JJ = derivs.J_doubletilde / ss
+        lad = (
+            lad
+            - 0.5 * _logabsdet(JJ[np.ix_(nuis, nuis)], notes, "J_doubletilde_nuisance")
+            + 0.5 * _logabsdet(JJ, notes, "J_doubletilde")
+        )
+        U_star = U_tilde / s
+        try:
+            quad = float(U_star @ np.linalg.solve(JJ, U_star))
+        except np.linalg.LinAlgError:
+            raise StageError("adjustment", "singular double-tilde information") from None
+        denom = float(vec @ U_star)
+        if quad <= 0.0:
+            notes.append("nonpositive score quadratic form; adjustment skipped")
+            flags.add("nonpd_info")
+        elif denom <= 0.0:
+            notes.append("nonpositive rho denominator; adjustment skipped")
+            flags.add("nonpositive_rho_denominator")
+        else:
+            log_rho = lad + 0.5 * q * math.log(quad) - (0.5 * q - 1.0) * math.log(LR) - math.log(denom)
+            rho = float(math.exp(log_rho))
+            if abs(rho - 1.0) < FACTOR_SNAP:
+                rho = 1.0
+    return gamma, rho, flags, notes
 
 
 def adjusted_statistics(LR: float, r, gamma, rho: float, q: int):
@@ -746,18 +738,9 @@ def run_test(
     U_tilde = score_info(family, eval_tilde, want_info=False).score
 
     LR, r = lr_and_r(fit_hat, fit_tilde, interest)
-    gamma = None
-    if q == 1:
-        gamma, gflags, gnotes = gamma_factor(fit_hat, fit_tilde, bundle, derivs, interest)
-        flags |= gflags
-        notes += gnotes
-    rho, rflags, rnotes = rho_factor(fit_hat, fit_tilde, bundle, derivs, interest, U_tilde)
-    flags |= rflags
-    notes += rnotes
-    if LR < LR_DEGENERATE:
-        flags.add("near_zero_LR")
-    if r is not None and abs(r) < R_DEGENERATE:
-        flags.add("near_zero_r")
+    gamma, rho, factor_flags, factor_notes = adjustment_factors(fit_hat, fit_tilde, derivs, interest, U_tilde)
+    flags |= factor_flags
+    notes += factor_notes
 
     r_star, LR_star, LR_star2, adj_notes = adjusted_statistics(LR, r, gamma, rho, q)
     notes += adj_notes

@@ -14,9 +14,10 @@ assembled per observation from
     J_rs = sum_i [ T_ir' Sigma_i^{-1} d_is + tr(B_ir A_is) + E_irs ],
 
 with A_ir = -Sigma_i^{-1} C_ir Sigma_i^{-1} and the T/B/E terms below; it
-equals the negative Hessian of the log-likelihood.  J is symmetrized by
-averaging after assembly; raw relative asymmetry above 1e-8 triggers a
-warning.
+equals the negative Hessian of the log-likelihood.  The T term comes from
+``_t_kernel``, which the sample-space derivative U' of the ancillary
+module shares.  J is symmetrized by averaging after assembly; raw
+relative asymmetry above 1e-8 triggers a warning.
 
 All routines accept an optional residual override so that the
 information matrix can be evaluated with residuals reconstructed through
@@ -111,11 +112,26 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     return st
 
 
-def _assemble(family: EllipticalFamily, ev: ModelEval, z_blocks=None, want_score=True, want_info=True):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # optimizer line searches probe extreme theta where intermediate
-        # products overflow; non-finite results are rejected by the caller
-        return _assemble_impl(family, ev, z_blocks, want_score, want_info)
+def _first_order(be, w):
+    """Sigma^{-1}, alpha_r = d_r' Sigma^{-1} z and C_r Sigma^{-1} z of one block."""
+    Sinv = chol_inverse(be.P)
+    alpha = np.einsum("mra,ma->mr", be.dmu, w)
+    Cw = np.einsum("mrab,mb->mra", be.dsigma, w)
+    return Sinv, alpha, Cw
+
+
+def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw):
+    """(A_r, kappa_r, T_r) of one block, shared by J and the sample-space U'.
+
+    A_r = -Sigma^{-1} C_r Sigma^{-1}, kappa_r = z' A_r z and
+    T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z).
+    """
+    SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
+    A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
+    kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
+    coef = 2.0 * vdot[:, None] * alpha - vdot[:, None] * kappa
+    T = coef[:, :, None] * z[:, None, :] + v[:, None, None] * (be.dmu + Cw)
+    return A, kappa, T
 
 
 def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score, want_info):
@@ -125,10 +141,8 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
     st = _stage0(family, ev, z_blocks)
 
     for be, (z, w, v, vdot) in zip(ev.blocks, st.blocks):
-        Sinv = chol_inverse(be.P)
+        Sinv, alpha, Cw = _first_order(be, w)
         dmu, C = be.dmu, be.dsigma
-        alpha = np.einsum("mra,ma->mr", dmu, w)  # d_r' Sigma^{-1} z
-        Cw = np.einsum("mrab,mb->mra", C, w)  # C_r Sigma^{-1} z
         wCw = np.einsum("ma,mra->mr", w, Cw)
         trSC = np.einsum("mab,mrba->mr", Sinv, C)
 
@@ -136,12 +150,7 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
             U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
 
         if want_info:
-            SC = np.einsum("mab,mrbc->mrac", Sinv, C)
-            A = -np.einsum("mrac,mcd->mrad", SC, Sinv)  # A_r
-            kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
-
-            coef_T = -vdot[:, None] * kappa + 2.0 * vdot[:, None] * alpha
-            T = coef_T[:, :, None] * z[:, None, :] + v[:, None, None] * (dmu + Cw)
+            A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw)
             TS = np.einsum("mra,mab->mrb", T, Sinv)
             term1 = np.einsum("mrb,msb->mrs", TS, dmu)
 
@@ -201,7 +210,7 @@ def loglik(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> float:
 
 def score(family: EllipticalFamily, ev: ModelEval) -> np.ndarray:
     """Score vector at ev.theta."""
-    return _assemble(family, ev, want_score=True, want_info=False).score
+    return _assemble_impl(family, ev, None, want_score=True, want_info=False).score
 
 
 def observed_info(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> np.ndarray:
@@ -211,7 +220,7 @@ def observed_info(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> np.
     double-tilde information (residuals reconstructed through the
     ancillary) is obtained from the same assembly.
     """
-    return _assemble(family, ev, z_blocks, want_score=False, want_info=True).info
+    return _assemble_impl(family, ev, z_blocks, want_score=False, want_info=True).info
 
 
 def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True) -> ScoreInfo:
@@ -219,4 +228,4 @@ def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True) 
 
     Stage 0 is reused when it is already cached on ``ev``.
     """
-    return _assemble(family, ev, want_score=True, want_info=want_info)
+    return _assemble_impl(family, ev, None, want_score=True, want_info=want_info)

@@ -36,7 +36,6 @@ __all__ = [
     "Observation",
     "Dataset",
     "DataBlock",
-    "ParameterVector",
     "ModelSpec",
     "BlockEval",
     "ModelEval",
@@ -149,34 +148,6 @@ class Dataset:
                 blocks.append(DataBlock(q=q, idx=idx, y=y, cov=cov))
             self._blocks = blocks
         return self._blocks
-
-
-@dataclass(frozen=True)
-class ParameterVector:
-    """A parameter value bundled with the interest-block description.
-
-    ``interest_indices`` select the tested components of theta (the psi
-    block); ``psi0`` is their hypothesized value.  The nuisance block is
-    the complement.
-    """
-
-    theta: np.ndarray
-    interest_indices: tuple[int, ...] = ()
-    psi0: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        idx = tuple(int(i) for i in self.interest_indices)
-        if len(set(idx)) != len(idx):
-            raise ValueError("interest indices must be distinct")
-        if any(i < 0 or i >= self.theta.size for i in idx):
-            raise ValueError(f"interest indices {idx} out of range for p={self.theta.size}")
-        object.__setattr__(self, "interest_indices", idx)
-        if self.psi0 is not None:
-            psi0 = np.atleast_1d(np.asarray(self.psi0, dtype=float))
-            if psi0.size != len(idx):
-                raise ValueError("psi0 length must match the number of interest indices")
-            object.__setattr__(self, "psi0", psi0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +336,6 @@ def _fd_second(fn: Callable, theta: np.ndarray, h_scale: float = 1e-4):
 
 
 def _evaluate(model: ModelSpec, theta, data: Dataset, force_fd: bool) -> ModelEval:
-    if isinstance(theta, ParameterVector):
-        theta = theta.theta
     # a private copy: derivatives are computed later from this theta
     theta = np.array(theta, dtype=float)
     if theta.shape != (model.p,):

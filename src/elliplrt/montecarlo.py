@@ -7,13 +7,17 @@ every statistic.  Per-replication randomness comes from a splittable
 seed sequence keyed by (seed, replication index), so results are
 bit-identical for a given seed regardless of how replications are
 distributed over worker processes.  Replications whose fits fail are
-redrawn up to ``max_refit_attempts`` times and counted loudly.
+redrawn up to ``max_refit_attempts`` times.  The summary counts the
+redraws, the replications that ran out of them, and, per flag, the
+replications whose r*, LR* or LR** p-value is unadjusted because a
+correction factor was skipped; none of these counts enters the CSVs.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +57,11 @@ MODEL1_TRUE = (0.5, 0.2, 0.0, 0.0, 0.005)
 MODEL2_TRUE = (0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)
 
 _DESIGN_KEY = (0,)  # spawn key of the design stream; replication k uses (1, k)
+
+# flags with which run_test reports a correction factor forced to 1; nonpd_info
+# counts only with its skip note, since it also marks an indefinite J-hat
+_SKIP_FLAGS = ("near_zero_r", "near_zero_LR", "nonpositive_gamma_ratio", "nonpositive_rho_denominator")
+_NONPD_SKIP_NOTE = "nonpositive score quadratic form; adjustment skipped"
 
 
 class SimulationError(RuntimeError):
@@ -126,6 +135,8 @@ class SimulationSummary:
     failure_count: int
     replications_done: int
     wall_time: float
+    redraw_count: int  # datasets drawn again after a failed fit, over all replications
+    adjustment_skips: dict  # flag -> kept replications with a factor skipped for it
 
     def rate(self, statistic: str, alpha: float):
         """(rejection rate, binomial standard error) at level alpha."""
@@ -152,6 +163,8 @@ class _Setup:
 
     def __init__(self, config: SimulationConfig):
         self.config = config
+        self.redraws = 0
+        self.skips: Counter = Counter()
         self.family = config.family_obj()
         self.hyp = config.hypothesis()
         self.true_theta = np.asarray(config.true_theta)
@@ -184,21 +197,31 @@ class _Setup:
         return model2_dataset(ys, self.design)
 
     def run_one(self, rep_index: int):
-        """p-values for replication rep_index, or None after exhausted redraws."""
+        """p-values for replication rep_index, or None after exhausted redraws.
+
+        Adds its redraws to ``self.redraws`` and its skip flags to ``self.skips``.
+        """
         rng = np.random.default_rng(np.random.SeedSequence(self.config.seed, spawn_key=(1, rep_index)))
-        for _ in range(self.config.max_refit_attempts):
+        for attempt in range(self.config.max_refit_attempts):
+            if attempt:
+                self.redraws += 1
             data = self.draw_dataset(rng)
             try:
                 report = run_test(self.model, self.family, data, self.hyp, start=self.true_theta)
             except (StageError, FitError, NonSPDError):
                 continue
+            self.skips.update(f for f in _SKIP_FLAGS if f in report.flags)
+            if _NONPD_SKIP_NOTE in report.notes:
+                self.skips["nonpd_info"] += 1
             return {label: report.pvalue(label) for label in self.config.stat_labels()}
         return None
 
 
 def _run_range(config: SimulationConfig, lo: int, hi: int):
+    """(results, redraws, skips) of replications lo..hi-1."""
     setup = _Setup(config)
-    return [(k, setup.run_one(k)) for k in range(lo, hi)]
+    results = [(k, setup.run_one(k)) for k in range(lo, hi)]
+    return results, setup.redraws, setup.skips
 
 
 def run_simulation(config: SimulationConfig) -> SimulationSummary:
@@ -207,15 +230,14 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     R = config.replications
     threads = max(1, int(config.threads))
     if threads == 1:
-        results = _run_range(config, 0, R)
+        parts = [_run_range(config, 0, R)]
     else:
         bounds = np.linspace(0, R, threads + 1).astype(int)
         chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        results = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_run_range_star, [(config, a, b) for a, b in chunks]):
-                results.extend(part)
-    results.sort(key=lambda kr: kr[0])
+            parts = list(pool.map(_run_range_star, [(config, a, b) for a, b in chunks]))
+    results = sorted((kr for part, _, _ in parts for kr in part), key=lambda kr: kr[0])
+    skips = sum((part_skips for _, _, part_skips in parts), Counter())
 
     labels = config.stat_labels()
     collected = {label: [] for label in labels}
@@ -238,6 +260,8 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
         failure_count=failures,
         replications_done=done,
         wall_time=time.perf_counter() - t0,
+        redraw_count=sum(redraws for _, redraws, _ in parts),
+        adjustment_skips=dict(sorted(skips.items())),
     )
 
 

@@ -214,14 +214,28 @@ def test_test_exit_code_on_fit_failure(one_dataset, monkeypatch, capsys):
     assert "unrestricted_fit" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(monkeypatch):
+def test_threads_env_validated(monkeypatch, sim_config_path, one_dataset, tmp_path, capsys):
+    seen = []
+
+    def record(config):
+        seen.append(config.threads)
+        raise cli.SimulationError("stop")
+
+    monkeypatch.setattr(cli, "run_simulation", record)
+    sim = ["simulate", "--config", str(sim_config_path), "--out-summary", str(tmp_path / "s.csv"),
+           "--out-pvalues", str(tmp_path / "p.csv")]
     monkeypatch.setenv("ELLIP_LRT_THREADS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["simulate", "--config", "x.json"])
-    assert args.threads == 3
-    monkeypatch.setenv("ELLIP_LRT_THREADS", "junk")
-    args = cli.build_parser().parse_args(["simulate", "--config", "x.json"])
-    assert args.threads == 1
+    assert cli.main(sim) == cli.main([*sim, "--threads", "2"]) == 2
+    assert seen == [3, 2]
+    for bad in ("four", "0", "-3"):
+        monkeypatch.setenv("ELLIP_LRT_THREADS", bad)
+        capsys.readouterr()
+        assert cli.main(sim) == 1
+        assert "ELLIP_LRT_THREADS" in capsys.readouterr().err
+        assert cli.main([*sim, "--threads", "2"]) == 2  # the explicit option wins
+    # fit and test do not read the variable
+    assert cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(one_dataset),
+                     "--out", str(tmp_path / "fit.json")]) == 0
 
 
 def test_console_script_entry_point(tmp_path, sim_config_path):

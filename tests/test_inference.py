@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from conftest import (
     simulate_model1,
     simulate_model2,
 )
+from elliplrt import inference
 from elliplrt import model as M
 from elliplrt.families import EllipticalFamily
 from elliplrt.inference import (
@@ -30,11 +32,10 @@ from elliplrt.inference import (
     StageError,
     TestReport,
     adjusted_statistics,
+    adjustment_factors,
     fit,
-    gamma_factor,
     lr_and_r,
     p_values,
-    rho_factor,
     run_test,
 )
 
@@ -57,6 +58,17 @@ def test_fit_gaussian_closed_form():
     # standard errors from the inverse observed information
     n = y.size
     assert res.stderr[0] == pytest.approx(np.sqrt(res.theta[1] / n), rel=1e-8)
+
+
+def test_lbfgs_probe_at_overflowing_point_is_silent():
+    fam = EllipticalFamily.student_t(3.0)
+    obj = inference._Objective(make_locscale_model(), fam, scalar_dataset(np.linspace(-1, 1, 8)),
+                               np.zeros(2), np.arange(2))
+    x0 = inference._to_internal(np.array([1e200, 1e-200]), obj.is_log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _ = inference._lbfgs(obj, x0)
+    np.testing.assert_array_equal(x, x0)  # the probe is rejected, not accepted
 
 
 def test_fit_student_t_matches_independent_optimizer():
@@ -396,6 +408,8 @@ def test_hypothesis_validation():
         Hypothesis((0,), [0.0], "sideways")
     with pytest.raises(ValueError):
         Hypothesis((0, 0), [0.0, 0.0], "two")
+    with pytest.raises(ValueError):
+        Hypothesis((0, 1), [0.0], "two")
 
 
 @pytest.mark.parametrize(
@@ -432,3 +446,27 @@ def test_sign_skips_have_their_own_flags():
     assert rep.gamma == 1.0 and rep.rho == 1.0
     assert rep.r_star == rep.r and rep.LR_star == rep.LR_star2 == rep.LR
     assert rep.p_r_star == rep.p_r and rep.p_LR_star == rep.p_LR
+
+
+def test_negative_determinant_is_noted_once():
+    # model 1, normal, seed 2718, replication 0: |U'~| has a negative raw
+    # determinant; gamma and rho share it, so it is noted once
+    from elliplrt.montecarlo import SimulationConfig, simulate_dataset
+
+    config = SimulationConfig(model="model1", family="normal", n=15, replications=1,
+                              interest=(3,), psi0=(0.0,), seed=2718)
+    rep = run_test(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 0), config.hypothesis(),
+                   start=np.asarray(config.true_theta))
+    assert rep.notes.count("negative raw determinant: U_tilde_prime") == 1
+
+
+def test_near_zero_statistics_skip_the_factors_before_any_determinant():
+    # no sample-space derivatives are needed when both factors are skipped
+    def fitted(theta, ll):
+        return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(3),
+                                   converged=True, iterations=0, restricted=False, stderr=np.ones(3))
+
+    hat, tilde = fitted([0.0, 1.0, 2e-5], -10.0), fitted([0.0, 1.0, 0.0], -10.0 - 1e-10)
+    assert adjustment_factors(hat, tilde, None, (2,), None) == (1.0, 1.0, {"near_zero_r", "near_zero_LR"}, [])
+    # r exists only for a scalar interest: a vector block gets no gamma and no near_zero_r
+    assert adjustment_factors(hat, tilde, None, (1, 2), None) == (None, 1.0, {"near_zero_LR"}, [])

@@ -138,15 +138,6 @@ def test_theta_length_validated():
         M.evaluate(M.nonlinear_model1(), np.zeros(4), data)
 
 
-def test_parameter_vector_validation():
-    with pytest.raises(ValueError):
-        M.ParameterVector(np.zeros(3), (0, 0))
-    with pytest.raises(ValueError):
-        M.ParameterVector(np.zeros(3), (5,))
-    pv = M.ParameterVector(np.zeros(3), (1,), [0.0])
-    assert pv.interest_indices == (1,)
-
-
 def test_observation_q_and_validation():
     with pytest.raises(ValueError):
         M.Observation(np.zeros((2, 2)))

@@ -73,6 +73,7 @@ def test_reproducible_across_thread_counts():
     for label in BASE.stat_labels():
         np.testing.assert_array_equal(s1.pvalues[label], s2.pvalues[label])
     assert s1.failure_count == s2.failure_count
+    assert (s1.redraw_count, s1.adjustment_skips) == (s2.redraw_count, s2.adjustment_skips)
 
 
 def test_same_seed_same_results():
@@ -96,6 +97,33 @@ def test_failure_accounting_and_loud_error(monkeypatch):
         run_simulation(cfg)
     assert calls["k"] == 5 * 3  # every replication exhausted its redraws
     monkeypatch.setattr("elliplrt.montecarlo.run_test", real)
+
+
+def test_redraws_and_adjustment_skips_are_counted(monkeypatch):
+    calls = {"k": 0}
+    real = inference.run_test
+    # flags of the kept report of replications 0..3; nonpd_info without its
+    # skip note marks an indefinite J-hat, not a skipped adjustment
+    kept = [
+        (["near_zero_LR"], []),
+        (["nonpd_info"], []),
+        (["nonpd_info", "nonpositive_gamma_ratio"], ["nonpositive score quadratic form; adjustment skipped"]),
+        (["boundary_fit"], []),
+    ]
+
+    def fails_first(*args, **kwargs):
+        calls["k"] += 1
+        if calls["k"] % 2:
+            raise inference.StageError("unrestricted_fit", "forced failure")
+        flags, notes = kept[calls["k"] // 2 - 1]
+        return dataclasses.replace(real(*args, **kwargs), flags=flags, notes=notes)
+
+    monkeypatch.setattr("elliplrt.montecarlo.run_test", fails_first)
+    s = run_simulation(dataclasses.replace(BASE, replications=4))
+    assert calls["k"] == 8
+    assert s.failure_count == 0 and s.replications_done == 4
+    assert s.redraw_count == 4
+    assert s.adjustment_skips == {"near_zero_LR": 1, "nonpd_info": 1, "nonpositive_gamma_ratio": 1}
 
 
 def test_emit_one_matches_first_replication():

@@ -203,6 +203,13 @@ def test_rejected_trial_point_builds_no_derivatives_and_no_information(monkeypat
 # Recorded with numpy 2.4 / scipy 1.17 on x86-64 OpenBLAS.
 FIT_FINGERPRINT = "8ccd0a7da2ff2432a1ad84267a810627ca7064362b638777ba214d26e974573e"
 
+# sha256 of repr((LR, r, gamma, rho, r*, LR*, LR**, the five p-values,
+# sorted flags)) of run_test over the same cases, recorded before the
+# sample-space kernel and the adjustment core were shared, with the same
+# numpy and scipy.  It pins the ancillary and adjustment stages the way
+# FIT_FINGERPRINT pins the fits.
+ADJUST_FINGERPRINT = "d2bb63d38f7747730a7a8854c3740743198a35ac5177ee6773fdd4837a18707f"
+
 FINGERPRINT_CASES = (
     # model, family, nu, n, interest, start at the true theta, replications
     ("model1", "student_t", 3.0, 15, (3,), True, (0, 1, 2)),
@@ -212,25 +219,50 @@ FINGERPRINT_CASES = (
 )
 
 
-def fit_fingerprint() -> str:
-    digest = hashlib.sha256()
+def _fingerprint_datasets():
+    """(config, model, family, warm start or None, dataset) for each case."""
     for name, family, nu, n, interest, warm, reps in FINGERPRINT_CASES:
         config = SimulationConfig(model=name, family=family, nu=nu, n=n, replications=1,
                                   interest=interest, psi0=(0.0,), seed=2718)
         model = M.nonlinear_model1() if name == "model1" else M.mixed_model2()
-        fam = config.family_obj()
+        start = np.asarray(config.true_theta) if warm else None
         for rep in reps:
-            data = simulate_dataset(config, rep)
-            hat = fit(model, fam, data, start=np.asarray(config.true_theta) if warm else None)
-            start = hat.theta.copy()
-            start[list(interest)] = 0.0
-            tilde = fit(model, fam, data, restriction=(interest, [0.0]), start=start)
-            digest.update(repr((hat.theta.tolist(), tilde.theta.tolist(), hat.loglik, tilde.loglik,
-                                hat.converged, tilde.converged, hat.info.tolist(),
-                                tilde.info.tolist())).encode())
+            yield config, model, config.family_obj(), start, simulate_dataset(config, rep)
+
+
+def fit_fingerprint() -> str:
+    digest = hashlib.sha256()
+    for config, model, fam, start, data in _fingerprint_datasets():
+        interest = config.interest
+        hat = fit(model, fam, data, start=start)
+        tilde_start = hat.theta.copy()
+        tilde_start[list(interest)] = 0.0
+        tilde = fit(model, fam, data, restriction=(interest, [0.0]), start=tilde_start)
+        digest.update(repr((hat.theta.tolist(), tilde.theta.tolist(), hat.loglik, tilde.loglik,
+                            hat.converged, tilde.converged, hat.info.tolist(),
+                            tilde.info.tolist())).encode())
+    return digest.hexdigest()
+
+
+def adjust_fingerprint() -> str:
+    digest = hashlib.sha256()
+    for config, model, fam, start, data in _fingerprint_datasets():
+        try:
+            rep = inference.run_test(model, fam, data, config.hypothesis(), start=start)
+        except inference.StageError as exc:  # one model-2 case: the cold-start fit fails
+            digest.update(repr(exc.stage).encode())
+            continue
+        digest.update(repr((rep.LR, rep.r, rep.gamma, rep.rho, rep.r_star, rep.LR_star, rep.LR_star2,
+                            rep.p_LR, rep.p_r, rep.p_r_star, rep.p_LR_star, rep.p_LR_star2,
+                            sorted(rep.flags))).encode())
     return digest.hexdigest()
 
 
 @pytest.mark.filterwarnings("ignore:observed information asymmetry")
 def test_fits_match_pinned_fingerprint():
     assert fit_fingerprint() == FIT_FINGERPRINT
+
+
+@pytest.mark.filterwarnings("ignore:observed information asymmetry")
+def test_adjusted_statistics_match_pinned_fingerprint():
+    assert adjust_fingerprint() == ADJUST_FINGERPRINT

@@ -22,7 +22,7 @@ import scipy.linalg
 
 from ._linalg import phi_lower, solve_lower
 from .families import EllipticalFamily
-from .likelihood import _block_core, _first_order, _t_kernel, observed_info
+from .likelihood import _block_core, _first_order, _support, _t_kernel, observed_info
 from .model import Dataset, ModelEval, ModelSpec, evaluate
 
 __all__ = [
@@ -87,13 +87,6 @@ class AncillaryBundle:
     eval_hat: ModelEval
     blocks: list
 
-    def a_of(self, i: int) -> np.ndarray:
-        for bb, be in zip(self.blocks, self.eval_hat.blocks):
-            pos = np.nonzero(be.data.idx == i)[0]
-            if pos.size:
-                return bb.a[int(pos[0])]
-        raise IndexError(f"observation {i} not found")
-
 
 def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: EllipticalFamily) -> AncillaryBundle:
     """Construct the ancillary bundle at the unrestricted MLE.
@@ -111,8 +104,11 @@ def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: Elliptical
         z = be.data.y - be.mu
         a = solve_lower(be.P, z[:, :, None])[:, :, 0]
         Pinv = solve_lower(be.P, np.broadcast_to(np.eye(be.data.q), be.P.shape).copy())
-        M = np.einsum("mab,mrbc,mdc->mrad", Pinv, be.dsigma, Pinv)
-        dP = np.einsum("mab,mrbc->mrac", be.P, phi_lower(M))
+        # dP_r is zero where dSigma_r is; a non-finite factor keeps every r
+        S = be.sigma_support if np.isfinite(Pinv.sum() + be.P.sum()) else slice(None)
+        M = np.einsum("mab,mrbc,mdc->mrad", Pinv, be.dsigma[:, S], Pinv)
+        dP = np.zeros(be.dsigma.shape)
+        dP[:, S] = np.einsum("mab,mrbc->mrac", be.P, phi_lower(M))
         blocks.append(BundleBlock(a=a, P=be.P, dP=dP))
     return AncillaryBundle(eval_hat=ev, blocks=blocks)
 
@@ -158,7 +154,8 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
         ell += -np.einsum("m,mra,ma->r", v, Rhat, w)
 
         Sinv, alpha, Cw = _first_order(be, w)
-        _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw)
+        S, C_bk = _support(be, z, w, v, vdot)
+        _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
         QS = np.einsum("mra,mab->mrb", Q, Sinv)
         Uprime += np.einsum("mrb,msb->rs", QS, Rhat)
     return ell, Uprime

@@ -43,8 +43,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import gammaincc, ndtr
 
 from .ancillary import SampleSpaceDerivs, build_ancillary, doubletilde_info, sample_space_gradients
@@ -223,9 +223,10 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
         # modified Cholesky: ridge until the Newton system is PD
         tau = 0.0
         base = max(np.max(np.abs(np.diag(H))), 1.0)
+        eye = np.eye(H.shape[0])
         for _ in range(60):
             try:
-                L = np.linalg.cholesky(H + tau * np.eye(H.shape[0]))
+                L = np.linalg.cholesky(H + tau * eye)
                 break
             except np.linalg.LinAlgError:
                 tau = max(2.0 * tau, 1e-10 * base)
@@ -266,9 +267,24 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
     return x, ev, si, converged, iters
 
 
+def _trsolve(Lt, b, trans):
+    """Solve L x = b (trans=1) or L' x = b (trans=0) given Lt = L', lower L.
+
+    This is the LAPACK call ``scipy.linalg.solve_triangular`` makes for a
+    C-ordered L, without its per-call argument handling; its finiteness
+    check is kept.
+    """
+    if not (np.isfinite(Lt).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _dtrtrs(Lt, b, lower=0, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def _cho_solve(L, b):
-    y = scipy.linalg.solve_triangular(L, b, lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)
+    """(L L')^{-1} b for a lower Cholesky factor L."""
+    return _trsolve(L.T, _trsolve(L.T, b, 1), 0)
 
 
 def _lbfgs(obj: _Objective, x0, maxiter=300):
@@ -406,9 +422,10 @@ def _inverse_diag(L):
     wake a BLAS helper thread that then spins between calls.
     """
     p = L.shape[0]
+    eye = np.eye(p)
     out = np.empty(p)
     for j in range(p):
-        col = scipy.linalg.solve_triangular(L, np.eye(p)[j], lower=True)
+        col = _trsolve(L.T, eye[j], 1)
         out[j] = col @ col
     return out
 

@@ -30,6 +30,29 @@ cached on the ModelEval, so a line search can test a trial point on its
 log-likelihood alone and finish the score and information of an accepted
 point from the same stage 0, with the same arithmetic as a one-pass
 assembly.
+
+The C_r = dSigma/dtheta_r products (A_r, kappa_r, tr(B_r A_s), A_r C_s N)
+are formed only on the support S of dSigma, the parameters with a
+nonzero C_r (``BlockEval.sigma_support``); off S they are exact zeros,
+and skipping them leaves every other float unchanged.  Sigma^{-1}, S and
+C on S are computed once per evaluation (S and C on S once per block
+when dSigma does not depend on theta) and shared by J, the score, U' and
+the double-tilde J at that theta.  A non-finite Sigma^{-1}, residual
+or weight widens S to every parameter, so NaN and inf propagate as in
+the full products.
+
+Layout rule: einsum's output inherits its operands' memory layout, and a
+contraction over two axes (``mrab,msba->mrs``) sums in an order that the
+layout sets.  C on S is stored as (m, b, (r, c)) so the products with
+Sigma^{-1} and N run their inner loop over the long (r, c) axis; their
+results (Sigma^{-1} C, A and C N) are then copied to C-contiguous
+(m, r, a, b) arrays before kappa, tr(B A) or E reads them.  The traces
+tr(X_r Y_s) run as one contraction over the flattened (a, b) axis of X
+and of Y transposed, which sums in the order the two-axis einsum over
+C-contiguous operands did.  ``tests/kernel_oracle.py`` keeps the
+full-support assembly; the kernel must equal it bit for bit.  E keeps
+the association (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are
+added to J as (T + tr(B A)) + E.
 """
 
 from __future__ import annotations
@@ -41,7 +64,7 @@ import numpy as np
 
 from ._linalg import chol_inverse, chol_solve, logdet_from_chol
 from .families import EllipticalFamily
-from .model import ModelEval
+from .model import ModelEval, bk_layout
 
 __all__ = ["ScoreInfo", "loglik", "score", "observed_info", "score_info"]
 
@@ -112,24 +135,64 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     return st
 
 
+def _sigma_inverse(be):
+    """Sigma^{-1} of a block, formed once per evaluation and kept on it."""
+    if be.sinv is None:
+        be.sinv = chol_inverse(be.P)
+        be.sinv.setflags(write=False)
+    return be.sinv
+
+
 def _first_order(be, w):
     """Sigma^{-1}, alpha_r = d_r' Sigma^{-1} z and C_r Sigma^{-1} z of one block."""
-    Sinv = chol_inverse(be.P)
+    Sinv = _sigma_inverse(be)
     alpha = np.einsum("mra,ma->mr", be.dmu, w)
     Cw = np.einsum("mrab,mb->mra", be.dsigma, w)
     return Sinv, alpha, Cw
 
 
-def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw):
+def _support(be, *operands):
+    """(S, dSigma on S in (m, b, (r, c)) layout) for one kernel call.
+
+    Off S = ``be.sigma_support`` the dSigma products are exact zeros as
+    long as the factors they would multiply are finite.  A non-finite
+    operand widens S to every parameter, so 0 * inf still gives NaN where
+    the full product did.
+    """
+    factors = (be.sinv, be.sigma, be.dmu, be.dsigma) + operands
+    if np.isfinite(np.concatenate([x.ravel() for x in factors])).all():
+        return be.sigma_support, be.dsigma_bk
+    return slice(None), bk_layout(be.dsigma)
+
+
+def _unpack(X, axes):
+    """An (m, a, (r, c)) product as a C-contiguous 4-D array with ``axes`` of (m, a, r, c)."""
+    m, q, k = X.shape
+    return np.ascontiguousarray(X.reshape(m, q, k // q, q).transpose(axes))
+
+
+def _trace_products(X, Yt):
+    """tr(X_r Y_s) for C-contiguous X (m, r, a, b) and Yt (m, s, a, b) = Y transposed.
+
+    One contraction over the flattened (a, b) axis, summed in the order
+    ``einsum("mrab,msba->mrs", X, Y)`` sums for a C-contiguous Y.
+    """
+    m, r, q, _ = X.shape
+    return np.einsum("mrk,msk->mrs", X.reshape(m, r, q * q), Yt.reshape(m, Yt.shape[1], q * q))
+
+
+def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
     """(A_r, kappa_r, T_r) of one block, shared by J and the sample-space U'.
 
     A_r = -Sigma^{-1} C_r Sigma^{-1}, kappa_r = z' A_r z and
     T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z).
+    A and kappa are formed for r in S only: off S they are exact zeros.
     """
-    SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
+    SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
     A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
     kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
-    coef = 2.0 * vdot[:, None] * alpha - vdot[:, None] * kappa
+    coef = 2.0 * vdot[:, None] * alpha
+    coef[:, S] -= vdot[:, None] * kappa
     T = coef[:, :, None] * z[:, None, :] + v[:, None, None] * (be.dmu + Cw)
     return A, kappa, T
 
@@ -150,30 +213,46 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
             U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
 
         if want_info:
-            A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw)
+            S, C_bk = _support(be, z, w, v, vdot)
+            SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
+            A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
             TS = np.einsum("mra,mab->mrb", T, Sinv)
-            term1 = np.einsum("mrb,msb->mrs", TS, dmu)
+            term = np.einsum("mrb,msb->mrs", TS, dmu)
 
             zz = z[:, :, None] * z[:, None, :]
-            coef_B = -vdot[:, None] * alpha + 0.5 * vdot[:, None] * kappa
+            coef_B = -vdot[:, None] * alpha
+            coef_B[:, S] += 0.5 * vdot[:, None] * kappa
             B = (
                 coef_B[:, :, None, None] * zz[:, None]
                 - v[:, None, None, None] * z[:, None, :, None] * dmu[:, :, None, :]
-                - 0.5 * C
             )
-            trBA = np.einsum("mrab,msba->mrs", B, A)
+            B[:, S] -= 0.5 * C[:, S]
+            term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
 
             M = be.sigma - v[:, None, None] * zz
             N = chol_solve(be.P, M)  # Sigma^{-1} M
-            CN = np.einsum("msbc,mca->msba", C, N)
-            E = np.einsum("mrab,msba->mrs", A, CN)
+            # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
+            CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
+            E_S = _trace_products(A, CNt)
+            # E = (A CN + d2Sigma K / 2) - v w' d2mu, where A CN is zero off S x S
+            E = None
             if be.d2sigma is not None:
                 K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
-                E = E + 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
+                E = 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
+                E[SS] += E_S
             if be.d2mu is not None:
-                E = E - v[:, None, None] * np.einsum("ma,mrsa->mrs", w, be.d2mu)
+                vd2mu = v[:, None, None] * np.einsum("ma,mrsa->mrs", w, be.d2mu)
+                if E is None:
+                    E = -vd2mu
+                    E[SS] += E_S
+                else:
+                    E -= vd2mu
+            if E is None:
+                term[SS] += E_S
+            else:
+                term += E
 
-            J += (term1 + trBA + E).sum(axis=0)
+            J += term.sum(axis=0)
 
     info = None
     if want_info:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,7 +94,8 @@ class DataBlock:
     idx: np.ndarray  # (m,) original observation indices
     y: np.ndarray  # (m, q)
     cov: dict  # name -> (m, ...) stacked covariate arrays
-    # theta-independent arrays a model builds from the covariates, by name
+    # theta-independent arrays built from the covariates (``cached``) and
+    # from those arrays (``derived``), by name
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cached(self, key: str, build: Callable) -> np.ndarray:
@@ -106,6 +106,23 @@ class DataBlock:
             arr.setflags(write=False)
             self.cache[key] = arr
         return arr
+
+    def derived(self, key: str, source: np.ndarray, build: Callable):
+        """``build(source)``, kept (read-only) while ``source`` is the same read-only array.
+
+        A read-only derivative array comes from ``cached`` and does not
+        depend on theta, so what is built from it is built once per block.
+        A writeable source is built from on every call.
+        """
+        if source.flags.writeable:
+            return build(source)
+        hit = self.cache.get(key)
+        if hit is None or hit[0] is not source:
+            out = build(source)
+            if isinstance(out, np.ndarray):
+                out.setflags(write=False)
+            hit = self.cache[key] = (source, out)
+        return hit[1]
 
     @property
     def m(self) -> int:
@@ -197,6 +214,13 @@ class BlockEval:
     callback.  Derivatives come from the model's analytic callbacks, or
     from central finite differences where the model has none or
     ``force_fd`` is set.
+
+    Per-theta products the likelihood shares between J, the score and
+    the ancillary stage live here too: ``sinv`` (Sigma^{-1}, set by
+    likelihood.py on first use), ``sigma_support`` and ``dsigma_bk``.
+    When the model's dsigma is theta-independent (a read-only array from
+    ``DataBlock.cached``), its symmetrized form, support and layout are
+    built once per block and shared by every evaluation.
     """
 
     def __init__(self, model: ModelSpec, theta: np.ndarray, data: DataBlock, force_fd: bool = False):
@@ -204,6 +228,7 @@ class BlockEval:
         self.mu = model.mu_fn(theta, data)
         self.sigma = model.sigma_fn(theta, data)
         self.P = _chol_blocks(self.sigma, data.idx)
+        self.sinv = None
         self._analytic_mu = not force_fd and model.dmu_fn is not None
         self._analytic_sigma = not force_fd and model.dsigma_fn is not None
 
@@ -235,7 +260,7 @@ class BlockEval:
         else:
             dsigma = _fd_first(self._sigma_at, self.theta)
         # dsigma must be exactly symmetric in its matrix indices
-        return 0.5 * (dsigma + np.swapaxes(dsigma, -1, -2))
+        return self.data.derived("dsigma", dsigma, lambda d: 0.5 * (d + np.swapaxes(d, -1, -2)))
 
     @cached_property
     def d2sigma(self) -> np.ndarray | None:
@@ -245,6 +270,36 @@ class BlockEval:
         else:
             d2sigma = _fd_second(self._sigma_at, self.theta)
         return None if d2sigma is None else 0.5 * (d2sigma + np.swapaxes(d2sigma, 1, 2))
+
+    @cached_property
+    def sigma_support(self) -> slice | np.ndarray:
+        """The parameters r with a nonzero (or non-finite) ``dsigma[:, r]``.
+
+        A slice when they are contiguous, else an index array; off it
+        every dSigma product is an exact zero.
+        """
+        return self.data.derived("sigma_support", self.dsigma, _nonzero_params)
+
+    @cached_property
+    def dsigma_bk(self) -> np.ndarray:
+        """``dsigma`` on ``sigma_support`` in (m, b, (r, c)) layout."""
+        return self.data.derived("dsigma_bk", self.dsigma, lambda C: bk_layout(C[:, self.sigma_support]))
+
+
+def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
+    m, p = C.shape[:2]
+    nz = np.flatnonzero(C.reshape(m, p, -1).any(axis=(0, 2)))
+    if nz.size == 0:
+        return slice(0, 0)
+    if nz[-1] - nz[0] + 1 == nz.size:
+        return slice(int(nz[0]), int(nz[-1]) + 1)
+    return nz
+
+
+def bk_layout(C: np.ndarray) -> np.ndarray:
+    """C[i, r, b, c] stored at [i, b, r q + c]: one contiguous row per b."""
+    m, s, q, _ = C.shape
+    return np.ascontiguousarray(C.transpose(0, 2, 1, 3)).reshape(m, q, s * q)
 
 
 @dataclass
@@ -257,23 +312,6 @@ class ModelEval:
     blocks: list[BlockEval]
     # the likelihood's stage 0 for the default residuals, set by likelihood.py
     stage0: object = field(default=None, repr=False, compare=False)
-
-    def obs(self, i: int) -> SimpleNamespace:
-        """Per-observation view (for tests and reporting)."""
-        for be in self.blocks:
-            pos = np.nonzero(be.data.idx == i)[0]
-            if pos.size:
-                j = int(pos[0])
-                return SimpleNamespace(
-                    mu=be.mu[j],
-                    dmu=be.dmu[j],
-                    d2mu=None if be.d2mu is None else be.d2mu[j],
-                    sigma=be.sigma[j],
-                    dsigma=be.dsigma[j],
-                    d2sigma=None if be.d2sigma is None else be.d2sigma[j],
-                    P=be.P[j],
-                )
-        raise IndexError(f"observation {i} not found")
 
 
 def _chol_blocks(sigma: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -402,10 +440,14 @@ def _m1_sigma(theta, blk):
     return np.full((blk.m, 1, 1), theta[4])
 
 
-def _m1_dsigma(theta, blk):
+def _m1_build_dsigma(blk):
     d = np.zeros((blk.m, 5, 1, 1))
     d[:, 4] = 1.0
     return d
+
+
+def _m1_dsigma(theta, blk):
+    return blk.cached("m1_dsigma", _m1_build_dsigma)
 
 
 def _m1_start(data: Dataset) -> np.ndarray:
@@ -509,15 +551,25 @@ def _m2_start(data: Dataset) -> np.ndarray:
     X = np.vstack(rows_X)
     yall = np.concatenate(rows_y)
     beta, *_ = np.linalg.lstsq(X, yall, rcond=None)
-    means, slopes, ssq, nrow = [], [], 0.0, 0
-    for obs in data.observations:
+    means, resid, ssq, nrow = [], [], 0.0, 0
+    by_time: dict[bytes, list[int]] = {}  # time vector -> units with q >= 2
+    for k, obs in enumerate(data.observations):
         e = obs.y - obs.covariates["X"] @ beta
-        means.append(e.mean())
-        t = obs.covariates["Z"][:, 1]
-        if obs.q >= 2 and np.ptp(t) > 0:
-            slopes.append(np.polyfit(t, e, 1)[0])
+        means.append(e.sum() / obs.q)  # what e.mean() computes
+        resid.append(e)
+        if obs.q >= 2:
+            by_time.setdefault(obs.covariates["Z"][:, 1].tobytes(), []).append(k)
         ssq += float(e @ e)
         nrow += obs.q
+    # one least-squares line fit per distinct, non-constant time vector,
+    # slopes back in unit order
+    slope_of = {}
+    for units in by_time.values():
+        t = data.observations[units[0]].covariates["Z"][:, 1]
+        if np.ptp(t) > 0:
+            fitted = np.polyfit(t, np.column_stack([resid[k] for k in units]), 1)[0]
+            slope_of.update(zip(units, fitted))
+    slopes = [slope_of[k] for k in sorted(slope_of)]
     g1 = max(float(np.var(means)), 1.0)
     g3 = max(float(np.var(slopes)) if len(slopes) >= 2 else 1e-2, 1e-3)
     s2 = max(ssq / nrow * 0.5, 1e-3)

@@ -1,6 +1,7 @@
 """Shared fixtures: toy models, seeded instances and session-level simulations."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,33 @@ def make_linreg_model(pcols):
         dsigma_fn=lambda t, blk: np.zeros((blk.m, pcols, 1, 1)),
         start_fn=lambda data: np.zeros(pcols),
     )
+
+
+def obs_view(ev, i):
+    """The evaluated model quantities of original observation i."""
+    for be in ev.blocks:
+        pos = np.nonzero(be.data.idx == i)[0]
+        if pos.size:
+            j = int(pos[0])
+            return SimpleNamespace(
+                mu=be.mu[j],
+                dmu=be.dmu[j],
+                d2mu=None if be.d2mu is None else be.d2mu[j],
+                sigma=be.sigma[j],
+                dsigma=be.dsigma[j],
+                d2sigma=None if be.d2sigma is None else be.d2sigma[j],
+                P=be.P[j],
+            )
+    raise IndexError(f"observation {i} not found")
+
+
+def ancillary_of(bundle, i):
+    """The ancillary vector a_i of original observation i."""
+    for bb, be in zip(bundle.blocks, bundle.eval_hat.blocks):
+        pos = np.nonzero(be.data.idx == i)[0]
+        if pos.size:
+            return bb.a[int(pos[0])]
+    raise IndexError(f"observation {i} not found")
 
 
 def scalar_dataset(values):

@@ -9,7 +9,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import transcription as T
-from conftest import ALL_FAMILIES, make_linreg_model, make_mean_model, scalar_dataset, simulate_model1, simulate_model2
+from conftest import (
+    ALL_FAMILIES,
+    ancillary_of,
+    make_linreg_model,
+    make_mean_model,
+    obs_view,
+    scalar_dataset,
+    simulate_model1,
+    simulate_model2,
+)
 from elliplrt import likelihood as L
 from elliplrt import model as M
 from elliplrt.ancillary import (
@@ -119,10 +128,10 @@ def test_ancillary_scalar_case_and_reconstruction():
     bundle = build_ancillary(res, data, model, fam)
     ev = bundle.eval_hat
     for i, obs in enumerate(data.observations):
-        o = ev.obs(i)
+        o = obs_view(ev, i)
         sigma_hat = o.sigma[0, 0]
         expected = (obs.y[0] - o.mu[0]) / np.sqrt(sigma_hat)
-        assert bundle.a_of(i)[0] == pytest.approx(expected, rel=1e-10)
+        assert ancillary_of(bundle, i)[0] == pytest.approx(expected, rel=1e-10)
     # reconstruction P a + mu = y to 1e-12 relative
     for be, bb in zip(ev.blocks, bundle.blocks):
         recon = np.einsum("mab,mb->ma", bb.P, bb.a) + be.mu

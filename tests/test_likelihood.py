@@ -16,6 +16,7 @@ from conftest import (
     GENTLE_THETA2,
     gentle_model2_data,
     make_locscale_model,
+    obs_view,
     scalar_dataset,
     simulate_model1,
     simulate_model2,
@@ -224,8 +225,8 @@ def test_per_observation_quantities_in_original_order():
     si = L.score_info(fam, ev, want_info=False)
     assert si.per_obs_u.shape == (9,)
     for i, obs in enumerate(data.observations):
-        z = obs.y - ev.obs(i).mu
-        u = float(z @ np.linalg.solve(ev.obs(i).sigma, z))
+        z = obs.y - obs_view(ev, i).mu
+        u = float(z @ np.linalg.solve(obs_view(ev, i).sigma, z))
         assert si.per_obs_u[i] == pytest.approx(u, rel=1e-10)
         assert si.per_obs_v[i] == pytest.approx((3.0 + obs.q) / (3.0 + u), rel=1e-12)
     assert np.all(si.per_obs_u >= 0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import obs_view
 from elliplrt import model as M
 
 THETA1 = np.array([0.5, 0.2, 0.0, 0.0, 0.005])
@@ -180,7 +181,7 @@ def test_blocks_group_by_dimension():
     # per-observation accessor maps back to the right unit
     ev = M.evaluate(M.mixed_model2(), THETA2, data)
     for i, u in enumerate(design):
-        assert ev.obs(i).mu.shape == (u["q"],)
+        assert obs_view(ev, i).mu.shape == (u["q"],)
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +227,38 @@ def test_csv_rejects_bad_numbers_and_groups(tmp_path):
     path.write_text("unit_id,row_index,y,time,group\n1,1,0.5,5,9\n")
     with pytest.raises(ValueError, match="group"):
         M.read_dataset_csv(path, "model2")
+
+
+def _m2_start_per_unit(data):
+    """The model-2 start heuristic with one np.polyfit call per unit."""
+    X = np.vstack([o.covariates["X"] for o in data.observations])
+    beta, *_ = np.linalg.lstsq(X, np.concatenate([o.y for o in data.observations]), rcond=None)
+    means, slopes, ssq, nrow = [], [], 0.0, 0
+    for obs in data.observations:
+        e = obs.y - obs.covariates["X"] @ beta
+        means.append(e.mean())
+        t = obs.covariates["Z"][:, 1]
+        if obs.q >= 2 and np.ptp(t) > 0:
+            slopes.append(np.polyfit(t, e, 1)[0])
+        ssq += float(e @ e)
+        nrow += obs.q
+    g1 = max(float(np.var(means)), 1.0)
+    g3 = max(float(np.var(slopes)) if len(slopes) >= 2 else 1e-2, 1e-3)
+    return np.concatenate([beta, [g1, 0.0, g3, max(ssq / nrow * 0.5, 1e-3)]])
+
+
+def test_model2_start_batches_slope_fits_by_time_vector(tmp_path):
+    # units share some time vectors and not others; a constant-time unit has no slope
+    times = [(5, 10, 15), (2, 4, 9), (5, 10, 15), (5, 10), (1,), (7, 7), (2, 4, 9), (5, 10, 15, 30, 60),
+             (3, 10), (5, 10), (2, 4, 9), (5, 10, 15), (0, 1, 2, 3)]
+    rng = np.random.default_rng(8)
+    rows = ["unit_id,row_index,y,time,group"]
+    for uid, ts in enumerate(times, start=1):
+        for j, t in enumerate(ts, start=1):
+            rows.append(f"{uid},{j},{rng.normal(5.0, 2.0)!r},{t},{uid % 4 + 1}")
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join(rows) + "\n")
+    data = M.read_dataset_csv(path, "model2")
+    np.testing.assert_array_equal(M.mixed_model2().start(data), _m2_start_per_unit(data))
+    data2, _ = _model2_data(n=40, seed=9)
+    np.testing.assert_array_equal(M.mixed_model2().start(data2), _m2_start_per_unit(data2))

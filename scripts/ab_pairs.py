@@ -1,14 +1,14 @@
 """Alternating A/B pairs of the benchmark: a base checkout against this tree.
 
-    python3 scripts/ab_pairs.py --base HEAD~1 --pairs 10 --seconds 50 --out BENCH_5.json
-    python3 scripts/ab_pairs.py --base ../elliplrt-parent --workloads test_m2_t4_n200
+    git clone -q . ../elliplrt-base && git -C ../elliplrt-base checkout -q HEAD~1
+    python3 scripts/ab_pairs.py --base ../elliplrt-base --pairs 10 --seconds 50 --out BENCH_5.json
 
-``--base`` is a directory holding another checkout, or a git revision,
-which is extracted with ``git archive`` into a temporary directory.  Pair
-i (1, 2, ...) runs ``bench/run.py --trace 0 --seed i`` once on each side,
-the base first in odd pairs and the working tree first in even ones, so
-drift of the host's speed over minutes hits both sides alike.  Each side runs its
-own ``bench/run.py`` against its own ``src/``.
+``--base`` is a directory holding another checkout.  Every workload in
+``BENCHMARK.json`` is run.  Pair i (1, 2, ...) runs ``bench/run.py
+--trace 0 --seed i`` once on each side, the base first in odd pairs and
+the working tree first in even ones, so drift of the host's speed over
+minutes hits both sides alike.  Each side runs its own ``bench/run.py``
+against its own ``src/``.
 
 The output JSON holds, per workload and end-to-end metric, each side's
 runs, median and quartiles, the change's median over the base's, and how
@@ -27,8 +27,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,15 +60,6 @@ def describe(checkout: Path) -> str:
     return checkout.name
 
 
-def extract(rev: str, into: Path) -> Path:
-    archive = into / "base.tar"
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=fh)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into / "base", filter="data")
-    return into / "base"
-
-
 def compare(base_runs, change_runs, better: str) -> dict:
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for b, c in zip(base_runs, change_runs) if sign * (c - b) > 0)
@@ -89,43 +78,37 @@ def compare(base_runs, change_runs, better: str) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True, help="checkout directory or git revision")
+    ap.add_argument("--base", required=True, type=Path, help="directory of the base checkout")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0)
-    ap.add_argument("--workloads", default=None, help="comma-separated; default: those in BENCHMARK.json")
     ap.add_argument("--traced-seconds", type=float, default=0.0)
-    ap.add_argument("--out", default="BENCH_5.json")
+    ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
+    if not args.base.is_dir():
+        ap.error(f"--base {args.base}: not a directory")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    with tempfile.TemporaryDirectory() as tmp:
-        base_dir = Path(args.base)
-        if base_dir.is_dir():
-            base_label = describe(base_dir)
-        else:
-            base_label = git("rev-parse", args.base)
-            base_dir = extract(args.base, Path(tmp))
-        sides = {"base": base_dir.resolve(), "change": ROOT}
-        runs = {w: {s: [] for s in sides} for w in workloads}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for w in workloads:
-                for s in order:
-                    runs[w][s].append(bench(sides[s], w, i + 1, args.seconds, 0))
-                    print(f"pair {i + 1} {w} {s}: ops_per_s {runs[w][s][-1]['ops_per_s']:.4g}", flush=True)
-        traced = {}
-        if args.traced_seconds:
-            for w in workloads:
-                traced[w] = {s: bench(sides[s], w, 1, args.traced_seconds, 1) for s in sides}
+    sides = {"base": args.base.resolve(), "change": ROOT}
+    runs = {w: {s: [] for s in sides} for w in workloads}
+    for i in range(args.pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for w in workloads:
+            for s in order:
+                runs[w][s].append(bench(sides[s], w, i + 1, args.seconds, 0))
+                print(f"pair {i + 1} {w} {s}: ops_per_s {runs[w][s][-1]['ops_per_s']:.4g}", flush=True)
+    traced = {}
+    if args.traced_seconds:
+        for w in workloads:
+            traced[w] = {s: bench(sides[s], w, 1, args.traced_seconds, 1) for s in sides}
 
     report = {
         "script": "scripts/ab_pairs.py",
-        "base": base_label,
+        "base": describe(args.base),
         "change": f"{git('rev-parse', 'HEAD')} + working tree",
         "pairs": args.pairs,
         "seconds": args.seconds,
@@ -147,7 +130,7 @@ def main(argv=None) -> int:
                 "base": traced[w]["base"],
                 "change": traced[w]["change"],
             }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
     for w, entry in report["workloads"].items():
         for m, c in entry["end_to_end"].items():
             print(f"{w}  {m:14s} base {c['base']['median']:.6g} [{c['base']['q1']:.4g}, {c['base']['q3']:.4g}]  "

@@ -37,9 +37,12 @@ nonzero C_r (``BlockEval.sigma_support``); off S they are exact zeros,
 and skipping them leaves every other float unchanged.  Sigma^{-1}, S and
 C on S are computed once per evaluation (S and C on S once per block
 when dSigma does not depend on theta) and shared by J, the score, U' and
-the double-tilde J at that theta.  A non-finite Sigma^{-1}, residual
-or weight widens S to every parameter, so NaN and inf propagate as in
-the full products.
+the double-tilde J at that theta.  Two kinds of block take the full
+products instead: q = 1 blocks, where each product is a scalar per
+observation and the restriction's extra numpy calls cost more than the
+products they skip, and blocks where Sigma, Sigma^{-1}, dmu, dSigma, the
+residuals or the weights are not all finite, where the zeros off S must
+meet the non-finite factor so that NaN and inf propagate as before.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
@@ -64,7 +67,7 @@ import numpy as np
 
 from ._linalg import chol_inverse, chol_solve, logdet_from_chol
 from .families import EllipticalFamily
-from .model import ModelEval, bk_layout
+from .model import ModelEval
 
 __all__ = ["ScoreInfo", "loglik", "score", "observed_info", "score_info"]
 
@@ -152,17 +155,21 @@ def _first_order(be, w):
 
 
 def _support(be, *operands):
-    """(S, dSigma on S in (m, b, (r, c)) layout) for one kernel call.
+    """(S, dSigma on S in (m, b, (r, c)) layout), or (every r, None) for the full products.
 
     Off S = ``be.sigma_support`` the dSigma products are exact zeros as
     long as the factors they would multiply are finite.  A non-finite
-    operand widens S to every parameter, so 0 * inf still gives NaN where
-    the full product did.
+    factor takes the full products, so 0 * inf still gives NaN where it
+    did.  So do q = 1 blocks: there each product is a scalar per
+    observation, and the restriction's extra numpy calls cost more than
+    the products they skip.
     """
+    if be.data.q == 1:
+        return slice(None), None
     factors = (be.sinv, be.sigma, be.dmu, be.dsigma) + operands
     if np.isfinite(np.concatenate([x.ravel() for x in factors])).all():
         return be.sigma_support, be.dsigma_bk
-    return slice(None), bk_layout(be.dsigma)
+    return slice(None), None
 
 
 def _unpack(X, axes):
@@ -187,8 +194,12 @@ def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
     A_r = -Sigma^{-1} C_r Sigma^{-1}, kappa_r = z' A_r z and
     T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z).
     A and kappa are formed for r in S only: off S they are exact zeros.
+    ``C_bk`` None means the full products.
     """
-    SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
+    if C_bk is None:
+        SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
+    else:
+        SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
     A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
     kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
     coef = 2.0 * vdot[:, None] * alpha
@@ -214,7 +225,6 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
 
         if want_info:
             S, C_bk = _support(be, z, w, v, vdot)
-            SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
             A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
             TS = np.einsum("mra,mab->mrb", T, Sinv)
             term = np.einsum("mrb,msb->mrs", TS, dmu)
@@ -225,32 +235,27 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
             B = (
                 coef_B[:, :, None, None] * zz[:, None]
                 - v[:, None, None, None] * z[:, None, :, None] * dmu[:, :, None, :]
+                - 0.5 * C
             )
-            B[:, S] -= 0.5 * C[:, S]
-            term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
-
             M = be.sigma - v[:, None, None] * zz
             N = chol_solve(be.P, M)  # Sigma^{-1} M
-            # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
-            CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
-            E_S = _trace_products(A, CNt)
-            # E = (A CN + d2Sigma K / 2) - v w' d2mu, where A CN is zero off S x S
-            E = None
+            if C_bk is None:
+                term += np.einsum("mrab,msba->mrs", B, A)
+                E = np.einsum("mrab,msba->mrs", A, np.einsum("msbc,mca->msba", C, N))
+            else:
+                term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
+                # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
+                CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
+                SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
+                E = np.zeros_like(term)
+                E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
+            # E = (A C N + d2Sigma K / 2) - v w' d2mu
             if be.d2sigma is not None:
                 K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
-                E = 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
-                E[SS] += E_S
+                E += 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
             if be.d2mu is not None:
-                vd2mu = v[:, None, None] * np.einsum("ma,mrsa->mrs", w, be.d2mu)
-                if E is None:
-                    E = -vd2mu
-                    E[SS] += E_S
-                else:
-                    E -= vd2mu
-            if E is None:
-                term[SS] += E_S
-            else:
-                term += E
+                E -= v[:, None, None] * np.einsum("ma,mrsa->mrs", w, be.d2mu)
+            term += E
 
             J += term.sum(axis=0)
 

@@ -283,7 +283,7 @@ class BlockEval:
     @cached_property
     def dsigma_bk(self) -> np.ndarray:
         """``dsigma`` on ``sigma_support`` in (m, b, (r, c)) layout."""
-        return self.data.derived("dsigma_bk", self.dsigma, lambda C: bk_layout(C[:, self.sigma_support]))
+        return self.data.derived("dsigma_bk", self.dsigma, lambda C: _bk_layout(C[:, self.sigma_support]))
 
 
 def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
@@ -296,7 +296,7 @@ def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
     return nz
 
 
-def bk_layout(C: np.ndarray) -> np.ndarray:
+def _bk_layout(C: np.ndarray) -> np.ndarray:
     """C[i, r, b, c] stored at [i, b, r q + c]: one contiguous row per b."""
     m, s, q, _ = C.shape
     return np.ascontiguousarray(C.transpose(0, 2, 1, 3)).reshape(m, q, s * q)

@@ -2,7 +2,8 @@
 
 J, the score, U' and the double-tilde J must equal ``kernel_oracle`` bit
 for bit: the kernel skips only products that are exact zeros and keeps
-every remaining sum in its old order.
+every remaining sum in its old order.  Blocks with q = 1 take the full
+products, so the cases that test the restriction itself use q >= 2.
 """
 
 import warnings
@@ -14,9 +15,7 @@ import pytest
 
 import kernel_oracle as O
 from conftest import (
-    make_linreg_model,
     make_locscale_model,
-    make_mean_model,
     scalar_dataset,
     simulate_model1,
     simulate_model2,
@@ -92,6 +91,20 @@ def make_gapped_model(curved_mean: bool):
     )
 
 
+def make_known_sigma_model(p):
+    """q=2 linear mean mu_i = X_i theta (X_i is 2 x p) and a known Sigma: its support is empty."""
+    sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
+    return M.ModelSpec(
+        name="known_sigma",
+        p=p,
+        param_names=tuple(f"b{i}" for i in range(p)),
+        mu_fn=lambda t, blk: np.einsum("mak,k->ma", blk.cov["X"], t),
+        sigma_fn=lambda t, blk: np.broadcast_to(sigma, (blk.m, 2, 2)).copy(),
+        dmu_fn=lambda t, blk: blk.cov["X"].transpose(0, 2, 1).copy(),
+        dsigma_fn=lambda t, blk: np.zeros((blk.m, p, 2, 2)),
+    )
+
+
 def _case(kind, fam, seed):
     """(model, data, theta-hat, theta-tilde) for one oracle case."""
     rng = np.random.default_rng(seed)
@@ -105,9 +118,9 @@ def _case(kind, fam, seed):
         model, data = make_locscale_model(), scalar_dataset(rng.normal(size=12))
         th = np.array([0.3, 1.7])
     elif kind == "known_sigma":
-        model = make_linreg_model(3)
-        X = rng.normal(size=(14, 3))
-        data = M.Dataset([M.Observation(rng.normal(size=1), {"X": x}) for x in X])
+        model = make_known_sigma_model(3)
+        X = rng.normal(size=(14, 2, 3))
+        data = M.Dataset([M.Observation(rng.normal(size=2), {"X": x}) for x in X])
         th = np.array([0.2, -0.4, 0.9])
     else:
         model = make_gapped_model(curved_mean=kind == "gapped")
@@ -165,6 +178,24 @@ def test_sigma_support_shapes():
     assert be.dsigma_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
 
 
+def test_q1_and_nonfinite_blocks_take_the_full_products():
+    fam = FAMILIES[1]
+    model, data, th, _ = _case("model2", fam, 0)
+    ev = M.evaluate(model, th, data)
+    L.score_info(fam, ev)
+    assert {be.data.q for be in ev.blocks} >= {1, 2}
+    for be, (z, w, v, vdot) in zip(ev.blocks, ev.stage0.blocks):
+        S, C_bk = L._support(be, z, w, v, vdot)
+        if be.data.q == 1:
+            assert S == slice(None) and C_bk is None
+        else:
+            assert S == slice(5, 9) and C_bk is be.dsigma_bk
+            for bad in (np.inf, np.nan):
+                z_bad = z.copy()
+                z_bad[0, 0] = bad
+                assert L._support(be, z_bad, w, v, vdot)[1] is None
+
+
 def test_sigma_inverse_is_computed_once_per_evaluation(monkeypatch):
     fam = FAMILIES[1]
     model, data, th, _ = _case("model2", fam, 1)
@@ -198,32 +229,35 @@ def test_nonfinite_residuals_propagate_as_in_full_support(kind, bad):
 
 
 def test_nonfinite_dsigma_propagates_as_in_full_support():
-    # an inf in dSigma_1 meets the exact zeros of dSigma_0 in E[1, 0]
-    base = make_locscale_model()
+    # an inf in dSigma_2 meets the exact zeros of dSigma_1 (off the support) in E[1, 2]
+    base = make_gapped_model(curved_mean=True)
 
     def dsigma(t, blk):
         d = base.dsigma_fn(t, blk)
-        d[0, 1] = np.inf
+        d[0, 2] = np.inf
         return d
 
     model = replace(base, dsigma_fn=dsigma)
-    ev = M.evaluate(model, np.array([0.3, 1.7]), scalar_dataset(np.random.default_rng(4).normal(size=8)))
+    _, data, th, _ = _case("gapped", FAMILIES[1], 4)
+    ev = M.evaluate(model, th, data)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = L.observed_info(FAMILIES[1], ev)
         want = O.score_and_info(FAMILIES[1], ev)[1]
-    assert np.isnan(want[0, 1])
+    assert np.isnan(want[1, 2])
     assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_empty_support_gives_the_known_sigma_information():
-    # mu = theta, Sigma = 1: J = n for the normal family
-    model = make_mean_model()
-    data = scalar_dataset(np.random.default_rng(3).normal(size=9))
+    # mu_i = theta (1, 1), Sigma = I: J = 2 n for the normal family
+    identity = lambda t, blk: np.broadcast_to(np.eye(2), (blk.m, 2, 2)).copy()
+    model = replace(make_known_sigma_model(1), sigma_fn=identity)
+    rng = np.random.default_rng(3)
+    data = M.Dataset([M.Observation(rng.normal(size=2), {"X": np.ones((2, 1))}) for _ in range(9)])
     ev = M.evaluate(model, np.array([0.1]), data)
     assert ev.blocks[0].sigma_support == slice(0, 0)
-    assert ev.blocks[0].dsigma_bk.shape == (9, 1, 0)
-    np.testing.assert_array_equal(L.observed_info(FAMILIES[0], ev), [[9.0]])
+    assert ev.blocks[0].dsigma_bk.shape == (9, 2, 0)
+    np.testing.assert_array_equal(L.observed_info(FAMILIES[0], ev), [[18.0]])
 
 
 @pytest.mark.parametrize("kind", ["model1", "model2"])

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import gammaincc, ndtr
 
@@ -155,6 +154,7 @@ class FitResult:
     diagnostics: list = field(default_factory=list)
     restriction: tuple | None = None
     eval_: ModelEval | None = field(default=None, repr=False)
+    score: np.ndarray | None = field(default=None, repr=False)  # full score at eval_
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,10 @@ def _cho_solve(L, b):
 
 
 def _lbfgs(obj: _Objective, x0, maxiter=300):
+    # imported here, on the first fit Newton leaves unconverged: a process
+    # whose fits all converge never loads scipy.optimize (about 17 MB)
+    import scipy.optimize
+
     def fun(x):
         try:
             _, ev = obj.evaluate(x)
@@ -412,6 +416,7 @@ def fit(
         diagnostics=diagnostics,
         restriction=(interest, psi0) if restriction is not None else None,
         eval_=ev,
+        score=si.score,
     )
 
 
@@ -752,7 +757,7 @@ def run_test(
     derivs = SampleSpaceDerivs(
         ell_hat_prime=ell_hat, ell_tilde_prime=ell_tilde, U_tilde_prime=U_tilde_prime, J_doubletilde=JJ
     )
-    U_tilde = score_info(family, eval_tilde, want_info=False).score
+    U_tilde = fit_tilde.score
 
     LR, r = lr_and_r(fit_hat, fit_tilde, interest)
     gamma, rho, factor_flags, factor_notes = adjustment_factors(fit_hat, fit_tilde, derivs, interest, U_tilde)

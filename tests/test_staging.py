@@ -266,3 +266,15 @@ def test_fits_match_pinned_fingerprint():
 @pytest.mark.filterwarnings("ignore:observed information asymmetry")
 def test_adjusted_statistics_match_pinned_fingerprint():
     assert adjust_fingerprint() == ADJUST_FINGERPRINT
+
+
+@pytest.mark.filterwarnings("ignore:observed information asymmetry")
+def test_fit_keeps_the_score_of_its_final_evaluation():
+    # run_test takes U-tilde from the restricted fit instead of assembling it again
+    for config, model, fam, start, data in _fingerprint_datasets():
+        hat = fit(model, fam, data, start=start)
+        tilde_start = hat.theta.copy()
+        tilde_start[list(config.interest)] = 0.0
+        tilde = fit(model, fam, data, restriction=(config.interest, [0.0]), start=tilde_start)
+        for res in (hat, tilde):
+            assert np.array_equal(res.score, L.score_info(fam, res.eval_, want_info=False).score)

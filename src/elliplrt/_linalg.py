@@ -5,6 +5,10 @@ of the order of a handful; loops run over q only, so the cost is a few
 vectorized operations per batch.  Sigma^{-1} x products are always routed
 through the stored Cholesky factor (two triangular solves); explicit
 inverses are formed only by solving against the identity.
+
+For q = 1 the solves and the log-determinant take elementwise shortcuts
+that perform the same floating-point operations as the q-loops, so their
+results are bit-identical: a solve is two divisions by the factor.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ def solve_upper_t(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def chol_solve(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve (P P') X = B given the lower Cholesky factor P."""
+    if P.shape[-1] == 1:
+        return B / P[:, :, 0] / P[:, :, 0] if B.ndim == 2 else B / P / P
     vector = B.ndim == 2
     if vector:
         B = B[:, :, None]
@@ -58,6 +64,8 @@ def chol_solve(P: np.ndarray, B: np.ndarray) -> np.ndarray:
 def chol_inverse(P: np.ndarray) -> np.ndarray:
     """(P P')^{-1} via triangular solves against the identity."""
     m, q = P.shape[0], P.shape[-1]
+    if q == 1:
+        return 1.0 / P / P
     eye = np.broadcast_to(np.eye(q), (m, q, q)).copy()
     return chol_solve(P, eye)
 
@@ -73,5 +81,7 @@ def phi_lower(M: np.ndarray) -> np.ndarray:
 
 def logdet_from_chol(P: np.ndarray) -> np.ndarray:
     """log det(P P') per batch entry: twice the log-diagonal sum."""
+    if P.shape[-1] == 1:
+        return 2.0 * np.log(P[..., 0, 0])
     idx = np.arange(P.shape[-1])
     return 2.0 * np.sum(np.log(P[..., idx, idx]), axis=-1)

@@ -128,6 +128,28 @@ class SampleSpaceDerivs:
     J_doubletilde: np.ndarray  # (p,p)
 
 
+def _reconstructed_blocks(eval_at: ModelEval, bundle: AncillaryBundle, family: EllipticalFamily):
+    """Per block (be, z, w, v, vdot, R-hat, the block's l') at eval_at.theta, a fixed.
+
+    z_i = P-hat_i a_i + mu-hat_i - mu_i and R-hat_ir = dP_ir a_i + dmu-hat_ir.
+    """
+    for be, be_hat, bb in zip(eval_at.blocks, bundle.eval_hat.blocks, bundle.blocks):
+        if not np.array_equal(be.data.idx, be_hat.data.idx):
+            raise ValueError("evaluation and bundle block layouts do not match")
+        z = np.einsum("mab,mb->ma", bb.P, bb.a) + be_hat.mu - be.mu
+        w, _, v, vdot = _block_core(family, be, z)
+        Rhat = np.einsum("mrab,mb->mra", bb.dP, bb.a) + be_hat.dmu
+        yield be, z, w, v, vdot, Rhat, -np.einsum("m,mra,ma->r", v, Rhat, w)
+
+
+def _ell_prime(eval_at: ModelEval, bundle: AncillaryBundle, family: EllipticalFamily) -> np.ndarray:
+    """l' alone, with the bits ``sample_space_gradients`` gives it: no Q, no U'."""
+    ell = np.zeros(eval_at.p)
+    for *_, ell_block in _reconstructed_blocks(eval_at, bundle, family):
+        ell += ell_block
+    return ell
+
+
 def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: EllipticalFamily):
     """(l', U') at eval_at.theta, holding the ancillary fixed.
 
@@ -144,15 +166,8 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
     p = eval_at.p
     ell = np.zeros(p)
     Uprime = np.zeros((p, p))
-    for be, be_hat, bb in zip(eval_at.blocks, bundle.eval_hat.blocks, bundle.blocks):
-        if not np.array_equal(be.data.idx, be_hat.data.idx):
-            raise ValueError("evaluation and bundle block layouts do not match")
-        z = np.einsum("mab,mb->ma", bb.P, bb.a) + be_hat.mu - be.mu
-        w, u, v, vdot = _block_core(family, be, z)
-        Rhat = np.einsum("mrab,mb->mra", bb.dP, bb.a) + be_hat.dmu
-
-        ell += -np.einsum("m,mra,ma->r", v, Rhat, w)
-
+    for be, z, w, v, vdot, Rhat, ell_block in _reconstructed_blocks(eval_at, bundle, family):
+        ell += ell_block
         Sinv, alpha, Cw = _first_order(be, w)
         S, C_bk = _support(be, z, w, v, vdot)
         _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)

@@ -12,6 +12,7 @@ family-specific downstream enters only through them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,22 @@ def _check_uq(u, q):
     if np.any(u < 0):
         raise ValueError("squared Mahalanobis distance u must be nonnegative")
     return u
+
+
+@functools.cache
+def _log_consts(family, q: int):
+    """The u-free terms of log g for (family, q), computed once.
+
+    Student-t: a - b - c of log g = a - b - c - d(u).  Power exponential:
+    the pair (a + b - c - d, f) of log g = a + b - c - d - e(u) - f, so
+    that log g keeps its left-to-right association (const - e(u)) - f.
+    """
+    if family.kind == "student_t":
+        nu = family.nu
+        return gammaln(0.5 * (nu + q)) - gammaln(0.5 * nu) - 0.5 * q * np.log(np.pi * nu)
+    lam = family.lam
+    head = np.log(lam) + gammaln(0.5 * q) - (0.5 * q / lam) * np.log(2.0) - 0.5 * q * np.log(np.pi)
+    return head, gammaln(0.5 * q / lam)
 
 
 @dataclass(frozen=True)
@@ -112,26 +129,16 @@ class EllipticalFamily:
         the t_q(nu) generator.  Power exponential: the PE_q(lam) generator,
         which collapses to the normal one at lam = 1.
         """
-        u = _check_uq(u, q)
+        return self._log_g(_check_uq(u, q), q)
+
+    def _log_g(self, u: np.ndarray, q: int):
+        """``log_g`` for a float array u >= 0 and a valid q, unchecked."""
         if self.kind == "normal":
             return -0.5 * u - 0.5 * q * np.log(2.0 * np.pi)
         if self.kind == "student_t":
-            nu = self.nu
-            return (
-                gammaln(0.5 * (nu + q))
-                - gammaln(0.5 * nu)
-                - 0.5 * q * np.log(np.pi * nu)
-                - 0.5 * (nu + q) * np.log1p(u / nu)
-            )
-        lam = self.lam
-        return (
-            np.log(lam)
-            + gammaln(0.5 * q)
-            - (0.5 * q / lam) * np.log(2.0)
-            - 0.5 * q * np.log(np.pi)
-            - 0.5 * u**lam
-            - gammaln(0.5 * q / lam)
-        )
+            return _log_consts(self, q) - 0.5 * (self.nu + q) * np.log1p(u / self.nu)
+        head, tail = _log_consts(self, q)
+        return head - 0.5 * u**self.lam - tail
 
     # -- weight functions --------------------------------------------------
 
@@ -144,7 +151,10 @@ class EllipticalFamily:
         near-zero residual.  Without clamping, u = 0 raises
         SingularWeightError for power_exponential with lam != 1.
         """
-        u = _check_uq(u, q)
+        return self._weights(_check_uq(u, q), q, clamp)
+
+    def _weights(self, u: np.ndarray, q: int, clamp: bool):
+        """``weights`` for a float array u >= 0 and a valid q, unchecked."""
         if self.kind == "normal":
             return np.ones_like(u), np.zeros_like(u)
         if self.kind == "student_t":

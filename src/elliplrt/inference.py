@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import gammaincc, ndtr
 
-from .ancillary import SampleSpaceDerivs, build_ancillary, doubletilde_info, sample_space_gradients
+from .ancillary import SampleSpaceDerivs, _ell_prime, build_ancillary, doubletilde_info, sample_space_gradients
 from .families import EllipticalFamily
 from .likelihood import loglik, score_info
 from .model import Dataset, ModelEval, ModelSpec, NonSPDError, evaluate
@@ -210,29 +210,22 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
     converged = False
     if x.size == 0:
         return x, ev, si, True, 0
+    free_block = np.ix_(obj.free, obj.free)
+    diag = np.diag_indices(x.size)
     for _ in range(max_iter):
         Uf = si.score[obj.free]
         tol = score_tol * (1.0 + abs(si.loglik))
-        if np.max(np.abs(Uf)) < tol:
+        if np.abs(Uf).max() < tol:
             converged = True
             break
         s = obj.scale(x)
         g = Uf * s  # gradient of the log-likelihood in internal coords
-        H = s[:, None] * si.info[np.ix_(obj.free, obj.free)] * s[None, :]
-        H[np.diag_indices_from(H)] -= np.where(obj.is_log, g, 0.0)
-        # modified Cholesky: ridge until the Newton system is PD
-        tau = 0.0
-        base = max(np.max(np.abs(np.diag(H))), 1.0)
-        eye = np.eye(H.shape[0])
-        for _ in range(60):
-            try:
-                L = np.linalg.cholesky(H + tau * eye)
-                break
-            except np.linalg.LinAlgError:
-                tau = max(2.0 * tau, 1e-10 * base)
-        else:
+        H = s[:, None] * si.info[free_block] * s[None, :]
+        H[diag] -= np.where(obj.is_log, g, 0.0)
+        ridge = _ridge_cholesky(H)
+        if ridge is None:
             break
-        d = _cho_solve(L, g)
+        d = _cho_solve(ridge[1], g)
         slope = float(g @ d)
         if not np.isfinite(slope) or slope <= 0:
             break
@@ -257,14 +250,71 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
         iters += 1
         if not accepted:
             break
-        rel_step = np.max(np.abs(t * d)) / max(1.0, np.max(np.abs(x)))
+        rel_step = np.abs(t * d).max() / max(1.0, np.abs(x).max())
         x = x + t * d
         theta, ev, si = theta2, ev2, si2
         if rel_step < step_tol:
             Uf = si.score[obj.free]
-            converged = bool(np.max(np.abs(Uf)) < score_tol * (1.0 + abs(si.loglik)))
+            converged = bool(np.abs(Uf).max() < score_tol * (1.0 + abs(si.loglik)))
             break
     return x, ev, si, converged, iters
+
+
+RIDGE_TRIES = 60
+
+
+def _ridge_cholesky(H):
+    """(tau, L) with L the Cholesky factor of H + tau I: modified Newton's ridge.
+
+    tau is the first of the sequence 0, t_1, 2 t_1, 4 t_1, ... (t_1 =
+    1e-10 max(max_i |H_ii|, 1), at most RIDGE_TRIES terms) for which
+    H + tau I factors; None when none does (Nocedal & Wright 2006, §3.4).
+    After tau = 0 fails, the first term above the Gershgorin bound
+    max_i (sum_{j != i} |H_ij| - H_ii) >= -lambda_min(H) is factored and
+    the terms below it are bisected.  When that term does not factor, or
+    H is not finite, the terms are tried in order instead.  Bisection
+    finds the first term that factors because factoring is monotone in
+    tau (in exact arithmetic; the tests compare it with the in-order scan).
+    """
+    eye = np.eye(H.shape[0])
+
+    def factor(tau):
+        try:
+            return np.linalg.cholesky(H + tau * eye)
+        except np.linalg.LinAlgError:
+            return None
+
+    L = factor(0.0)
+    if L is not None:
+        return 0.0, L
+    base = max(np.abs(np.diag(H)).max(), 1.0)
+    if np.isfinite(H).all():
+        absH = np.abs(H)
+        with np.errstate(over="ignore"):
+            bound = (absH.sum(axis=1) - np.diag(absH) - np.diag(H)).max()
+        taus = [0.0]  # taus[k] is the k-th term; taus[0] failed
+        while len(taus) < RIDGE_TRIES:
+            taus.append(max(2.0 * taus[-1], 1e-10 * base))
+            if taus[-1] > bound:
+                break
+        lo, hi = 0, len(taus) - 1
+        L = factor(taus[hi]) if taus[hi] > bound else None
+        if L is not None:
+            while hi - lo > 1:  # taus[lo] fails, taus[hi] factors
+                mid = (lo + hi) // 2
+                Lmid = factor(taus[mid])
+                if Lmid is None:
+                    lo = mid
+                else:
+                    hi, L = mid, Lmid
+            return taus[hi], L
+    tau = 0.0
+    for _ in range(RIDGE_TRIES - 1):
+        tau = max(2.0 * tau, 1e-10 * base)
+        L = factor(tau)
+        if L is not None:
+            return tau, L
+    return None
 
 
 def _trsolve(Lt, b, trans):
@@ -748,7 +798,7 @@ def run_test(
 
     try:
         bundle = build_ancillary(fit_hat, data, model, family)
-        ell_hat, _ = sample_space_gradients(fit_hat.eval_, bundle, family)
+        ell_hat = _ell_prime(fit_hat.eval_, bundle, family)
         eval_tilde = fit_tilde.eval_
         ell_tilde, U_tilde_prime = sample_space_gradients(eval_tilde, bundle, family)
         JJ = doubletilde_info(eval_tilde, bundle, family)

@@ -56,6 +56,20 @@ C-contiguous operands did.  ``tests/kernel_oracle.py`` keeps the
 full-support assembly; the kernel must equal it bit for bit.  E keeps
 the association (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are
 added to J as (T + tr(B A)) + E.
+
+q = 1 rule: on a q = 1 block every axis an einsum sums over has length
+1, so u, alpha, C Sigma^{-1} z, A, kappa, w' C w, tr(Sigma^{-1} C),
+T Sigma^{-1} d, tr(B A) and the E products are single-term sums, and
+they are formed as elementwise products instead.  A single-term sum is
+its one product, as long as the product keeps einsum's operand order:
+three operands associate left to right, kappa = (z A) z.  (einsum adds
+that product to a zero, which can only turn -0.0 into +0.0; every
+output of the kernel is a sum started at +0.0, where the sign of a zero
+does not survive.)  The solves and the log-determinant take the same
+shortcut in ``_linalg``, and the Cholesky factor of a q = 1 Sigma is
+sqrt(sigma) (``model._chol_blocks``), which fails where LAPACK's
+factorization fails: at sigma <= 0, -0.0 and -inf included.  NaN and
++inf pass through, as they do through LAPACK.
 """
 
 from __future__ import annotations
@@ -110,9 +124,9 @@ def _block_core(family: EllipticalFamily, be, z):
     """Shared per-block quantities: w = Sigma^{-1} z, u, weights, logdet."""
     q = z.shape[1]
     w = chol_solve(be.P, z)
-    u = np.einsum("ma,ma->m", z, w)
+    u = z[:, 0] * w[:, 0] if q == 1 else np.einsum("ma,ma->m", z, w)
     u = np.maximum(u, 0.0)  # rounding can produce tiny negatives at exact fits
-    v, vdot = family.weights(u, q, clamp=True)
+    v, vdot = family._weights(u, q, clamp=True)
     return w, u, v, vdot
 
 
@@ -132,7 +146,7 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
         if family.kind == "power_exponential" and family.lam != 1.0:
             hit = be.data.idx[u < 1e-12]
             st.clamped.extend(int(i) for i in hit)
-        st.loglik += float(np.sum(-0.5 * logdet_from_chol(be.P) + family.log_g(u, q)))
+        st.loglik += float(np.sum(-0.5 * logdet_from_chol(be.P) + family._log_g(u, q)))
     if z_blocks is None:
         ev.stage0 = st
     return st
@@ -149,6 +163,8 @@ def _sigma_inverse(be):
 def _first_order(be, w):
     """Sigma^{-1}, alpha_r = d_r' Sigma^{-1} z and C_r Sigma^{-1} z of one block."""
     Sinv = _sigma_inverse(be)
+    if be.data.q == 1:
+        return Sinv, be.dmu[:, :, 0] * w, be.dsigma[:, :, :, 0] * w[:, None]
     alpha = np.einsum("mra,ma->mr", be.dmu, w)
     Cw = np.einsum("mrab,mb->mra", be.dsigma, w)
     return Sinv, alpha, Cw
@@ -196,12 +212,16 @@ def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
     A and kappa are formed for r in S only: off S they are exact zeros.
     ``C_bk`` None means the full products.
     """
-    if C_bk is None:
-        SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
+    if be.data.q == 1:
+        A = -(Sinv[:, None] * be.dsigma * Sinv[:, None])
+        kappa = z * A[:, :, 0, 0] * z
     else:
-        SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
-    A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
-    kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
+        if C_bk is None:
+            SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
+        else:
+            SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
+        A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
+        kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
     coef = 2.0 * vdot[:, None] * alpha
     coef[:, S] -= vdot[:, None] * kappa
     T = coef[:, :, None] * z[:, None, :] + v[:, None, None] * (be.dmu + Cw)
@@ -217,8 +237,13 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
     for be, (z, w, v, vdot) in zip(ev.blocks, st.blocks):
         Sinv, alpha, Cw = _first_order(be, w)
         dmu, C = be.dmu, be.dsigma
-        wCw = np.einsum("ma,mra->mr", w, Cw)
-        trSC = np.einsum("mab,mrba->mr", Sinv, C)
+        q1 = be.data.q == 1
+        if q1:
+            wCw = w * Cw[:, :, 0]
+            trSC = Sinv[:, 0] * C[:, :, 0, 0]
+        else:
+            wCw = np.einsum("ma,mra->mr", w, Cw)
+            trSC = np.einsum("mab,mrba->mr", Sinv, C)
 
         if want_score:
             U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
@@ -226,8 +251,11 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
         if want_info:
             S, C_bk = _support(be, z, w, v, vdot)
             A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
-            TS = np.einsum("mra,mab->mrb", T, Sinv)
-            term = np.einsum("mrb,msb->mrs", TS, dmu)
+            if q1:
+                term = (T * Sinv) * dmu.transpose(0, 2, 1)
+            else:
+                TS = np.einsum("mra,mab->mrb", T, Sinv)
+                term = np.einsum("mrb,msb->mrs", TS, dmu)
 
             zz = z[:, :, None] * z[:, None, :]
             coef_B = -vdot[:, None] * alpha
@@ -239,7 +267,10 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
             )
             M = be.sigma - v[:, None, None] * zz
             N = chol_solve(be.P, M)  # Sigma^{-1} M
-            if C_bk is None:
+            if q1:
+                term += B[:, :, 0] * A[:, None, :, 0, 0]
+                E = A[:, :, 0] * (C * N[:, None])[:, None, :, 0, 0]
+            elif C_bk is None:
                 term += np.einsum("mrab,msba->mrs", B, A)
                 E = np.einsum("mrab,msba->mrs", A, np.einsum("msbc,mca->msba", C, N))
             else:
@@ -251,10 +282,14 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
                 E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
             # E = (A C N + d2Sigma K / 2) - v w' d2mu
             if be.d2sigma is not None:
-                K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
-                E += 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
+                if q1:
+                    E += 0.5 * (be.d2sigma[:, :, :, 0, 0] * (N * Sinv))
+                else:
+                    K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
+                    E += 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
             if be.d2mu is not None:
-                E -= v[:, None, None] * np.einsum("ma,mrsa->mrs", w, be.d2mu)
+                wd2mu = w[:, :, None] * be.d2mu[:, :, :, 0] if q1 else np.einsum("ma,mrsa->mrs", w, be.d2mu)
+                E -= v[:, None, None] * wd2mu
             term += E
 
             J += term.sum(axis=0)
@@ -262,9 +297,9 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
     info = None
     if want_info:
         sym = 0.5 * (J + J.T)
-        scale = np.max(np.abs(sym))
+        scale = np.abs(sym).max()
         if np.isfinite(scale) and scale > 0:
-            raw_asym = np.max(np.abs(J - J.T)) / scale
+            raw_asym = np.abs(J - J.T).max() / scale
             if np.isfinite(raw_asym) and raw_asym > ASYMMETRY_WARN:
                 warnings.warn(
                     f"observed information asymmetry {raw_asym:.2e} exceeds {ASYMMETRY_WARN:.0e}",

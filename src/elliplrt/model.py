@@ -315,16 +315,33 @@ class ModelEval:
 
 
 def _chol_blocks(sigma: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Batched lower Cholesky with per-observation failure reporting."""
+    """Batched lower Cholesky with per-observation failure reporting.
+
+    NonSPDError names the first observation whose Sigma does not factor.
+    A q = 1 block is factored by ``np.sqrt``, which gives LAPACK's bits
+    and fails where it fails: at sigma <= 0, -0.0 and -inf included (NaN
+    and +inf pass through).  On a q >= 2 failure the batch is bisected
+    with batched factorizations of its halves.
+    """
+    if sigma.shape[-1] == 1:
+        bad = np.flatnonzero(sigma[:, 0, 0] <= 0.0)
+        if bad.size:
+            raise NonSPDError(int(idx[bad[0]]))
+        return np.sqrt(sigma)
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        for j in range(sigma.shape[0]):
-            try:
-                np.linalg.cholesky(sigma[j])
-            except np.linalg.LinAlgError:
-                raise NonSPDError(int(idx[j])) from None
-        raise
+        pass
+    # the first failure lies in [lo, hi), and sigma[:lo] factors
+    lo, hi = 0, sigma.shape[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(sigma[lo:mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    raise NonSPDError(int(idx[lo]))
 
 
 def _fd_steps(theta: np.ndarray, scale: float) -> np.ndarray:

@@ -3,14 +3,92 @@
 This is the per-block kernel as it was before the likelihood restricted
 the Sigma-derivative products to the parameters Sigma depends on: every
 4-D product runs over all p parameters, with the naive einsum layouts.
-The optimized kernel in ``elliplrt.likelihood`` must reproduce it bit for
-bit; ``tests/test_kernel.py`` compares the two with ``np.array_equal``.
+The optimized kernel in ``elliplrt.likelihood`` must reproduce it bit
+for bit; ``tests/test_kernel.py`` compares the two with ``np.array_equal``.
+
+The oracle keeps its own copies of the hand-rolled triangular solves,
+the log-determinant and the einsum stage 0, with no q = 1 shortcut, so
+the package's q = 1 fast paths are compared with the general arithmetic
+and not with themselves.
 """
 
 import numpy as np
 
-from elliplrt._linalg import chol_inverse, chol_solve, phi_lower, solve_lower
-from elliplrt.likelihood import _block_core, _stage0
+from elliplrt._linalg import phi_lower
+
+
+def solve_lower(L, B):
+    """Solve L X = B by forward substitution; L (m,q,q) lower, B (m,q,k)."""
+    q = L.shape[-1]
+    X = np.empty_like(B)
+    for i in range(q):
+        acc = B[:, i]
+        if i:
+            acc = acc - np.einsum("mj,mjk->mk", L[:, i, :i], X[:, :i])
+        X[:, i] = acc / L[:, i, i, None]
+    return X
+
+
+def solve_upper_t(L, B):
+    """Solve L' X = B by back substitution; L (m,q,q) lower, B (m,q,k)."""
+    q = L.shape[-1]
+    X = np.empty_like(B)
+    for i in range(q - 1, -1, -1):
+        acc = B[:, i]
+        if i < q - 1:
+            acc = acc - np.einsum("mj,mjk->mk", L[:, i + 1 :, i], X[:, i + 1 :])
+        X[:, i] = acc / L[:, i, i, None]
+    return X
+
+
+def chol_solve(P, B):
+    """Solve (P P') X = B given the lower Cholesky factor P."""
+    vector = B.ndim == 2
+    if vector:
+        B = B[:, :, None]
+    X = solve_upper_t(P, solve_lower(P, B))
+    return X[:, :, 0] if vector else X
+
+
+def chol_inverse(P):
+    m, q = P.shape[0], P.shape[-1]
+    eye = np.broadcast_to(np.eye(q), (m, q, q)).copy()
+    return chol_solve(P, eye)
+
+
+def logdet_from_chol(P):
+    idx = np.arange(P.shape[-1])
+    return 2.0 * np.sum(np.log(P[..., idx, idx]), axis=-1)
+
+
+def _block_core(family, be, z):
+    q = z.shape[1]
+    w = chol_solve(be.P, z)
+    u = np.maximum(np.einsum("ma,ma->m", z, w), 0.0)
+    v, vdot = family.weights(u, q, clamp=True)
+    return w, u, v, vdot
+
+
+def _residuals(ev, z_blocks):
+    return z_blocks if z_blocks is not None else [be.data.y - be.mu for be in ev.blocks]
+
+
+def _stage0(family, ev, z_blocks=None):
+    """Per block (z, w, v, vdot), recomputed: never the stage 0 cached on ``ev``."""
+    out = []
+    for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
+        w, _, v, vdot = _block_core(family, be, z)
+        out.append((z, w, v, vdot))
+    return out
+
+
+def loglik(family, ev, z_blocks=None):
+    """The log-likelihood, summed block by block as stage 0 sums it."""
+    total = 0.0
+    for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
+        u = _block_core(family, be, z)[1]
+        total += float(np.sum(-0.5 * logdet_from_chol(be.P) + family.log_g(u, be.data.q)))
+    return total
 
 
 def _first_order(be, w):
@@ -34,8 +112,7 @@ def score_and_info(family, ev, z_blocks=None):
     p = ev.p
     U = np.zeros(p)
     J = np.zeros((p, p))
-    st = _stage0(family, ev, z_blocks)
-    for be, (z, w, v, vdot) in zip(ev.blocks, st.blocks):
+    for be, (z, w, v, vdot) in zip(ev.blocks, _stage0(family, ev, z_blocks)):
         Sinv, alpha, Cw = _first_order(be, w)
         dmu, C = be.dmu, be.dsigma
         wCw = np.einsum("ma,mra->mr", w, Cw)

@@ -2,6 +2,7 @@
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
 from elliplrt import likelihood as L
 from elliplrt import model as M
 from elliplrt.ancillary import (
+    _ell_prime,
     build_ancillary,
     cholesky_derivative,
     cholesky_lower,
@@ -246,6 +248,22 @@ def test_U_prime_matches_fd_of_ell_prime(fam):
         em, _ = sample_space_gradients(M.evaluate(model, rest.theta - e, data), bundle, fam)
         fd[r] = (ep - em) / (2 * h)
     np.testing.assert_allclose(Uprime, fd, rtol=1e-5, atol=1e-5 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.label())
+@pytest.mark.parametrize("kind", ["model1", "model2"])
+def test_ell_prime_alone_equals_the_ell_prime_of_the_gradients(kind, fam):
+    rng = np.random.default_rng(31)
+    if kind == "model1":
+        model, data = simulate_model1(fam, 15, rng)
+        th = np.array([0.5, 0.2, 0.1, -0.1, 0.005])
+    else:
+        model, data = simulate_model2(fam, 30, rng)
+        th = np.array([0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0])
+    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=M.evaluate(model, th, data)), data, model, fam)
+    for theta in (th, th * (1.0 + 0.05 * rng.standard_normal(th.size))):
+        ell = _ell_prime(M.evaluate(model, theta, data), bundle, fam)
+        assert np.array_equal(ell, sample_space_gradients(M.evaluate(model, theta, data), bundle, fam)[0])
 
 
 def test_U_prime_equals_info_in_gaussian_known_sigma():

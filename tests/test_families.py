@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 from scipy.integrate import trapezoid
+from scipy.special import gammaln
 
+from elliplrt import families
 from elliplrt.families import EllipticalFamily, SingularWeightError
 
 NORMAL = EllipticalFamily.normal()
@@ -78,6 +80,42 @@ def test_log_g_finite_on_wide_grid():
     for fam in ALL:
         for q in (1, 2, 5):
             assert np.all(np.isfinite(fam.log_g(u, q)))
+
+
+def _log_g_inline(fam, u, q):
+    """The generator written out in one expression, constants recomputed per call."""
+    if fam.kind == "student_t":
+        nu = fam.nu
+        return (
+            gammaln(0.5 * (nu + q))
+            - gammaln(0.5 * nu)
+            - 0.5 * q * np.log(np.pi * nu)
+            - 0.5 * (nu + q) * np.log1p(u / nu)
+        )
+    lam = fam.lam
+    return (
+        np.log(lam)
+        + gammaln(0.5 * q)
+        - (0.5 * q / lam) * np.log(2.0)
+        - 0.5 * q * np.log(np.pi)
+        - 0.5 * u**lam
+        - gammaln(0.5 * q / lam)
+    )
+
+
+MEMO_FAMILIES = [EllipticalFamily.student_t(nu) for nu in (3, 4)] + [
+    EllipticalFamily.power_exponential(lam) for lam in (0.5, 0.7, 2)
+]
+
+
+@pytest.mark.parametrize("fam", MEMO_FAMILIES, ids=lambda f: f.label())
+def test_memoised_constants_keep_log_g_bits(fam):
+    u = np.concatenate([[0.0, 5e-324, 1e-12], np.geomspace(1e-8, 1e8, 97)])
+    families._log_consts.cache_clear()
+    for q in range(1, 6):
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            assert np.array_equal(fam.log_g(u, q), _log_g_inline(fam, u, q))
+            assert fam.log_g(2.5, q) == _log_g_inline(fam, 2.5, q)
 
 
 # ---------------------------------------------------------------------------

@@ -470,3 +470,70 @@ def test_near_zero_statistics_skip_the_factors_before_any_determinant():
     assert adjustment_factors(hat, tilde, None, (2,), None) == (1.0, 1.0, {"near_zero_r", "near_zero_LR"}, [])
     # r exists only for a scalar interest: a vector block gets no gamma and no near_zero_r
     assert adjustment_factors(hat, tilde, None, (1, 2), None) == (None, 1.0, {"near_zero_LR"}, [])
+
+
+# ---------------------------------------------------------------------------
+# the Newton ridge
+# ---------------------------------------------------------------------------
+
+
+def _ridge_forward_scan(H):
+    """The ridge as a forward scan: every term of the tau sequence in order."""
+    tau = 0.0
+    base = max(np.max(np.abs(np.diag(H))), 1.0)
+    eye = np.eye(H.shape[0])
+    for _ in range(60):
+        try:
+            return tau, np.linalg.cholesky(H + tau * eye)
+        except np.linalg.LinAlgError:
+            tau = max(2.0 * tau, 1e-10 * base)
+    return None
+
+
+def _same_ridge(got, want):
+    if want is None:
+        return got is None
+    return got is not None and got[0] == want[0] and np.array_equal(got[1], want[1], equal_nan=True)
+
+
+def test_ridge_search_matches_the_forward_scan():
+    # H = scale (B + (shift - lambda_min(B)) I): lambda_min(H) = scale * shift,
+    # a third of them positive definite, the rest indefinite by |shift|
+    rng = np.random.default_rng(20151)
+    dims = (1, 2, 5, 9)
+    ridged = 0
+    for i in range(12000):
+        p = dims[i % 4]
+        B = rng.standard_normal((p, p))
+        B = 0.5 * (B + B.T)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shift = 10.0 ** rng.uniform(-12.0, 3.0) * (1.0 if i % 3 == 0 else -1.0)
+        H = scale * (B + (shift - np.linalg.eigvalsh(B)[0]) * np.eye(p))
+        want = _ridge_forward_scan(H)
+        assert _same_ridge(inference._ridge_cholesky(H), want), (i, p, scale, shift)
+        ridged += want is not None and want[0] > 0.0
+    assert ridged > 6000
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal", "everywhere"])
+def test_ridge_search_on_nonfinite_H_matches_the_forward_scan_and_its_warnings(bad, where):
+    rng = np.random.default_rng(7)
+    for p in (1, 2, 5, 9):
+        B = rng.standard_normal((p, p))
+        H = 0.5 * (B + B.T) - 3.0 * np.eye(p)
+        if where == "diagonal":
+            H[p - 1, p - 1] = bad
+        elif where == "everywhere":
+            H[:] = bad
+        elif p > 1:
+            H[0, p - 1] = H[p - 1, 0] = bad
+        with warnings.catch_warnings(record=True) as scan_warnings:
+            warnings.simplefilter("always")
+            want = _ridge_forward_scan(H)
+        with warnings.catch_warnings(record=True) as search_warnings:
+            warnings.simplefilter("always")
+            got = inference._ridge_cholesky(H)
+        assert _same_ridge(got, want)
+        seen = {(w.category, str(w.message)) for w in scan_warnings}
+        assert {(w.category, str(w.message)) for w in search_warnings} <= seen

@@ -3,7 +3,9 @@
 J, the score, U' and the double-tilde J must equal ``kernel_oracle`` bit
 for bit: the kernel skips only products that are exact zeros and keeps
 every remaining sum in its old order.  Blocks with q = 1 take the full
-products, so the cases that test the restriction itself use q >= 2.
+products, as elementwise single-term sums, so the cases that test the
+restriction itself use q >= 2; the model1, locscale and model2 cases
+compare that q = 1 arithmetic with the oracle's general q-loops.
 """
 
 import warnings
@@ -142,6 +144,7 @@ def test_kernel_equals_full_support_oracle(kind, fam, derivs):
         ev_hat, ev_tilde = derivs(model, th_hat, data), derivs(model, th_tilde, data)
         si = L.score_info(fam, ev_hat)
         U, J = O.score_and_info(fam, ev_hat)
+        assert si.loglik == O.loglik(fam, ev_hat) and L.loglik(fam, ev_tilde) == O.loglik(fam, ev_tilde)
         assert np.array_equal(si.score, U) and np.array_equal(si.info, J)
         assert np.array_equal(L.score(fam, ev_tilde), O.score_and_info(fam, ev_tilde)[0])
 

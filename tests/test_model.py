@@ -1,5 +1,7 @@
 """Model evaluation: built-in models, derivatives, datasets and CSV I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,57 @@ def test_non_spd_raises_with_index():
     i = err.value.index
     assert 0 <= i < data.n
     assert data.observations[i].q >= 2  # scalar units stay positive here
+
+
+def _first_failure_one_by_one(sigma, idx):
+    """Index of the first observation whose Sigma np.linalg.cholesky rejects, or None."""
+    for j in range(sigma.shape[0]):
+        try:
+            np.linalg.cholesky(sigma[j])
+        except np.linalg.LinAlgError:
+            return int(idx[j])
+    return None
+
+
+def _check_chol_blocks(sigma, idx):
+    want_fail = _first_failure_one_by_one(sigma, idx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want_fail is not None:
+            with pytest.raises(M.NonSPDError) as err:
+                M._chol_blocks(sigma, idx)
+            assert err.value.index == want_fail
+        else:
+            got = M._chol_blocks(sigma, idx)
+            assert np.array_equal(got, np.linalg.cholesky(sigma), equal_nan=True)
+
+
+SCALAR_SIGMAS = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1e-320, 4.0)
+
+
+def test_scalar_blocks_factor_and_fail_as_lapack_does():
+    rng = np.random.default_rng(5)
+    for v in SCALAR_SIGMAS:
+        _check_chol_blocks(np.array([[[v]]]), np.array([3]))
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        values = rng.choice(SCALAR_SIGMAS + (1.0, 2.5, 1e-10, 7e5), size=m)
+        _check_chol_blocks(values.reshape(m, 1, 1), np.arange(m) * 2 + 1)
+
+
+def test_bisected_failure_report_names_the_first_failing_observation():
+    rng = np.random.default_rng(9)
+    for q in (2, 3, 5):
+        for m in (1, 2, 7, 16, 33):
+            A = rng.standard_normal((m, q, q))
+            sigma = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(q)
+            idx = np.arange(m) * 3 + 4
+            _check_chol_blocks(sigma, idx)
+            for _ in range(6):
+                bad = sigma.copy()
+                hits = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+                bad[hits, q - 1, q - 1] = -rng.choice([1.0, 1e-12, np.inf])
+                _check_chol_blocks(bad, idx)
 
 
 def test_theta_length_validated():

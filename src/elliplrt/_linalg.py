@@ -6,9 +6,9 @@ vectorized operations per batch.  Sigma^{-1} x products are always routed
 through the stored Cholesky factor (two triangular solves); explicit
 inverses are formed only by solving against the identity.
 
-For q = 1 the solves and the log-determinant take elementwise shortcuts
-that perform the same floating-point operations as the q-loops, so their
-results are bit-identical: a solve is two divisions by the factor.
+For q = 1, ``chol_inverse`` is 1 / P / P, the floating-point operations
+of its q-loops; the likelihood's scalar path forms Sigma^{-1} through it
+and does its other q = 1 arithmetic itself.
 """
 
 from __future__ import annotations
@@ -28,32 +28,32 @@ __all__ = [
 def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve L X = B by forward substitution; L (m,q,q) lower, B (m,q,k)."""
     q = L.shape[-1]
+    diag = L.diagonal(0, 1, 2)[:, :, None]
     X = np.empty_like(B)
     for i in range(q):
         acc = B[:, i]
         if i:
             acc = acc - np.einsum("mj,mjk->mk", L[:, i, :i], X[:, :i])
-        X[:, i] = acc / L[:, i, i, None]
+        np.divide(acc, diag[:, i], out=X[:, i])
     return X
 
 
 def solve_upper_t(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve L' X = B by back substitution; L (m,q,q) lower, B (m,q,k)."""
     q = L.shape[-1]
+    diag = L.diagonal(0, 1, 2)[:, :, None]
     X = np.empty_like(B)
     for i in range(q - 1, -1, -1):
         acc = B[:, i]
         if i < q - 1:
             # row i of L' is L[:, i+1:, i]
             acc = acc - np.einsum("mj,mjk->mk", L[:, i + 1 :, i], X[:, i + 1 :])
-        X[:, i] = acc / L[:, i, i, None]
+        np.divide(acc, diag[:, i], out=X[:, i])
     return X
 
 
 def chol_solve(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve (P P') X = B given the lower Cholesky factor P."""
-    if P.shape[-1] == 1:
-        return B / P[:, :, 0] / P[:, :, 0] if B.ndim == 2 else B / P / P
     vector = B.ndim == 2
     if vector:
         B = B[:, :, None]
@@ -81,7 +81,5 @@ def phi_lower(M: np.ndarray) -> np.ndarray:
 
 def logdet_from_chol(P: np.ndarray) -> np.ndarray:
     """log det(P P') per batch entry: twice the log-diagonal sum."""
-    if P.shape[-1] == 1:
-        return 2.0 * np.log(P[..., 0, 0])
     idx = np.arange(P.shape[-1])
     return 2.0 * np.sum(np.log(P[..., idx, idx]), axis=-1)

@@ -23,6 +23,7 @@ import scipy.linalg
 from ._linalg import phi_lower, solve_lower
 from .families import EllipticalFamily
 from .likelihood import _block_core, _first_order, _support, _t_kernel, observed_info
+from .likelihood import _scalar_core, _scalar_first_order, _scalar_t_kernel
 from .model import Dataset, ModelEval, ModelSpec, evaluate
 
 __all__ = [
@@ -102,6 +103,13 @@ def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: Elliptical
     blocks = []
     for be in ev.blocks:
         z = be.data.y - be.mu
+        if be.data.q == 1:
+            # a = z / P, dP_r = P (P^{-1} C_r P^{-1}) / 2 over every r; C-contiguous, as the np.zeros below
+            P, Pinv = be.P[:, 0], 1.0 / be.P[:, 0]
+            dP = np.empty(be.dsigma.shape)
+            np.multiply(P, 0.5 * (Pinv * be.dsigma[:, :, 0, 0] * Pinv), out=dP[:, :, 0, 0])
+            blocks.append(BundleBlock(a=z / P, P=be.P, dP=dP))
+            continue
         a = solve_lower(be.P, z[:, :, None])[:, :, 0]
         Pinv = solve_lower(be.P, np.broadcast_to(np.eye(be.data.q), be.P.shape).copy())
         # dP_r is zero where dSigma_r is; a non-finite factor keeps every r
@@ -136,6 +144,13 @@ def _reconstructed_blocks(eval_at: ModelEval, bundle: AncillaryBundle, family: E
     for be, be_hat, bb in zip(eval_at.blocks, bundle.eval_hat.blocks, bundle.blocks):
         if not np.array_equal(be.data.idx, be_hat.data.idx):
             raise ValueError("evaluation and bundle block layouts do not match")
+        if be.data.q == 1:  # (m,) residuals and (m, p) R-hat; the sums keep their operand shapes
+            a = bb.a[:, 0]
+            z = bb.P[:, 0, 0] * a + be_hat.mu[:, 0] - be.mu[:, 0]
+            w, _, v, vdot = _scalar_core(family, be, z)
+            Rhat = bb.dP[:, :, 0, 0] * a[:, None] + be_hat.dmu[:, :, 0]
+            yield be, z, w, v, vdot, Rhat, -np.einsum("m,mra,ma->r", v, Rhat[:, :, None], w[:, None])
+            continue
         z = np.einsum("mab,mb->ma", bb.P, bb.a) + be_hat.mu - be.mu
         w, _, v, vdot = _block_core(family, be, z)
         Rhat = np.einsum("mrab,mb->mra", bb.dP, bb.a) + be_hat.dmu
@@ -168,6 +183,11 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
     Uprime = np.zeros((p, p))
     for be, z, w, v, vdot, Rhat, ell_block in _reconstructed_blocks(eval_at, bundle, family):
         ell += ell_block
+        if be.data.q == 1:
+            Sinv, SC, alpha, Cw = _scalar_first_order(be, w)
+            QS = _scalar_t_kernel(be, z, v, vdot, Sinv, SC, alpha, Cw)[2] * Sinv[:, None]
+            Uprime += np.einsum("mrb,msb->rs", QS[:, :, None], Rhat[:, :, None])
+            continue
         Sinv, alpha, Cw = _first_order(be, w)
         S, C_bk = _support(be, z, w, v, vdot)
         _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
@@ -186,5 +206,5 @@ def doubletilde_info(eval_tilde: ModelEval, bundle: AncillaryBundle, family: Ell
     """
     z_blocks = []
     for be, bb in zip(eval_tilde.blocks, bundle.blocks):
-        z_blocks.append(np.einsum("mab,mb->ma", be.P, bb.a))
+        z_blocks.append(be.P[:, :, 0] * bb.a if be.data.q == 1 else np.einsum("mab,mb->ma", be.P, bb.a))
     return observed_info(family, eval_tilde, z_blocks=z_blocks)

@@ -405,12 +405,14 @@ def fit(
         if j in free_set and base_start[j] <= 0:
             base_start[j] = 1e-4
 
-    rng = np.random.default_rng(0x5EED)  # deterministic jitter stream
+    rng = None  # the deterministic jitter stream, created by the first restart
     best = None
     total_iters = 0
     for attempt in range(restarts + 1):
         theta0 = base_start.copy()
         if attempt > 0:
+            if rng is None:
+                rng = np.random.default_rng(0x5EED)
             for j in free:
                 if j in model.positive:
                     theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())

@@ -32,17 +32,15 @@ point from the same stage 0, with the same arithmetic as a one-pass
 assembly.
 
 The C_r = dSigma/dtheta_r products (A_r, kappa_r, tr(B_r A_s), A_r C_s N)
-are formed only on the support S of dSigma, the parameters with a
-nonzero C_r (``BlockEval.sigma_support``); off S they are exact zeros,
-and skipping them leaves every other float unchanged.  Sigma^{-1}, S and
-C on S are computed once per evaluation (S and C on S once per block
-when dSigma does not depend on theta) and shared by J, the score, U' and
-the double-tilde J at that theta.  Two kinds of block take the full
-products instead: q = 1 blocks, where each product is a scalar per
-observation and the restriction's extra numpy calls cost more than the
-products they skip, and blocks where Sigma, Sigma^{-1}, dmu, dSigma, the
-residuals or the weights are not all finite, where the zeros off S must
-meet the non-finite factor so that NaN and inf propagate as before.
+of q >= 2 blocks are formed only on the support S of dSigma, the
+parameters with a nonzero C_r (``BlockEval.sigma_support``); off S they
+are exact zeros, and skipping them leaves every other float unchanged.
+Sigma^{-1}, S and C on S are computed once per evaluation (S and C on S
+once per block when dSigma does not depend on theta) and shared by J, the
+score, U' and the double-tilde J at that theta.  Blocks where Sigma,
+Sigma^{-1}, dmu, dSigma, the residuals or the weights are not all finite
+take the full products instead, so that the zeros off S meet the
+non-finite factor and NaN and inf propagate as before.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
@@ -57,23 +55,24 @@ full-support assembly; the kernel must equal it bit for bit.  E keeps
 the association (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are
 added to J as (T + tr(B A)) + E.
 
-q = 1 rule: on a q = 1 block every axis an einsum sums over has length
-1, so u, alpha, C Sigma^{-1} z, A, kappa, w' C w, tr(Sigma^{-1} C),
-T Sigma^{-1} d, tr(B A) and the E products are single-term sums, and
-they are formed as elementwise products instead.  A single-term sum is
-its one product, as long as the product keeps einsum's operand order:
-three operands associate left to right, kappa = (z A) z.  (einsum adds
-that product to a zero, which can only turn -0.0 into +0.0; every
-output of the kernel is a sum started at +0.0, where the sign of a zero
-does not survive.)  The solves and the log-determinant take the same
-shortcut in ``_linalg``, and the Cholesky factor of a q = 1 Sigma is
-sqrt(sigma) (``model._chol_blocks``), which fails where LAPACK's
-factorization fails: at sigma <= 0, -0.0 and -inf included.  NaN and
-+inf pass through, as they do through LAPACK.
+Scalar path: stage 0 sends each q = 1 block down ``_scalar_terms``, which
+works on (m,) residuals and weights and (m, p) slices of dmu and dSigma,
+over every r.  Each einsum contraction there is a single-term sum, which
+is its one product as long as the product keeps einsum's operand order
+(three operands associate left to right: kappa = (z A) z).  einsum adds
+that product to a zero, which can only turn -0.0 into +0.0, and every
+output is a sum started at +0.0, where the sign of a zero does not
+survive.  Solves are two divisions by P, log|Sigma| is 2 log P and 2 vdot
+is vdot + vdot (exact, as 2.0 * vdot is).  The score's einsum, its column
+sums and J's sum over observations keep their operand shapes and memory
+layouts, so they add in the same order.  A q = 1 Sigma is factored as
+sqrt(sigma) (``model._chol_blocks``), which fails where LAPACK fails: at
+sigma <= 0, -0.0 and -inf included; NaN and +inf pass through.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -109,7 +108,7 @@ def _residuals(ev: ModelEval, z_blocks):
 
 @dataclass
 class _Stage0:
-    """Per-block (z, w, v, vdot), per-observation u, v, vdot and the log-likelihood."""
+    """Per-block (terms, z, w, v, vdot), per-observation u, v, vdot and the log-likelihood."""
 
     family: EllipticalFamily
     blocks: list
@@ -121,32 +120,46 @@ class _Stage0:
 
 
 def _block_core(family: EllipticalFamily, be, z):
-    """Shared per-block quantities: w = Sigma^{-1} z, u, weights, logdet."""
-    q = z.shape[1]
+    """Shared per-block quantities: w = Sigma^{-1} z, u, weights."""
     w = chol_solve(be.P, z)
-    u = z[:, 0] * w[:, 0] if q == 1 else np.einsum("ma,ma->m", z, w)
-    u = np.maximum(u, 0.0)  # rounding can produce tiny negatives at exact fits
-    v, vdot = family._weights(u, q, clamp=True)
+    u = np.maximum(np.einsum("ma,ma->m", z, w), 0.0)  # rounding can produce tiny negatives at exact fits
+    v, vdot = family._weights(u, z.shape[1], clamp=True)
+    return w, u, v, vdot
+
+
+def _scalar_core(family: EllipticalFamily, be, z):
+    """``_block_core`` of a q = 1 block on (m,) residuals: w = z / P / P."""
+    P = be.P[:, 0, 0]
+    w = z / P / P
+    u = np.maximum(z * w, 0.0)
+    v, vdot = family._weights(u, 1, clamp=True)
     return w, u, v, vdot
 
 
 def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
-    """Stage 0 of the assembly; cached on ``ev`` for the default residuals."""
+    """Stage 0 of the assembly, cached on ``ev`` for the default residuals; it picks each block's path."""
     if z_blocks is None and ev.stage0 is not None and ev.stage0.family is family:
         return ev.stage0
     n = ev.n
     st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), np.empty(n), [])
     for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
         q = be.data.q
-        w, u, v, vdot = _block_core(family, be, z)
-        st.blocks.append((z, w, v, vdot))
+        if q == 1:
+            z = z[:, 0]
+            w, u, v, vdot = _scalar_core(family, be, z)
+            logdet = 2.0 * np.log(be.P[:, 0, 0])
+            st.blocks.append((_scalar_terms, z, w, v, vdot))
+        else:
+            w, u, v, vdot = _block_core(family, be, z)
+            logdet = logdet_from_chol(be.P)
+            st.blocks.append((_block_terms, z, w, v, vdot))
         st.per_u[be.data.idx] = u
         st.per_v[be.data.idx] = v
         st.per_vdot[be.data.idx] = vdot
         if family.kind == "power_exponential" and family.lam != 1.0:
             hit = be.data.idx[u < 1e-12]
             st.clamped.extend(int(i) for i in hit)
-        st.loglik += float(np.sum(-0.5 * logdet_from_chol(be.P) + family._log_g(u, q)))
+        st.loglik += float((-0.5 * logdet + family._log_g(u, q)).sum())
     if z_blocks is None:
         ev.stage0 = st
     return st
@@ -162,12 +175,9 @@ def _sigma_inverse(be):
 
 def _first_order(be, w):
     """Sigma^{-1}, alpha_r = d_r' Sigma^{-1} z and C_r Sigma^{-1} z of one block."""
-    Sinv = _sigma_inverse(be)
-    if be.data.q == 1:
-        return Sinv, be.dmu[:, :, 0] * w, be.dsigma[:, :, :, 0] * w[:, None]
     alpha = np.einsum("mra,ma->mr", be.dmu, w)
     Cw = np.einsum("mrab,mb->mra", be.dsigma, w)
-    return Sinv, alpha, Cw
+    return _sigma_inverse(be), alpha, Cw
 
 
 def _support(be, *operands):
@@ -176,12 +186,8 @@ def _support(be, *operands):
     Off S = ``be.sigma_support`` the dSigma products are exact zeros as
     long as the factors they would multiply are finite.  A non-finite
     factor takes the full products, so 0 * inf still gives NaN where it
-    did.  So do q = 1 blocks: there each product is a scalar per
-    observation, and the restriction's extra numpy calls cost more than
-    the products they skip.
+    did.
     """
-    if be.data.q == 1:
-        return slice(None), None
     factors = (be.sinv, be.sigma, be.dmu, be.dsigma) + operands
     if np.isfinite(np.concatenate([x.ravel() for x in factors])).all():
         return be.sigma_support, be.dsigma_bk
@@ -212,20 +218,97 @@ def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
     A and kappa are formed for r in S only: off S they are exact zeros.
     ``C_bk`` None means the full products.
     """
-    if be.data.q == 1:
-        A = -(Sinv[:, None] * be.dsigma * Sinv[:, None])
-        kappa = z * A[:, :, 0, 0] * z
+    if C_bk is None:
+        SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
     else:
-        if C_bk is None:
-            SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
-        else:
-            SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
-        A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
-        kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
+        SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
+    A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
+    kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
     coef = 2.0 * vdot[:, None] * alpha
     coef[:, S] -= vdot[:, None] * kappa
     T = coef[:, :, None] * z[:, None, :] + v[:, None, None] * (be.dmu + Cw)
     return A, kappa, T
+
+
+def _block_terms(be, z, w, v, vdot, U, J):
+    """Add a q >= 2 block's score to U and its J, summed over observations, to J (None: skip)."""
+    Sinv, alpha, Cw = _first_order(be, w)
+    dmu, C = be.dmu, be.dsigma
+    if U is not None:
+        wCw = np.einsum("ma,mra->mr", w, Cw)
+        trSC = np.einsum("mab,mrba->mr", Sinv, C)
+        U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
+    if J is not None:
+        S, C_bk = _support(be, z, w, v, vdot)
+        A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
+        TS = np.einsum("mra,mab->mrb", T, Sinv)
+        term = np.einsum("mrb,msb->mrs", TS, dmu)
+
+        zz = z[:, :, None] * z[:, None, :]
+        coef_B = -vdot[:, None] * alpha
+        coef_B[:, S] += 0.5 * vdot[:, None] * kappa
+        B = (
+            coef_B[:, :, None, None] * zz[:, None]
+            - v[:, None, None, None] * z[:, None, :, None] * dmu[:, :, None, :]
+            - 0.5 * C
+        )
+        M = be.sigma - v[:, None, None] * zz
+        N = chol_solve(be.P, M)  # Sigma^{-1} M
+        if C_bk is None:
+            term += np.einsum("mrab,msba->mrs", B, A)
+            E = np.einsum("mrab,msba->mrs", A, np.einsum("msbc,mca->msba", C, N))
+        else:
+            term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
+            # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
+            CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
+            SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
+            E = np.zeros_like(term)
+            E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
+        # E = (A C N + d2Sigma K / 2) - v w' d2mu
+        if be.d2sigma is not None:
+            K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
+            E += 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
+        if be.d2mu is not None:
+            E -= v[:, None, None] * np.einsum("ma,mrsa->mrs", w, be.d2mu)
+        term += E
+        J += term.sum(axis=0)
+
+
+def _scalar_first_order(be, w):
+    """``_first_order`` of a q = 1 block plus Sigma^{-1} C (the score's trace and A's first product)."""
+    Sinv, wc = _sigma_inverse(be)[:, 0, 0], w[:, None]
+    return Sinv, Sinv[:, None] * be.dsigma[:, :, 0, 0], be.dmu[:, :, 0] * wc, be.dsigma[:, :, 0, 0] * wc
+
+
+def _scalar_t_kernel(be, z, v, vdot, Sinv, SC, alpha, Cw):
+    """``_t_kernel`` of a q = 1 block on (m, p) arrays, over every r (2 vdot is vdot + vdot)."""
+    zc, vd = z[:, None], vdot[:, None]
+    A = -(SC * Sinv[:, None])
+    kappa = zc * A * zc
+    T = ((vd + vd) * alpha - vd * kappa) * zc + v[:, None] * (be.dmu[:, :, 0] + Cw)
+    return A, kappa, T
+
+
+def _scalar_terms(be, z, w, v, vdot, U, J):
+    """``_block_terms`` of a q = 1 block: the same products, as (m, p) and (m, p, p) arrays."""
+    Sinv, SC, alpha, Cw = _scalar_first_order(be, w)
+    if U is not None:
+        U += np.einsum("m,mr->r", v, alpha + 0.5 * (w[:, None] * Cw)) - 0.5 * SC.sum(axis=0)
+    if J is not None:
+        A, kappa, T = _scalar_t_kernel(be, z, v, vdot, Sinv, SC, alpha, Cw)
+        d, C, P = be.dmu[:, :, 0], be.dsigma[:, :, 0, 0], be.P[:, 0, 0]
+        term = (T * Sinv[:, None])[:, :, None] * d[:, None, :]
+        zz, vd = z * z, vdot[:, None]
+        B = (-vd * alpha + 0.5 * vd * kappa) * zz[:, None] - (v * z)[:, None] * d - 0.5 * C
+        N = (be.sigma[:, 0, 0] - v * zz) / P / P  # Sigma^{-1} M
+        term += B[:, :, None] * A[:, None, :]
+        E = A[:, :, None] * (C * N[:, None])[:, None, :]
+        if be.d2sigma is not None:
+            E += 0.5 * (be.d2sigma[:, :, :, 0, 0] * (N * Sinv)[:, None, None])
+        if be.d2mu is not None:
+            E -= v[:, None, None] * (w[:, None, None] * be.d2mu[:, :, :, 0])
+        term += E
+        J += term.sum(axis=0)
 
 
 def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score, want_info):
@@ -233,74 +316,16 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
     U = np.zeros(p)
     J = np.zeros((p, p))
     st = _stage0(family, ev, z_blocks)
-
-    for be, (z, w, v, vdot) in zip(ev.blocks, st.blocks):
-        Sinv, alpha, Cw = _first_order(be, w)
-        dmu, C = be.dmu, be.dsigma
-        q1 = be.data.q == 1
-        if q1:
-            wCw = w * Cw[:, :, 0]
-            trSC = Sinv[:, 0] * C[:, :, 0, 0]
-        else:
-            wCw = np.einsum("ma,mra->mr", w, Cw)
-            trSC = np.einsum("mab,mrba->mr", Sinv, C)
-
-        if want_score:
-            U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
-
-        if want_info:
-            S, C_bk = _support(be, z, w, v, vdot)
-            A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
-            if q1:
-                term = (T * Sinv) * dmu.transpose(0, 2, 1)
-            else:
-                TS = np.einsum("mra,mab->mrb", T, Sinv)
-                term = np.einsum("mrb,msb->mrs", TS, dmu)
-
-            zz = z[:, :, None] * z[:, None, :]
-            coef_B = -vdot[:, None] * alpha
-            coef_B[:, S] += 0.5 * vdot[:, None] * kappa
-            B = (
-                coef_B[:, :, None, None] * zz[:, None]
-                - v[:, None, None, None] * z[:, None, :, None] * dmu[:, :, None, :]
-                - 0.5 * C
-            )
-            M = be.sigma - v[:, None, None] * zz
-            N = chol_solve(be.P, M)  # Sigma^{-1} M
-            if q1:
-                term += B[:, :, 0] * A[:, None, :, 0, 0]
-                E = A[:, :, 0] * (C * N[:, None])[:, None, :, 0, 0]
-            elif C_bk is None:
-                term += np.einsum("mrab,msba->mrs", B, A)
-                E = np.einsum("mrab,msba->mrs", A, np.einsum("msbc,mca->msba", C, N))
-            else:
-                term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
-                # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
-                CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
-                SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
-                E = np.zeros_like(term)
-                E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
-            # E = (A C N + d2Sigma K / 2) - v w' d2mu
-            if be.d2sigma is not None:
-                if q1:
-                    E += 0.5 * (be.d2sigma[:, :, :, 0, 0] * (N * Sinv))
-                else:
-                    K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
-                    E += 0.5 * np.einsum("mrsab,mba->mrs", be.d2sigma, K)
-            if be.d2mu is not None:
-                wd2mu = w[:, :, None] * be.d2mu[:, :, :, 0] if q1 else np.einsum("ma,mrsa->mrs", w, be.d2mu)
-                E -= v[:, None, None] * wd2mu
-            term += E
-
-            J += term.sum(axis=0)
+    for be, (terms, *block) in zip(ev.blocks, st.blocks):
+        terms(be, *block, U if want_score else None, J if want_info else None)
 
     info = None
     if want_info:
         sym = 0.5 * (J + J.T)
-        scale = np.abs(sym).max()
-        if np.isfinite(scale) and scale > 0:
-            raw_asym = np.abs(J - J.T).max() / scale
-            if np.isfinite(raw_asym) and raw_asym > ASYMMETRY_WARN:
+        scale = float(np.abs(sym).max())
+        if 0.0 < scale < math.inf:
+            raw_asym = float(np.abs(J - J.T).max()) / scale
+            if ASYMMETRY_WARN < raw_asym < math.inf:
                 warnings.warn(
                     f"observed information asymmetry {raw_asym:.2e} exceeds {ASYMMETRY_WARN:.0e}",
                     RuntimeWarning,

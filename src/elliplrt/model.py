@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,6 +203,19 @@ class ModelSpec:
         return np.asarray(self.start_fn(data), dtype=float)
 
 
+class _lazy:
+    """``functools.cached_property`` without the class-wide lock Python 3.11 takes on each first access."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class BlockEval:
     """Evaluated model quantities for one block (see ModelSpec for shapes).
 
@@ -238,13 +250,13 @@ class BlockEval:
     def _sigma_at(self, t):
         return self.model.sigma_fn(t, self.data)
 
-    @cached_property
+    @_lazy
     def dmu(self) -> np.ndarray:
         if self._analytic_mu:
             return self.model.dmu_fn(self.theta, self.data)
         return _fd_first(self._mu_at, self.theta)
 
-    @cached_property
+    @_lazy
     def d2mu(self) -> np.ndarray | None:
         if self._analytic_mu:
             fn = self.model.d2mu_fn
@@ -253,7 +265,7 @@ class BlockEval:
             d2mu = _fd_second(self._mu_at, self.theta)
         return None if d2mu is None else 0.5 * (d2mu + np.swapaxes(d2mu, 1, 2))
 
-    @cached_property
+    @_lazy
     def dsigma(self) -> np.ndarray:
         if self._analytic_sigma:
             dsigma = self.model.dsigma_fn(self.theta, self.data)
@@ -262,7 +274,7 @@ class BlockEval:
         # dsigma must be exactly symmetric in its matrix indices
         return self.data.derived("dsigma", dsigma, lambda d: 0.5 * (d + np.swapaxes(d, -1, -2)))
 
-    @cached_property
+    @_lazy
     def d2sigma(self) -> np.ndarray | None:
         if self._analytic_sigma:
             fn = self.model.d2sigma_fn
@@ -271,7 +283,7 @@ class BlockEval:
             d2sigma = _fd_second(self._sigma_at, self.theta)
         return None if d2sigma is None else 0.5 * (d2sigma + np.swapaxes(d2sigma, 1, 2))
 
-    @cached_property
+    @_lazy
     def sigma_support(self) -> slice | np.ndarray:
         """The parameters r with a nonzero (or non-finite) ``dsigma[:, r]``.
 
@@ -280,7 +292,7 @@ class BlockEval:
         """
         return self.data.derived("sigma_support", self.dsigma, _nonzero_params)
 
-    @cached_property
+    @_lazy
     def dsigma_bk(self) -> np.ndarray:
         """``dsigma`` on ``sigma_support`` in (m, b, (r, c)) layout."""
         return self.data.derived("dsigma_bk", self.dsigma, lambda C: _bk_layout(C[:, self.sigma_support]))
@@ -324,9 +336,9 @@ def _chol_blocks(sigma: np.ndarray, idx: np.ndarray) -> np.ndarray:
     with batched factorizations of its halves.
     """
     if sigma.shape[-1] == 1:
-        bad = np.flatnonzero(sigma[:, 0, 0] <= 0.0)
-        if bad.size:
-            raise NonSPDError(int(idx[bad[0]]))
+        bad = sigma <= 0.0
+        if bad.any():
+            raise NonSPDError(int(idx[bad.argmax()]))
         return np.sqrt(sigma)
     try:
         return np.linalg.cholesky(sigma)
@@ -449,7 +461,8 @@ def _m1_d2mu(theta, blk):
     t = _m1_terms(blk)
     h = 1.0 + t @ theta[:4]
     d2 = np.zeros((blk.m, 5, 5, 1))
-    d2[:, :4, :4, 0] = 2.0 * t[:, :, None] * t[:, None, :] / (h**3)[:, None, None]
+    tt2 = blk.cached("m1_tt2", lambda _: 2.0 * t[:, :, None] * t[:, None, :])  # theta-free: built once per block
+    d2[:, :4, :4, 0] = tt2 / (h**3)[:, None, None]
     return d2
 
 

@@ -123,6 +123,40 @@ def test_fit_reports_nonconvergence_not_silently():
         assert res.score_norm > 0
 
 
+def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
+    start = np.array([0.5, 0.2, 0.1, -0.1, 0.005])
+    starts, made = [], []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args):
+        made.append(args)
+        return default_rng(*args)
+
+    def failing_newton(obj, x0, *args):
+        starts.append((x0, obj.is_log))
+        raise M.NonSPDError(0)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    fit(model, NORMAL, data, start=start)
+    assert made == []  # a fit that needs no restart creates no generator
+    monkeypatch.setattr(inference, "_newton", failing_newton)
+    with pytest.raises(inference.FitError):
+        fit(model, NORMAL, data, start=start, restarts=3)
+    assert made == [(0x5EED,)]
+    rng = default_rng(0x5EED)
+    for attempt, (x0, is_log) in enumerate(starts):
+        theta0 = start.copy()
+        if attempt > 0:
+            for j in range(model.p):
+                if j in model.positive:
+                    theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
+                else:
+                    theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
+        assert np.array_equal(x0, inference._to_internal(theta0, is_log))
+    assert len(starts) == 4
+
+
 def test_stderr_is_root_of_inverse_information_diagonal():
     for fam, kind in ((EllipticalFamily.student_t(4.0), "model2"), (NORMAL, "model1")):
         rng = np.random.default_rng(21)

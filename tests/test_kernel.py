@@ -2,10 +2,11 @@
 
 J, the score, U' and the double-tilde J must equal ``kernel_oracle`` bit
 for bit: the kernel skips only products that are exact zeros and keeps
-every remaining sum in its old order.  Blocks with q = 1 take the full
-products, as elementwise single-term sums, so the cases that test the
-restriction itself use q >= 2; the model1, locscale and model2 cases
-compare that q = 1 arithmetic with the oracle's general q-loops.
+every remaining sum in its old order.  Blocks with q = 1 take the scalar
+path, the full products as elementwise single-term sums on (m, p) arrays,
+so the cases that test the restriction itself use q >= 2; the model1,
+locscale, scalar_curved and model2 cases compare that q = 1 arithmetic
+with the oracle's general q-loops.
 """
 
 import warnings
@@ -22,6 +23,7 @@ from conftest import (
     simulate_model1,
     simulate_model2,
 )
+from elliplrt import _linalg as linalg
 from elliplrt import likelihood as L
 from elliplrt import model as M
 from elliplrt.ancillary import build_ancillary, doubletilde_info, sample_space_gradients
@@ -107,6 +109,27 @@ def make_known_sigma_model(p):
     )
 
 
+def make_scalar_curved_model():
+    """q=1 with mu = t0 + t0^2 and Sigma = exp(t1): nonzero analytic d2mu and d2Sigma."""
+
+    def stack(first, second, m):
+        return np.stack([np.full(m, first), np.full(m, second)], axis=1)
+
+    return M.ModelSpec(
+        name="scalar_curved",
+        p=2,
+        param_names=("a", "log_s2"),
+        mu_fn=lambda t, blk: np.full((blk.m, 1), t[0] + t[0] ** 2),
+        sigma_fn=lambda t, blk: np.full((blk.m, 1, 1), np.exp(t[1])),
+        dmu_fn=lambda t, blk: stack(1.0 + 2.0 * t[0], 0.0, blk.m)[:, :, None],
+        d2mu_fn=lambda t, blk: np.stack([stack(2.0, 0.0, blk.m), stack(0.0, 0.0, blk.m)], axis=2)[..., None],
+        dsigma_fn=lambda t, blk: stack(0.0, np.exp(t[1]), blk.m)[:, :, None, None],
+        d2sigma_fn=lambda t, blk: np.stack(
+            [stack(0.0, 0.0, blk.m), stack(0.0, np.exp(t[1]), blk.m)], axis=2
+        )[..., None, None],
+    )
+
+
 def _case(kind, fam, seed):
     """(model, data, theta-hat, theta-tilde) for one oracle case."""
     rng = np.random.default_rng(seed)
@@ -119,6 +142,11 @@ def _case(kind, fam, seed):
     elif kind == "locscale":
         model, data = make_locscale_model(), scalar_dataset(rng.normal(size=12))
         th = np.array([0.3, 1.7])
+    elif kind == "scalar_curved":
+        model, th = make_scalar_curved_model(), np.array([0.4, -1.2])
+        y = 0.4 * rng.normal(size=11)
+        y[3] = th[0] + th[0] ** 2  # an exact fit at theta-hat: u = 0 hits the power-exponential clamp
+        data = scalar_dataset(y)
     elif kind == "known_sigma":
         model = make_known_sigma_model(3)
         X = rng.normal(size=(14, 2, 3))
@@ -132,7 +160,7 @@ def _case(kind, fam, seed):
     return model, data, th, th * jitter
 
 
-KINDS = ("model1", "model2", "locscale", "known_sigma", "gapped", "gapped_linear_mean")
+KINDS = ("model1", "model2", "locscale", "scalar_curved", "known_sigma", "gapped", "gapped_linear_mean")
 
 
 @pytest.mark.parametrize("derivs", [M.evaluate, M.fd_derivatives], ids=["analytic", "fd"])
@@ -181,22 +209,52 @@ def test_sigma_support_shapes():
     assert be.dsigma_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
 
 
-def test_q1_and_nonfinite_blocks_take_the_full_products():
+def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_the_full_products():
     fam = FAMILIES[1]
     model, data, th, _ = _case("model2", fam, 0)
     ev = M.evaluate(model, th, data)
     L.score_info(fam, ev)
     assert {be.data.q for be in ev.blocks} >= {1, 2}
-    for be, (z, w, v, vdot) in zip(ev.blocks, ev.stage0.blocks):
-        S, C_bk = L._support(be, z, w, v, vdot)
+    for be, (terms, z, w, v, vdot) in zip(ev.blocks, ev.stage0.blocks):
         if be.data.q == 1:
-            assert S == slice(None) and C_bk is None
+            assert terms is L._scalar_terms
+            assert z.shape == w.shape == v.shape == (be.data.m,)
         else:
+            assert terms is L._block_terms
+            S, C_bk = L._support(be, z, w, v, vdot)
             assert S == slice(5, 9) and C_bk is be.dsigma_bk
             for bad in (np.inf, np.nan):
                 z_bad = z.copy()
                 z_bad[0, 0] = bad
                 assert L._support(be, z_bad, w, v, vdot)[1] is None
+
+
+def test_scalar_exact_fit_hits_the_power_exponential_clamp():
+    fam = FAMILIES[2]
+    model, data, th, _ = _case("scalar_curved", fam, 0)
+    si = L.score_info(fam, M.evaluate(model, th, data))
+    assert si.clamped == [3] and si.per_obs_u[3] == 0.0
+    assert np.isfinite(si.info).all()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_triangular_solves_equal_the_oracle_copies(q):
+    rng = np.random.default_rng(q)
+    special = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300)
+    for trial in range(60):
+        m, k = int(rng.integers(1, 20)), int(rng.integers(1, 4))
+        P = np.tril(rng.normal(size=(m, q, q)) * 10.0 ** rng.integers(-3, 4, size=(m, q, q)))
+        B = rng.normal(size=(m, q, k))
+        if trial % 3:
+            i, a, b = int(rng.integers(m)), int(rng.integers(q)), int(rng.integers(q))
+            P[i, max(a, b), min(a, b)] = special[trial % len(special)]
+        with np.errstate(all="ignore"):
+            for got, want in (
+                (linalg.solve_lower(P, B), O.solve_lower(P, B)),
+                (linalg.solve_upper_t(P, B), O.solve_upper_t(P, B)),
+            ):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_sigma_inverse_is_computed_once_per_evaluation(monkeypatch):

@@ -120,6 +120,32 @@ def test_theta_independent_arrays_are_cached_read_only():
     np.testing.assert_array_equal(ev1.blocks[-1].dsigma, ev2.blocks[-1].dsigma)
 
 
+def test_model1_d2mu_reuses_the_cached_outer_product_bit_for_bit():
+    _, data = simulate_model1(T3, 15, np.random.default_rng(9))
+    blk = data.blocks()[0]
+    t = M._m1_terms(blk)
+    for theta in (np.array([0.5, 0.2, 0.1, -0.1, 0.005]), np.array([-0.3, 1.5, -0.7, 0.2, 0.01])):
+        h = 1.0 + t @ theta[:4]
+        want = np.zeros((blk.m, 5, 5, 1))
+        want[:, :4, :4, 0] = 2.0 * t[:, :, None] * t[:, None, :] / (h**3)[:, None, None]
+        assert M._m1_d2mu(theta, blk).tobytes() == want.tobytes()
+    assert blk.cache["m1_tt2"] is blk.cached("m1_tt2", None) and not blk.cache["m1_tt2"].flags.writeable
+    # BlockEval still symmetrizes: 0.5 (x + x) is x only while x + x is finite
+    ev = M.evaluate(M.nonlinear_model1(), np.array([0.5, 0.2, 0.1, -0.1, 0.005]), data)
+    raw = M._m1_d2mu(ev.theta, blk)
+    assert ev.blocks[0].d2mu.tobytes() == (0.5 * (raw + np.swapaxes(raw, 1, 2))).tobytes()
+
+
+def test_lazy_attributes_are_computed_once_per_block():
+    model, seen = counting_model(M.nonlinear_model1())
+    _, data = simulate_model1(T3, 15, np.random.default_rng(3))
+    be = M.evaluate(model, np.array([0.5, 0.2, 0.0, 0.0, 0.005]), data).blocks[0]
+    assert "d2mu" not in vars(be)
+    first = be.d2mu
+    assert be.d2mu is first and vars(be)["d2mu"] is first and len(seen["d2mu"]) == 1
+    assert isinstance(type(be).d2mu, M._lazy)
+
+
 # ---------------------------------------------------------------------------
 # likelihood stage 0
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .inference import (
 )
 from .likelihood import ScoreInfo, loglik, observed_info, score, score_info
 from .model import (
+    MODELS,
     Dataset,
     ModelEval,
     ModelSpec,
@@ -61,6 +62,7 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "MODELS",
     "AncillaryBundle",
     "Dataset",
     "EllipticalFamily",

@@ -1,13 +1,20 @@
 """Command-line front end: fit, test, simulate, discrepancy.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure (fit did not
-converge, simulation failure rate too high).  All randomness flows from
-``--seed`` (default 42); no wall-clock entropy is ever used.
+The commands parse arguments and print results; model names, simulation
+defaults and input checks come from the library.  Exit codes: 0 success,
+1 input error (an ``InputError``, ``OSError`` or ``ValueError``, which is
+how the library reports bad input), 2 numerical failure (fit did not
+converge, a test stage failed, simulation failure rate too high).  All
+randomness flows from the simulation seed (``SimulationConfig``'s default
+unless the config or ``--seed`` sets one); no wall-clock entropy is ever
+used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +23,7 @@ import numpy as np
 
 from .families import FAMILY_KINDS, EllipticalFamily
 from .inference import FitError, Hypothesis, StageError, fit, run_test
-from .model import ModelSpec, mixed_model2, nonlinear_model1, read_dataset_csv, write_dataset_csv
+from .model import MODELS, read_dataset_csv, write_dataset_csv
 from .montecarlo import (
     STAT_LABELS,
     SimulationConfig,
@@ -30,61 +37,32 @@ from .montecarlo import (
     write_summary_csv,
 )
 
-DEFAULT_SEED = 42
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
+
+# config JSON key -> SimulationConfig field; the worker count comes from the command line
+_CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f.name
+               for f in dataclasses.fields(SimulationConfig) if f.name != "threads"}
 
 
 class InputError(Exception):
     pass
 
 
-def _model_by_name(name: str) -> ModelSpec:
-    if name == "model1":
-        return nonlinear_model1()
-    if name == "model2":
-        return mixed_model2()
-    raise InputError(f"unknown model {name!r} (expected model1 or model2)")
+def _split(spec: str) -> list:
+    return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
-def _family_from_args(args) -> EllipticalFamily:
-    try:
-        return EllipticalFamily.from_config(args.family, nu=args.nu, lam=getattr(args, "lam", None))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def _inputs(args):
+    """(model, family, dataset) named by the common fit/test options."""
+    family = EllipticalFamily.from_config(args.family, nu=args.nu, lam=args.lam)
+    return MODELS[args.model](), family, read_dataset_csv(args.data, args.model)
 
 
-def _parse_interest(spec: str, model: ModelSpec) -> tuple:
-    indices = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token in model.param_names:
-            indices.append(model.param_names.index(token))
-        else:
-            try:
-                indices.append(int(token))
-            except ValueError:
-                raise InputError(
-                    f"unknown parameter {token!r}; names for {model.name} are {', '.join(model.param_names)}"
-                ) from None
-    if not indices:
-        raise InputError("empty --interest")
-    return tuple(indices)
-
-
-def _parse_floats(spec: str) -> list:
-    try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad numeric list {spec!r}: {exc}") from None
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+def _emit(path, payload: dict) -> None:
+    """Write ``payload`` as JSON to ``path``, or to stdout when no path is given."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -95,155 +73,84 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_fit(args) -> int:
-    model = _model_by_name(args.model)
-    family = _family_from_args(args)
-    try:
-        data = read_dataset_csv(args.data, args.model)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
-    start = np.asarray(_parse_floats(args.start), dtype=float) if args.start else None
-    try:
-        result = fit(model, family, data, start=start)
-    except (FitError, ValueError) as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    payload = {
+    model, family, data = _inputs(args)
+    start = np.asarray([float(tok) for tok in _split(args.start)]) if args.start else None
+    result = fit(model, family, data, start=start)
+    names = model.param_names
+    _emit(args.out, {
         "model": args.model,
         "family": family.label(),
-        "theta": {name: float(v) for name, v in zip(model.param_names, result.theta)},
-        "stderr": {name: float(v) for name, v in zip(model.param_names, result.stderr)},
+        "theta": {name: float(v) for name, v in zip(names, result.theta)},
+        "stderr": {name: float(v) for name, v in zip(names, result.stderr)},
         "loglik": result.loglik,
         "score_norm": result.score_norm,
         "converged": result.converged,
         "iterations": result.iterations,
         "info": [[float(v) for v in row] for row in result.info],
         "diagnostics": result.diagnostics,
-    }
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    })
     return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
 def cmd_test(args) -> int:
-    model = _model_by_name(args.model)
-    family = _family_from_args(args)
-    try:
-        data = read_dataset_csv(args.data, args.model)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
-    interest = _parse_interest(args.interest, model)
-    psi0 = _parse_floats(args.psi0) if args.psi0 else [0.0] * len(interest)
-    try:
-        hyp = Hypothesis(interest, psi0, args.sided)
-        hyp.check(model)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        report = run_test(model, family, data, hyp)
-    except (StageError, FitError) as exc:
-        print(f"test failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    payload = report.to_dict()
-    if args.out:
-        _write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    model, family, data = _inputs(args)
+    interest = model.indices(_split(args.interest))
+    psi0 = [float(tok) for tok in _split(args.psi0)] if args.psi0 else [0.0] * len(interest)
+    _emit(args.out, run_test(model, family, data, Hypothesis(interest, psi0, args.sided)).to_dict())
     return EXIT_OK
 
 
 def _load_sim_config(args) -> SimulationConfig:
-    try:
-        with open(args.config) as fh:
+    """The config file's keys and the command-line overrides; SimulationConfig fills in and checks the rest."""
+    with open(args.config) as fh:
+        try:
             raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.config}: invalid JSON ({exc})") from None
-    known = {
-        "model", "family", "nu", "lambda", "n", "replications", "interest",
-        "psi0", "sided", "alpha_levels", "true_theta", "seed", "max_refit_attempts",
-    }
-    unknown = set(raw) - known
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.config}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"{args.config}: expected a JSON object of config keys")
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
-    for key in ("model", "family", "n"):
-        if key not in raw:
-            raise InputError(f"{args.config}: missing required key {key!r}")
-    model = _model_by_name(raw["model"])
-    interest = raw.get("interest")
-    if interest is None:
-        raise InputError(f"{args.config}: missing required key 'interest'")
-    if isinstance(interest, str):
-        interest = _parse_interest(interest, model)
-    else:
-        interest = _parse_interest(",".join(str(t) for t in interest), model)
-    psi0 = raw.get("psi0", [0.0] * len(interest))
-    try:
-        return SimulationConfig(
-            model=raw["model"],
-            family=raw["family"],
-            nu=raw.get("nu"),
-            lam=raw.get("lambda"),
-            n=int(raw["n"]),
-            replications=int(args.reps if args.reps is not None else raw.get("replications", 2000)),
-            interest=interest,
-            psi0=tuple(float(v) for v in psi0),
-            sided=raw.get("sided", "two"),
-            alpha_levels=tuple(raw.get("alpha_levels", (0.01, 0.05, 0.10))),
-            true_theta=raw.get("true_theta"),
-            seed=int(args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)),
-            max_refit_attempts=int(raw.get("max_refit_attempts", 10)),
-            threads=args.threads if args.threads is not None else _env_threads(),
-        )
-    except (SimulationError, ValueError) as exc:
-        raise InputError(str(exc)) from None
+    kwargs = {_CONFIG_KEYS[key]: value for key, value in raw.items()}
+    if isinstance(kwargs.get("interest"), str):
+        kwargs["interest"] = _split(kwargs["interest"])
+    overrides = {"replications": args.reps, "seed": args.seed,
+                 "threads": _env_threads() if args.threads is None else args.threads}
+    kwargs.update((key, value) for key, value in overrides.items() if value is not None)
+    missing = [f.name for f in dataclasses.fields(SimulationConfig)
+               if f.default is dataclasses.MISSING and f.name not in kwargs]
+    if missing:
+        raise InputError(f"{args.config}: missing required key(s) {missing}")
+    return SimulationConfig(**kwargs)
 
 
-def _env_threads() -> int:
-    """Worker count from ELLIP_LRT_THREADS (1 when unset)."""
+def _env_threads() -> int | None:
+    """Worker count from ELLIP_LRT_THREADS (None when unset)."""
     env = os.environ.get("ELLIP_LRT_THREADS")
-    if not env:
-        return 1
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
+    if env and (not env.strip().isdecimal() or int(env) < 1):
         raise InputError(f"ELLIP_LRT_THREADS must be a positive integer, got {env!r}")
-    return threads
+    return int(env) if env else None
 
 
 def cmd_simulate(args) -> int:
     config = _load_sim_config(args)
     if args.emit_one:
-        data = simulate_dataset(config)
-        write_dataset_csv(args.emit_one, data, config.model)
+        write_dataset_csv(args.emit_one, simulate_dataset(config), config.model)
         return EXIT_OK
     if not (args.out_summary and args.out_pvalues):
         raise InputError("simulate requires --out-summary and --out-pvalues (or --emit-one)")
-    try:
-        summary = run_simulation(config)
-    except SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    summary = run_simulation(config)
     write_summary_csv(args.out_summary, summary)
     write_pvalues_csv(args.out_pvalues, summary)
     return EXIT_OK
 
 
 def cmd_discrepancy(args) -> int:
-    try:
-        columns = read_pvalues_csv(args.infile)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from None
+    columns = read_pvalues_csv(args.infile)
     if args.stat not in columns:
         raise InputError(f"statistic {args.stat!r} not in {args.infile}; available: {', '.join(columns)}")
-    table = pvalue_discrepancy(columns[args.stat])
-    write_discrepancy_csv(args.out, table)
+    write_discrepancy_csv(args.out, pvalue_discrepancy(columns[args.stat]))
     return EXIT_OK
 
 
@@ -260,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_family(p):
-        p.add_argument("--model", required=True, choices=("model1", "model2"))
+        p.add_argument("--model", required=True, choices=tuple(MODELS))
         p.add_argument("--family", required=True, choices=FAMILY_KINDS)
         p.add_argument("--nu", type=float, default=None, help="degrees of freedom (student_t)")
         p.add_argument("--lambda", dest="lam", type=float, default=None, help="shape (power_exponential)")
@@ -300,13 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (FitError, StageError, SimulationError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

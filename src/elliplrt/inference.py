@@ -749,7 +749,6 @@ def run_test(
     data: Dataset,
     hypothesis: Hypothesis,
     start=None,
-    **fit_kwargs,
 ) -> TestReport:
     """Full pipeline: both fits, ancillary, adjustments, p-values.
 
@@ -762,7 +761,7 @@ def run_test(
     q = hypothesis.q
 
     try:
-        fit_hat = fit(model, family, data, start=start, **fit_kwargs)
+        fit_hat = fit(model, family, data, start=start)
     except (FitError, NonSPDError) as exc:
         raise StageError("unrestricted_fit", exc) from exc
     if not fit_hat.converged:
@@ -771,7 +770,7 @@ def run_test(
     tilde_start = fit_hat.theta.copy()
     tilde_start[list(interest)] = hypothesis.psi0
     try:
-        fit_tilde = fit(model, family, data, restriction=(interest, hypothesis.psi0), start=tilde_start, **fit_kwargs)
+        fit_tilde = fit(model, family, data, restriction=(interest, hypothesis.psi0), start=tilde_start)
     except (FitError, NonSPDError) as exc:
         raise StageError("restricted_fit", exc) from exc
     if not fit_tilde.converged:
@@ -779,7 +778,7 @@ def run_test(
 
     # the restricted optimum can only be bettered by the unrestricted one
     if fit_tilde.loglik > fit_hat.loglik + 1e-10 * (1.0 + abs(fit_hat.loglik)):
-        refit = fit(model, family, data, start=fit_tilde.theta, **fit_kwargs)
+        refit = fit(model, family, data, start=fit_tilde.theta)
         if refit.converged and refit.loglik >= fit_hat.loglik:
             fit_hat = refit
 

@@ -39,8 +39,9 @@ Sigma^{-1}, S and C on S are computed once per evaluation (S and C on S
 once per block when dSigma does not depend on theta) and shared by J, the
 score, U' and the double-tilde J at that theta.  Blocks where Sigma,
 Sigma^{-1}, dmu, dSigma, the residuals or the weights are not all finite
-take the full products instead, so that the zeros off S meet the
-non-finite factor and NaN and inf propagate as before.
+run the same products over every r, so that the zeros off S meet the
+non-finite factor and NaN and inf propagate as before; over every r they
+equal the full products bit for bit.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
@@ -80,7 +81,7 @@ import numpy as np
 
 from ._linalg import chol_inverse, chol_solve, logdet_from_chol
 from .families import EllipticalFamily
-from .model import ModelEval
+from .model import ModelEval, _bk_layout
 
 __all__ = ["ScoreInfo", "loglik", "score", "observed_info", "score_info"]
 
@@ -96,7 +97,6 @@ class ScoreInfo:
     info: np.ndarray | None  # (p,p), symmetrized
     per_obs_u: np.ndarray  # (n,)
     per_obs_v: np.ndarray  # (n,)
-    per_obs_vdot: np.ndarray  # (n,)
     clamped: list  # observation indices where the weight clamp fired
 
 
@@ -108,14 +108,13 @@ def _residuals(ev: ModelEval, z_blocks):
 
 @dataclass
 class _Stage0:
-    """Per-block (terms, z, w, v, vdot), per-observation u, v, vdot and the log-likelihood."""
+    """Per-block (terms, z, w, v, vdot), per-observation u and v, and the log-likelihood."""
 
     family: EllipticalFamily
     blocks: list
     loglik: float
     per_u: np.ndarray
     per_v: np.ndarray
-    per_vdot: np.ndarray
     clamped: list
 
 
@@ -141,7 +140,7 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     if z_blocks is None and ev.stage0 is not None and ev.stage0.family is family:
         return ev.stage0
     n = ev.n
-    st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), np.empty(n), [])
+    st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), [])
     for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
         q = be.data.q
         if q == 1:
@@ -155,7 +154,6 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
             st.blocks.append((_block_terms, z, w, v, vdot))
         st.per_u[be.data.idx] = u
         st.per_v[be.data.idx] = v
-        st.per_vdot[be.data.idx] = vdot
         if family.kind == "power_exponential" and family.lam != 1.0:
             hit = be.data.idx[u < 1e-12]
             st.clamped.extend(int(i) for i in hit)
@@ -181,17 +179,17 @@ def _first_order(be, w):
 
 
 def _support(be, *operands):
-    """(S, dSigma on S in (m, b, (r, c)) layout), or (every r, None) for the full products.
+    """(S, dSigma on S in (m, b, (r, c)) layout), with S every r when a factor is not finite.
 
     Off S = ``be.sigma_support`` the dSigma products are exact zeros as
     long as the factors they would multiply are finite.  A non-finite
-    factor takes the full products, so 0 * inf still gives NaN where it
-    did.
+    factor takes the products over every r, so 0 * inf still gives NaN
+    where it did.
     """
     factors = (be.sinv, be.sigma, be.dmu, be.dsigma) + operands
     if np.isfinite(np.concatenate([x.ravel() for x in factors])).all():
         return be.sigma_support, be.dsigma_bk
-    return slice(None), None
+    return slice(None), _bk_layout(be.dsigma)
 
 
 def _unpack(X, axes):
@@ -216,12 +214,8 @@ def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
     A_r = -Sigma^{-1} C_r Sigma^{-1}, kappa_r = z' A_r z and
     T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z).
     A and kappa are formed for r in S only: off S they are exact zeros.
-    ``C_bk`` None means the full products.
     """
-    if C_bk is None:
-        SC = np.einsum("mab,mrbc->mrac", Sinv, be.dsigma)
-    else:
-        SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
+    SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
     A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
     kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
     coef = 2.0 * vdot[:, None] * alpha
@@ -254,16 +248,12 @@ def _block_terms(be, z, w, v, vdot, U, J):
         )
         M = be.sigma - v[:, None, None] * zz
         N = chol_solve(be.P, M)  # Sigma^{-1} M
-        if C_bk is None:
-            term += np.einsum("mrab,msba->mrs", B, A)
-            E = np.einsum("mrab,msba->mrs", A, np.einsum("msbc,mca->msba", C, N))
-        else:
-            term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
-            # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
-            CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
-            SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
-            E = np.zeros_like(term)
-            E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
+        term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
+        # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
+        CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
+        SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
+        E = np.zeros_like(term)
+        E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
         # E = (A C N + d2Sigma K / 2) - v w' d2mu
         if be.d2sigma is not None:
             K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}
@@ -338,7 +328,6 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
         info=info,
         per_obs_u=st.per_u,
         per_obs_v=st.per_v,
-        per_obs_vdot=st.per_vdot,
         clamped=list(st.clamped),
     )
 

@@ -42,6 +42,7 @@ __all__ = [
     "fd_derivatives",
     "nonlinear_model1",
     "mixed_model2",
+    "MODELS",
     "model1_design",
     "model2_design",
     "model1_dataset",
@@ -141,10 +142,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.observations)
 
-    @property
-    def total_rows(self) -> int:
-        return sum(o.q for o in self.observations)
-
     def blocks(self) -> list[DataBlock]:
         """Group observations by q (ascending), stable in original order."""
         if self._blocks is None:
@@ -201,6 +198,17 @@ class ModelSpec:
         if self.start_fn is None:
             raise ValueError(f"model {self.name!r} has no start heuristic; pass an explicit start")
         return np.asarray(self.start_fn(data), dtype=float)
+
+    def indices(self, tokens) -> tuple[int, ...]:
+        """Parameter indices of ``tokens``: parameter names, integers or integer strings."""
+        out = []
+        for t in tokens:
+            try:
+                out.append(self.param_names.index(t) if t in self.param_names else int(t))
+            except (TypeError, ValueError):
+                names = ", ".join(self.param_names)
+                raise ValueError(f"unknown parameter {t!r}; names for {self.name} are {names}") from None
+        return tuple(out)
 
 
 class _lazy:
@@ -626,6 +634,9 @@ def mixed_model2() -> ModelSpec:
         positive=(5, 7, 8),
         start_fn=_m2_start,
     )
+
+
+MODELS = {"model1": nonlinear_model1, "model2": mixed_model2}  # name -> ModelSpec factory
 
 
 def model2_design(n: int, rng: np.random.Generator) -> list[dict]:

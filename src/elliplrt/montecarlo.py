@@ -24,23 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import EllipticalFamily
-from .inference import FitError, Hypothesis, HypothesisError, StageError, run_test
-from .model import (
-    Dataset,
-    NonSPDError,
-    evaluate,
-    mixed_model2,
-    model1_dataset,
-    model1_design,
-    model2_dataset,
-    model2_design,
-    nonlinear_model1,
-)
+from .inference import FitError, Hypothesis, StageError, run_test
+from .model import MODELS, Dataset, NonSPDError, evaluate, model1_dataset, model1_design, model2_dataset, model2_design
 
 __all__ = [
     "SimulationConfig",
     "SimulationSummary",
     "SimulationError",
+    "ConfigError",
     "run_simulation",
     "simulate_dataset",
     "pvalue_discrepancy",
@@ -65,19 +56,23 @@ _NONPD_SKIP_NOTE = "nonpositive score quadratic form; adjustment skipped"
 
 
 class SimulationError(RuntimeError):
-    """The failure rate exceeded the acceptable bound or input was invalid."""
+    """The failure rate exceeded the acceptable bound, or (``ConfigError``) the input was invalid."""
+
+
+class ConfigError(SimulationError, ValueError):
+    """An invalid SimulationConfig; a ValueError, as the library's other input errors are."""
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce one simulation run."""
 
-    model: str  # "model1" | "model2"
+    model: str  # a key of model.MODELS
     family: str  # "normal" | "student_t" | "power_exponential"
     n: int
-    replications: int
-    interest: tuple
-    psi0: tuple
+    interest: tuple  # parameter indices or names
+    psi0: tuple | None = None  # None: zeros
+    replications: int = 2000
     sided: str = "two"
     nu: float | None = None
     lam: float | None = None
@@ -88,26 +83,39 @@ class SimulationConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.model not in ("model1", "model2"):
-            raise SimulationError(f"unknown model {self.model!r}")
-        if self.replications < 1:
-            raise SimulationError("replications must be >= 1")
+        if self.model not in MODELS:
+            raise ConfigError(f"unknown model {self.model!r} (expected one of {', '.join(MODELS)})")
+        spec = MODELS[self.model]()
+        least = {"n": spec.p + 1, "replications": 1, "seed": 0, "max_refit_attempts": 1, "threads": 1}
+        for name, low in least.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, int(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if getattr(self, name) < low:
+                why = f" ({self.model} has p={spec.p} parameters)" if name == "n" else ""
+                raise ConfigError(f"{name} must be >= {low}, got {value!r}{why}")
         alphas = tuple(float(a) for a in self.alpha_levels)
         if any(not 0.0 < a < 1.0 for a in alphas) or list(alphas) != sorted(alphas):
-            raise SimulationError("alpha levels must lie in (0,1) and be sorted ascending")
+            raise ConfigError("alpha levels must lie in (0,1) and be sorted ascending")
         object.__setattr__(self, "alpha_levels", alphas)
-        object.__setattr__(self, "interest", tuple(int(i) for i in self.interest))
-        object.__setattr__(self, "psi0", tuple(float(v) for v in self.psi0))
         try:
-            self.hypothesis().check(nonlinear_model1() if self.model == "model1" else mixed_model2())
-        except HypothesisError as exc:
-            raise SimulationError(str(exc)) from None
+            object.__setattr__(self, "interest", spec.indices(self.interest))
+            psi0 = (0.0,) * len(self.interest) if self.psi0 is None else self.psi0
+            object.__setattr__(self, "psi0", tuple(float(v) for v in psi0))
+            self.family_obj()
+            self.hypothesis().check(spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         true = self.true_theta if self.true_theta is not None else self.default_true_theta()
         true = tuple(float(v) for v in true)
         object.__setattr__(self, "true_theta", true)
+        if len(true) != spec.p:
+            raise ConfigError(f"true_theta has {len(true)} values; {self.model} has p={spec.p}")
         for j, v in zip(self.interest, self.psi0):
             if true[j] != v:
-                raise SimulationError(
+                raise ConfigError(
                     f"true_theta[{j}]={true[j]} violates the null value {v}; rates would not be null rates"
                 )
 
@@ -169,12 +177,11 @@ class _Setup:
         self.hyp = config.hypothesis()
         self.true_theta = np.asarray(config.true_theta)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=_DESIGN_KEY))
+        self.model = MODELS[config.model]()
         if config.model == "model1":
-            self.model = nonlinear_model1()
             self.design = model1_design(config.n, rng)
             template = model1_dataset(np.zeros(config.n), self.design["x1"], self.design["x2"])
         else:
-            self.model = mixed_model2()
             self.design = model2_design(config.n, rng)
             template = model2_dataset([np.zeros(u["q"]) for u in self.design], self.design)
         ev = evaluate(self.model, self.true_theta, template)
@@ -228,13 +235,12 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     """Execute the configured run; raises SimulationError on >2% failures."""
     t0 = time.perf_counter()
     R = config.replications
-    threads = max(1, int(config.threads))
-    if threads == 1:
+    if config.threads == 1:
         parts = [_run_range(config, 0, R)]
     else:
-        bounds = np.linspace(0, R, threads + 1).astype(int)
+        bounds = np.linspace(0, R, config.threads + 1).astype(int)
         chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_run_range_star, [(config, a, b) for a, b in chunks]))
     results = sorted((kr for part, _, _ in parts for kr in part), key=lambda kr: kr[0])
     skips = sum((part_skips for _, _, part_skips in parts), Counter())

@@ -1,13 +1,17 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elliplrt import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SIM_CONFIG = {
     "model": "model1",
@@ -245,6 +249,65 @@ def test_console_script_entry_point(tmp_path, sim_config_path):
          "--emit-one", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)),
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# input errors the library reports: exit 1 with a named reason
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def three_units(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("unit_id,row_index,y,x1,x2\n1,1,0.6,0.3,0.2\n2,1,0.7,0.5,0.1\n3,1,0.5,0.9,0.4\n")
+    return path
+
+
+@pytest.mark.parametrize("command", [["fit"], ["test", "--interest", "beta3"]], ids=["fit", "test"])
+def test_fewer_units_than_parameters_is_input_error(three_units, capsys, command):
+    code = cli.main([*command, "--model", "model1", "--family", "normal", "--data", str(three_units)])
+    assert code == 1
+    assert "p=5" in capsys.readouterr().err
+
+
+def test_fit_start_of_wrong_length_is_input_error(one_dataset, capsys):
+    code = cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(one_dataset),
+                     "--start", "1,2"])
+    assert code == 1
+    assert "start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3, 0, -2])
+def test_simulate_with_n_not_above_p_is_input_error(tmp_path, capsys, n):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(dict(SIM_CONFIG, n=n)))
+    code = cli.main(["simulate", "--config", str(cfg), "--out-summary", str(tmp_path / "s.csv"),
+                     "--out-pvalues", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert f"n must be >= 6, got {n}" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_threads_below_one_is_input_error(tmp_path, sim_config_path, capsys, threads):
+    code = cli.main(["simulate", "--config", str(sim_config_path), "--threads", threads,
+                     "--out-summary", str(tmp_path / "s.csv"), "--out-pvalues", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "threads" in capsys.readouterr().err
+
+
+def test_integer_fields_written_as_floats_give_the_same_csvs(tmp_path):
+    ints = dict(SIM_CONFIG, replications=8, max_refit_attempts=10)
+    floats = {k: float(v) if isinstance(v, int) else v for k, v in ints.items()}
+    assert isinstance(floats["n"], float) and isinstance(floats["seed"], float)
+    outputs = []
+    for tag, cfg in (("int", ints), ("float", floats)):
+        cfg_path, s, p = tmp_path / f"{tag}.json", tmp_path / f"{tag}.s.csv", tmp_path / f"{tag}.p.csv"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out-summary", str(s), "--out-pvalues", str(p)]) == 0
+        outputs.append((s.read_bytes(), p.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -209,7 +209,7 @@ def test_sigma_support_shapes():
     assert be.dsigma_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
 
 
-def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_the_full_products():
+def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_every_r():
     fam = FAMILIES[1]
     model, data, th, _ = _case("model2", fam, 0)
     ev = M.evaluate(model, th, data)
@@ -226,7 +226,9 @@ def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_the_full_products()
             for bad in (np.inf, np.nan):
                 z_bad = z.copy()
                 z_bad[0, 0] = bad
-                assert L._support(be, z_bad, w, v, vdot)[1] is None
+                S_bad, C_bad = L._support(be, z_bad, w, v, vdot)
+                assert S_bad == slice(None)
+                np.testing.assert_array_equal(C_bad, M._bk_layout(be.dsigma))
 
 
 def test_scalar_exact_fit_hits_the_power_exponential_clamp():

@@ -45,6 +45,29 @@ def test_config_validation():
         dataclasses.replace(BASE, interest=(7,), psi0=(0.0,))
 
 
+@pytest.mark.parametrize("field, value", [("n", 3), ("n", 5), ("threads", 0), ("threads", -3), ("seed", -1)])
+def test_config_rejects_counts_below_their_least_value(field, value):
+    with pytest.raises(SimulationError, match=f"{field} must be >= "):
+        dataclasses.replace(BASE, **{field: value})
+
+
+def test_config_errors_are_value_errors_and_name_the_field():
+    with pytest.raises(ValueError, match="n must be >= 6, got 3 \\(model1 has p=5 parameters\\)"):
+        dataclasses.replace(BASE, n=3)
+    with pytest.raises(ValueError, match="replications must be an integer"):
+        dataclasses.replace(BASE, replications="many")
+    with pytest.raises(ValueError, match="nu"):
+        dataclasses.replace(BASE, family="student_t")
+    with pytest.raises(ValueError, match="true_theta has 2 values; model1 has p=5"):
+        dataclasses.replace(BASE, true_theta=(0.5, 0.2))
+
+
+def test_config_coerces_its_integer_fields_and_defaults_psi0_to_zeros():
+    cfg = SimulationConfig(model="model1", family="normal", n=15.0, interest=("beta2", 3), seed=7.0)
+    assert (cfg.n, cfg.seed, cfg.interest, cfg.psi0) == (15, 7, (2, 3), (0.0, 0.0))
+    assert type(cfg.n) is int and type(cfg.seed) is int and cfg.replications == 2000
+
+
 def test_stat_labels_depend_on_interest_dimension():
     assert BASE.stat_labels() == ("LR", "LR*", "LR**")
     one = dataclasses.replace(BASE, interest=(3,), psi0=(0.0,), sided="lower")

@@ -69,6 +69,10 @@ __all__ = [
 R_DEGENERATE = 1e-4
 LR_DEGENERATE = 1e-8
 BOUNDARY_EPS = 1e-10
+# Newton's score and relative step tolerances (see fit and _newton); the L-BFGS fallback's iteration cap
+SCORE_TOL = 1e-8
+STEP_TOL = 1e-10
+LBFGS_MAXITER = 300
 # adjustment factors within rounding noise of 1 are treated as exactly 1,
 # so exact cases (Gaussian, known Sigma) report identical adjusted statistics
 FACTOR_SNAP = 1e-10
@@ -202,7 +206,7 @@ class _Objective:
         return s
 
 
-def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
+def _newton(obj: _Objective, x0, max_iter):
     """Damped Newton ascent; returns (x, ev, si, converged, iterations)."""
     x = x0.copy()
     theta, ev, si = obj.eval(x)
@@ -214,7 +218,7 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
     diag = np.diag_indices(x.size)
     for _ in range(max_iter):
         Uf = si.score[obj.free]
-        tol = score_tol * (1.0 + abs(si.loglik))
+        tol = SCORE_TOL * (1.0 + abs(si.loglik))
         if np.abs(Uf).max() < tol:
             converged = True
             break
@@ -253,9 +257,9 @@ def _newton(obj: _Objective, x0, score_tol, step_tol, max_iter):
         rel_step = np.abs(t * d).max() / max(1.0, np.abs(x).max())
         x = x + t * d
         theta, ev, si = theta2, ev2, si2
-        if rel_step < step_tol:
+        if rel_step < STEP_TOL:
             Uf = si.score[obj.free]
-            converged = bool(np.abs(Uf).max() < score_tol * (1.0 + abs(si.loglik)))
+            converged = bool(np.abs(Uf).max() < SCORE_TOL * (1.0 + abs(si.loglik)))
             break
     return x, ev, si, converged, iters
 
@@ -337,7 +341,7 @@ def _cho_solve(L, b):
     return _trsolve(L.T, _trsolve(L.T, b, 1), 0)
 
 
-def _lbfgs(obj: _Objective, x0, maxiter=300):
+def _lbfgs(obj: _Objective, x0):
     # imported here, on the first fit Newton leaves unconverged: a process
     # whose fits all converge never loads scipy.optimize (about 17 MB)
     import scipy.optimize
@@ -357,7 +361,7 @@ def _lbfgs(obj: _Objective, x0, maxiter=300):
         return -si.loglik, -g
 
     res = scipy.optimize.minimize(
-        fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10}
+        fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": LBFGS_MAXITER, "ftol": 1e-14, "gtol": 1e-10}
     )
     return res.x, int(res.nit)
 
@@ -369,8 +373,6 @@ def fit(
     restriction: tuple | None = None,
     start=None,
     *,
-    score_tol: float = 1e-8,
-    step_tol: float = 1e-10,
     max_iter: int = 500,
     restarts: int = 5,
 ) -> FitResult:
@@ -379,7 +381,7 @@ def fit(
     ``restriction`` is (interest_indices, psi0); the psi block is pinned
     at psi0 and only the nuisance block is optimized.  Convergence
     requires the free-block score to satisfy
-    ||U||_inf < score_tol (1 + |l|).  Non-convergence is reported in the
+    ||U||_inf < SCORE_TOL (1 + |l|).  Non-convergence is reported in the
     result, never silently; a FitError is raised only when no starting
     point is evaluable at all.
     """
@@ -394,7 +396,6 @@ def fit(
         free = np.array([j for j in range(p) if j not in fixed], dtype=int)
         template[list(interest)] = psi0
     else:
-        interest, psi0 = (), None
         free = np.arange(p)
 
     base_start = np.asarray(start, dtype=float).copy() if start is not None else model.start(data)
@@ -418,11 +419,10 @@ def fit(
                     theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
                 else:
                     theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
-        theta0[list(interest)] = psi0 if psi0 is not None else theta0[list(interest)]
         obj = _Objective(model, family, data, template, free)
         x0 = _to_internal(theta0[free], obj.is_log)
         try:
-            x, ev, si, converged, iters = _newton(obj, x0, score_tol, step_tol, max_iter)
+            x, ev, si, converged, iters = _newton(obj, x0, max_iter)
         except NonSPDError:
             continue
         total_iters += iters
@@ -430,7 +430,7 @@ def fit(
             x, lb_iters = _lbfgs(obj, x)
             total_iters += lb_iters
             try:
-                x, ev, si, converged, iters = _newton(obj, x, score_tol, step_tol, max_iter)
+                x, ev, si, converged, iters = _newton(obj, x, max_iter)
                 total_iters += iters
             except NonSPDError:
                 continue

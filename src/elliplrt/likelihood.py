@@ -56,19 +56,21 @@ full-support assembly; the kernel must equal it bit for bit.  E keeps
 the association (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are
 added to J as (T + tr(B A)) + E.
 
-Scalar path: stage 0 sends each q = 1 block down ``_scalar_terms``, which
-works on (m,) residuals and weights and (m, p) slices of dmu and dSigma,
-over every r.  Each einsum contraction there is a single-term sum, which
-is its one product as long as the product keeps einsum's operand order
-(three operands associate left to right: kappa = (z A) z).  einsum adds
-that product to a zero, which can only turn -0.0 into +0.0, and every
-output is a sum started at +0.0, where the sign of a zero does not
-survive.  Solves are two divisions by P, log|Sigma| is 2 log P and 2 vdot
-is vdot + vdot (exact, as 2.0 * vdot is).  The score's einsum, its column
-sums and J's sum over observations keep their operand shapes and memory
-layouts, so they add in the same order.  A q = 1 Sigma is factored as
-sqrt(sigma) (``model._chol_blocks``), which fails where LAPACK fails: at
-sigma <= 0, -0.0 and -inf included; NaN and +inf pass through.
+Scalar path, in the assembly only: the ancillary stage, run
+once per test, takes q = 1 blocks through the general block code.  Stage 0
+sends each q = 1 block down ``_scalar_terms``, which works on (m,)
+residuals and weights and (m, p) slices of dmu and dSigma, over every r.
+Each einsum contraction there is a single-term sum, which is its one
+product as long as the product keeps einsum's operand order (three
+operands associate left to right: kappa = (z A) z).  einsum adds that
+product to a zero, which can only turn -0.0 into +0.0, and every output is
+a sum started at +0.0, where the sign of a zero does not survive.  Solves
+are two divisions by P, log|Sigma| is 2 log P and 2 vdot is vdot + vdot
+(exact, as 2.0 * vdot is).  The score's einsum, its column sums and J's
+sum over observations keep their operand shapes and memory layouts, so
+they add in the same order.  A q = 1 Sigma is factored as sqrt(sigma)
+(``model._chol_blocks``), which fails where LAPACK fails: at sigma <= 0,
+-0.0 and -inf included; NaN and +inf pass through.
 """
 
 from __future__ import annotations
@@ -126,15 +128,6 @@ def _block_core(family: EllipticalFamily, be, z):
     return w, u, v, vdot
 
 
-def _scalar_core(family: EllipticalFamily, be, z):
-    """``_block_core`` of a q = 1 block on (m,) residuals: w = z / P / P."""
-    P = be.P[:, 0, 0]
-    w = z / P / P
-    u = np.maximum(z * w, 0.0)
-    v, vdot = family._weights(u, 1, clamp=True)
-    return w, u, v, vdot
-
-
 def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     """Stage 0 of the assembly, cached on ``ev`` for the default residuals; it picks each block's path."""
     if z_blocks is None and ev.stage0 is not None and ev.stage0.family is family:
@@ -143,10 +136,12 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), [])
     for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
         q = be.data.q
-        if q == 1:
-            z = z[:, 0]
-            w, u, v, vdot = _scalar_core(family, be, z)
-            logdet = 2.0 * np.log(be.P[:, 0, 0])
+        if q == 1:  # ``_block_core`` on (m,) residuals: w = z / P / P
+            z, P = z[:, 0], be.P[:, 0, 0]
+            w = z / P / P
+            u = np.maximum(z * w, 0.0)
+            v, vdot = family._weights(u, 1, clamp=True)
+            logdet = 2.0 * np.log(P)
             st.blocks.append((_scalar_terms, z, w, v, vdot))
         else:
             w, u, v, vdot = _block_core(family, be, z)
@@ -264,31 +259,23 @@ def _block_terms(be, z, w, v, vdot, U, J):
         J += term.sum(axis=0)
 
 
-def _scalar_first_order(be, w):
-    """``_first_order`` of a q = 1 block plus Sigma^{-1} C (the score's trace and A's first product)."""
-    Sinv, wc = _sigma_inverse(be)[:, 0, 0], w[:, None]
-    return Sinv, Sinv[:, None] * be.dsigma[:, :, 0, 0], be.dmu[:, :, 0] * wc, be.dsigma[:, :, 0, 0] * wc
-
-
-def _scalar_t_kernel(be, z, v, vdot, Sinv, SC, alpha, Cw):
-    """``_t_kernel`` of a q = 1 block on (m, p) arrays, over every r (2 vdot is vdot + vdot)."""
-    zc, vd = z[:, None], vdot[:, None]
-    A = -(SC * Sinv[:, None])
-    kappa = zc * A * zc
-    T = ((vd + vd) * alpha - vd * kappa) * zc + v[:, None] * (be.dmu[:, :, 0] + Cw)
-    return A, kappa, T
-
-
 def _scalar_terms(be, z, w, v, vdot, U, J):
-    """``_block_terms`` of a q = 1 block: the same products, as (m, p) and (m, p, p) arrays."""
-    Sinv, SC, alpha, Cw = _scalar_first_order(be, w)
+    """``_block_terms`` of a q = 1 block: the same products over every r, as (m, p) and (m, p, p) arrays.
+
+    Sigma^{-1} C is shared by the score's trace and A; 2 vdot is vdot + vdot.
+    """
+    Sinv, d, C = _sigma_inverse(be)[:, 0, 0], be.dmu[:, :, 0], be.dsigma[:, :, 0, 0]
+    zc, wc, vd = z[:, None], w[:, None], vdot[:, None]
+    SC, alpha, Cw = Sinv[:, None] * C, d * wc, C * wc
     if U is not None:
-        U += np.einsum("m,mr->r", v, alpha + 0.5 * (w[:, None] * Cw)) - 0.5 * SC.sum(axis=0)
+        U += np.einsum("m,mr->r", v, alpha + 0.5 * (wc * Cw)) - 0.5 * SC.sum(axis=0)
     if J is not None:
-        A, kappa, T = _scalar_t_kernel(be, z, v, vdot, Sinv, SC, alpha, Cw)
-        d, C, P = be.dmu[:, :, 0], be.dsigma[:, :, 0, 0], be.P[:, 0, 0]
+        A = -(SC * Sinv[:, None])
+        kappa = zc * A * zc
+        T = ((vd + vd) * alpha - vd * kappa) * zc + v[:, None] * (d + Cw)
+        P = be.P[:, 0, 0]
         term = (T * Sinv[:, None])[:, :, None] * d[:, None, :]
-        zz, vd = z * z, vdot[:, None]
+        zz = z * z
         B = (-vd * alpha + 0.5 * vd * kappa) * zz[:, None] - (v * z)[:, None] * d - 0.5 * C
         N = (be.sigma[:, 0, 0] - v * zz) / P / P  # Sigma^{-1} M
         term += B[:, :, None] * A[:, None, :]

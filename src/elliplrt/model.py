@@ -25,7 +25,7 @@ max(1, |theta_r|)).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,11 +204,18 @@ class ModelSpec:
         out = []
         for t in tokens:
             try:
-                out.append(self.param_names.index(t) if t in self.param_names else int(t))
+                out.append(self.param_names.index(t) if t in self.param_names else _integral(t))
             except (TypeError, ValueError):
                 names = ", ".join(self.param_names)
                 raise ValueError(f"unknown parameter {t!r}; names for {self.name} are {names}") from None
         return tuple(out)
+
+
+def _integral(value) -> int:
+    """``int(value)`` for an integral value (15, 15.0 or "15"); ValueError for 15.7, inf or NaN."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 class _lazy:
@@ -232,8 +239,7 @@ class BlockEval:
     ``d2mu``, ``dsigma`` and ``d2sigma`` are computed on first access, so
     a caller that needs only the log-likelihood runs no derivative
     callback.  Derivatives come from the model's analytic callbacks, or
-    from central finite differences where the model has none or
-    ``force_fd`` is set.
+    from central finite differences where the model has none.
 
     Per-theta products the likelihood shares between J, the score and
     the ancillary stage live here too: ``sinv`` (Sigma^{-1}, set by
@@ -243,14 +249,14 @@ class BlockEval:
     built once per block and shared by every evaluation.
     """
 
-    def __init__(self, model: ModelSpec, theta: np.ndarray, data: DataBlock, force_fd: bool = False):
+    def __init__(self, model: ModelSpec, theta: np.ndarray, data: DataBlock):
         self.model, self.theta, self.data = model, theta, data
         self.mu = model.mu_fn(theta, data)
         self.sigma = model.sigma_fn(theta, data)
         self.P = _chol_blocks(self.sigma, data.idx)
         self.sinv = None
-        self._analytic_mu = not force_fd and model.dmu_fn is not None
-        self._analytic_sigma = not force_fd and model.dsigma_fn is not None
+        self._analytic_mu = model.dmu_fn is not None
+        self._analytic_sigma = model.dsigma_fn is not None
 
     def _mu_at(self, t):
         return self.model.mu_fn(t, self.data)
@@ -410,15 +416,6 @@ def _fd_second(fn: Callable, theta: np.ndarray, h_scale: float = 1e-4):
     return np.moveaxis(out, 2, 0)  # (m, p, p, ...)
 
 
-def _evaluate(model: ModelSpec, theta, data: Dataset, force_fd: bool) -> ModelEval:
-    # a private copy: derivatives are computed later from this theta
-    theta = np.array(theta, dtype=float)
-    if theta.shape != (model.p,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({model.p},)")
-    blocks = [BlockEval(model, theta, blk, force_fd) for blk in data.blocks()]
-    return ModelEval(theta=theta, p=model.p, n=data.n, blocks=blocks)
-
-
 def evaluate(model: ModelSpec, theta, data: Dataset) -> ModelEval:
     """Evaluate mu_i and Sigma_i at theta; derivatives follow on first access.
 
@@ -427,12 +424,18 @@ def evaluate(model: ModelSpec, theta, data: Dataset) -> ModelEval:
     callback runs.  Analytic derivatives are used where the model
     provides them and finite differences otherwise.
     """
-    return _evaluate(model, theta, data, force_fd=False)
+    # a private copy: derivatives are computed later from this theta
+    theta = np.array(theta, dtype=float)
+    if theta.shape != (model.p,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({model.p},)")
+    blocks = [BlockEval(model, theta, blk) for blk in data.blocks()]
+    return ModelEval(theta=theta, p=model.p, n=data.n, blocks=blocks)
 
 
 def fd_derivatives(model: ModelSpec, theta, data: Dataset) -> ModelEval:
     """Like evaluate() but with all derivatives from finite differences."""
-    return _evaluate(model, theta, data, force_fd=True)
+    fd_model = replace(model, dmu_fn=None, d2mu_fn=None, dsigma_fn=None, d2sigma_fn=None)
+    return evaluate(fd_model, theta, data)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ import numpy as np
 
 from .families import EllipticalFamily
 from .inference import FitError, Hypothesis, StageError, run_test
-from .model import MODELS, Dataset, NonSPDError, evaluate, model1_dataset, model1_design, model2_dataset, model2_design
+from .model import MODELS, Dataset, NonSPDError, _integral, evaluate, model1_dataset, model1_design, model2_dataset
+from .model import model2_design
 
 __all__ = [
     "SimulationConfig",
@@ -63,6 +64,16 @@ class ConfigError(SimulationError, ValueError):
     """An invalid SimulationConfig; a ValueError, as the library's other input errors are."""
 
 
+def _listed(name: str, value, convert=lambda items: tuple(map(float, items))):
+    """``convert(value)`` for a list-valued config field (floats by default); a ConfigError that names it otherwise."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything needed to reproduce one simulation run."""
@@ -90,26 +101,26 @@ class SimulationConfig:
         for name, low in least.items():
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, _integral(value))
             except (TypeError, ValueError):
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
             if getattr(self, name) < low:
                 why = f" ({self.model} has p={spec.p} parameters)" if name == "n" else ""
                 raise ConfigError(f"{name} must be >= {low}, got {value!r}{why}")
-        alphas = tuple(float(a) for a in self.alpha_levels)
+        alphas = _listed("alpha_levels", self.alpha_levels)
         if any(not 0.0 < a < 1.0 for a in alphas) or list(alphas) != sorted(alphas):
             raise ConfigError("alpha levels must lie in (0,1) and be sorted ascending")
         object.__setattr__(self, "alpha_levels", alphas)
+        object.__setattr__(self, "interest", _listed("interest", self.interest, spec.indices))
+        psi0 = (0.0,) * len(self.interest) if self.psi0 is None else self.psi0
+        object.__setattr__(self, "psi0", _listed("psi0", psi0))
         try:
-            object.__setattr__(self, "interest", spec.indices(self.interest))
-            psi0 = (0.0,) * len(self.interest) if self.psi0 is None else self.psi0
-            object.__setattr__(self, "psi0", tuple(float(v) for v in psi0))
             self.family_obj()
             self.hypothesis().check(spec)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         true = self.true_theta if self.true_theta is not None else self.default_true_theta()
-        true = tuple(float(v) for v in true)
+        true = _listed("true_theta", true)
         object.__setattr__(self, "true_theta", true)
         if len(true) != spec.p:
             raise ConfigError(f"true_theta has {len(true)} values; {self.model} has p={spec.p}")
@@ -339,16 +350,21 @@ def write_pvalues_csv(path, summary: SimulationSummary) -> None:
 
 
 def read_pvalues_csv(path) -> dict:
-    """Read a p-values CSV back into {statistic: np.ndarray}."""
+    """Read a p-values CSV back into {statistic: np.ndarray}; a row that is not all numbers is a ValueError."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "rank" not in reader.fieldnames:
+        fields = reader.fieldnames
+        if fields is None or "rank" not in fields:
             raise ValueError(f"{path}: not a p-values CSV (missing 'rank' column)")
-        labels = [c for c in reader.fieldnames if c != "rank"]
+        labels = [c for c in fields if c != "rank"]
         cols = {label: [] for label in labels}
         for row in reader:
+            try:  # a short row holds None and a long one a list: both raise TypeError
+                row = {key: float(value) for key, value in row.items()}
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num}: expected {len(fields)} numbers") from None
             for label in labels:
-                cols[label].append(float(row[label]))
+                cols[label].append(row[label])
     return {label: np.asarray(vals) for label, vals in cols.items()}
 
 

@@ -196,6 +196,29 @@ def test_discrepancy_cli(tmp_path, sim_config_path):
     assert code == 1  # r not recorded for a q=2 run
 
 
+@pytest.mark.parametrize("body, line", [
+    ("rank,LR\n1,0.5\n2\n", 3),
+    ("rank,LR\n1,0.5\n2,0.5,0.7\n", 3),
+    ("rank,LR\n1,low\n", 2),
+], ids=["short", "long", "non_numeric"])
+def test_discrepancy_malformed_pvalues_row_is_input_error(tmp_path, capsys, body, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(body)
+    assert cli.main(["discrepancy", "--in", str(bad), "--stat", "LR", "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {bad}, line {line}: expected 2 numbers"
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n", 15.7), ("seed", 7.5), ("interest", [2.9]),
+                                        ("interest", 3), ("psi0", 0.0)])
+def test_simulate_config_value_of_the_wrong_kind_is_input_error_naming_its_key(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SIM_CONFIG, **{key: value})))
+    assert cli.main(["simulate", "--config", str(bad), "--emit-one", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_config_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SIM_CONFIG, extra_key=1)))

@@ -8,6 +8,7 @@ import scipy.stats
 
 from elliplrt import inference
 from elliplrt.montecarlo import (
+    ConfigError,
     SimulationConfig,
     SimulationError,
     pvalue_discrepancy,
@@ -60,6 +61,31 @@ def test_config_errors_are_value_errors_and_name_the_field():
         dataclasses.replace(BASE, family="student_t")
     with pytest.raises(ValueError, match="true_theta has 2 values; model1 has p=5"):
         dataclasses.replace(BASE, true_theta=(0.5, 0.2))
+
+
+@pytest.mark.parametrize("field, value", [("n", 15.7), ("replications", 15.7), ("seed", 15.7),
+                                          ("max_refit_attempts", 15.7), ("threads", 15.7), ("n", float("inf"))])
+def test_config_rejects_a_non_integral_count(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        dataclasses.replace(BASE, **{field: value})
+
+
+@pytest.mark.parametrize("interest", [(2.9,), (2, 3.5)])
+def test_config_rejects_a_non_integral_interest_index(interest):
+    with pytest.raises(ConfigError, match="^interest: unknown parameter"):
+        dataclasses.replace(BASE, interest=interest, psi0=(0.0,) * len(interest))
+
+
+@pytest.mark.parametrize("field, value", [("interest", 3), ("interest", "beta2"), ("psi0", 0.0),
+                                          ("psi0", ("low", 0.0)), ("true_theta", 0.5), ("alpha_levels", 0.05)])
+def test_config_list_field_of_the_wrong_kind_names_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        dataclasses.replace(BASE, **{field: value})
+
+
+def test_config_accepts_integral_floats_as_indices():
+    cfg = dataclasses.replace(BASE, interest=(2.0, "3"))
+    assert cfg.interest == (2, 3) and all(type(j) is int for j in cfg.interest)
 
 
 def test_config_coerces_its_integer_fields_and_defaults_psi0_to_zeros():

@@ -1,28 +1,137 @@
-"""Small batched linear-algebra kernels on stacks of tiny matrices.
+"""Cholesky factorizations and triangular solves: no other module runs either.
 
-Everything here operates on arrays of shape (m, q, q) / (m, q, k) with q
-of the order of a handful; loops run over q only, so the cost is a few
-vectorized operations per batch.  Sigma^{-1} x products are always routed
-through the stored Cholesky factor (two triangular solves); explicit
-inverses are formed only by solving against the identity.
+``cholesky_or_none`` is the one failure rule (the lower factor, or None
+where LAPACK rejects the matrix); the Newton ridge, the batched factor of
+the model's Sigma blocks, a fit's standard errors and
+``ancillary.cholesky_lower`` all use it.  Single p x p factors are solved
+with LAPACK ``dtrtrs``; stacks of (m, q, q) factors, q a handful, with
+forward/back substitution looping over q.  Sigma^{-1} x products go
+through the factor; inverses solve against the identity.
 
-For q = 1, ``chol_inverse`` is 1 / P / P, the floating-point operations
-of its q-loops; the likelihood's scalar path forms Sigma^{-1} through it
-and does its other q = 1 arithmetic itself.
+The q = 1 rule: a q = 1 Sigma is factored as sqrt(sigma), which gives
+LAPACK's bits and fails where LAPACK fails (at sigma <= 0, -0.0 and -inf
+included; NaN and +inf pass through), and inverted as 1 / P / P, the
+floating-point operations of the q-loops.  The likelihood's scalar path
+does its other q = 1 arithmetic itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
-__all__ = [
-    "solve_lower",
-    "solve_upper_t",
-    "chol_solve",
-    "chol_inverse",
-    "phi_lower",
-    "logdet_from_chol",
-]
+
+def cholesky_or_none(S: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of S (one matrix or a stack), or None where LAPACK rejects it."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def cholesky_blocks(sigma: np.ndarray):
+    """(P, None) with P the lower factors of the stack sigma (m, q, q), or (None, k).
+
+    k is the first batch position that does not factor.  q = 1 takes the
+    module's q = 1 rule; a q >= 2 failure is bisected over the batch.
+    """
+    if sigma.shape[-1] == 1:
+        bad = sigma <= 0.0
+        if bad.any():
+            return None, int(bad.argmax())
+        return np.sqrt(sigma), None
+    P = cholesky_or_none(sigma)
+    if P is not None:
+        return P, None
+    # the first failure lies in [lo, hi), and sigma[:lo] factors
+    lo, hi = 0, sigma.shape[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cholesky_or_none(sigma[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return None, lo
+
+
+RIDGE_TRIES = 60
+
+
+def ridge_cholesky(H: np.ndarray):
+    """(tau, L) with L the Cholesky factor of H + tau I: modified Newton's ridge.
+
+    tau is the first of the sequence 0, t_1, 2 t_1, 4 t_1, ... (t_1 =
+    1e-10 max(max_i |H_ii|, 1), at most RIDGE_TRIES terms) for which
+    H + tau I factors; None when none does (Nocedal & Wright 2006, §3.4).
+    tau = 0 factors H itself.  After it fails, the first term above the
+    Gershgorin bound max_i (sum_{j != i} |H_ij| - H_ii) >= -lambda_min(H)
+    is factored and the terms below it are bisected, which finds the first
+    term that factors since factoring is monotone in tau (in exact
+    arithmetic).  When that term does not factor, or H is not finite, the
+    terms are tried in order instead.
+    """
+    L = cholesky_or_none(H)
+    if L is not None:
+        return 0.0, L
+    eye = np.eye(H.shape[0])
+    base = max(np.abs(np.diag(H)).max(), 1.0)
+    taus = [0.0]  # taus[k] is the k-th term; taus[0] failed
+    while len(taus) < RIDGE_TRIES:
+        taus.append(max(2.0 * taus[-1], 1e-10 * base))
+    if np.isfinite(H).all():
+        absH = np.abs(H)
+        with np.errstate(over="ignore"):
+            bound = (absH.sum(axis=1) - np.diag(absH) - np.diag(H)).max()
+        lo, hi = 0, next((k for k in range(1, RIDGE_TRIES) if taus[k] > bound), 0)
+        L = cholesky_or_none(H + taus[hi] * eye) if hi else None
+        while L is not None and hi - lo > 1:  # taus[lo] fails, taus[hi] factors
+            mid = (lo + hi) // 2
+            Lmid = cholesky_or_none(H + taus[mid] * eye)
+            if Lmid is None:
+                lo = mid
+            else:
+                hi, L = mid, Lmid
+        if L is not None:
+            return taus[hi], L
+    for tau in taus[1:]:
+        L = cholesky_or_none(H + tau * eye)
+        if L is not None:
+            return tau, L
+    return None
+
+
+def _trsolve(Lt, b, trans):
+    """Solve L x = b (trans=1) or L' x = b (trans=0) given Lt = L', lower L.
+
+    The LAPACK call ``scipy.linalg.solve_triangular`` makes for a C-ordered
+    L, with its finiteness check and without its argument handling.
+    """
+    if not (np.isfinite(Lt).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _dtrtrs(Lt, b, lower=0, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L')^{-1} b for a lower Cholesky factor L."""
+    return _trsolve(L.T, _trsolve(L.T, b, 1), 0)
+
+
+def inverse_diag(L: np.ndarray) -> np.ndarray:
+    """diag((L L')^{-1}) as squared column norms of L^{-1}.
+
+    One vector triangular solve per column: a multi-column solve would
+    wake a BLAS helper thread that then spins between calls.
+    """
+    p = L.shape[0]
+    eye = np.eye(p)
+    out = np.empty(p)
+    for j in range(p):
+        col = _trsolve(L.T, eye[j], 1)
+        out[j] = col @ col
+    return out
 
 
 def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -61,13 +170,30 @@ def chol_solve(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X[:, :, 0] if vector else X
 
 
+def lower_inverse(P: np.ndarray) -> np.ndarray:
+    """P^{-1} by forward substitution against the identity."""
+    return solve_lower(P, np.broadcast_to(np.eye(P.shape[-1]), P.shape).copy())
+
+
 def chol_inverse(P: np.ndarray) -> np.ndarray:
-    """(P P')^{-1} via triangular solves against the identity."""
-    m, q = P.shape[0], P.shape[-1]
-    if q == 1:
+    """(P P')^{-1}: back substitution against P^{-1}, or 1 / P / P for q = 1."""
+    if P.shape[-1] == 1:
         return 1.0 / P / P
-    eye = np.broadcast_to(np.eye(q), (m, q, q)).copy()
-    return chol_solve(P, eye)
+    return solve_upper_t(P, lower_inverse(P))
+
+
+def chol_derivative(P: np.ndarray, dS: np.ndarray, support=slice(None)) -> np.ndarray:
+    """dP_r = P Phi(P^{-1} dS_r P^{-T}), which solves dP_r P' + P dP_r' = dS_r, for P (m,q,q), dS (m,p,q,q).
+
+    dP_r is formed for r in ``support`` (zero off it, where dS_r must be
+    zero); a non-finite P or P^{-1} takes every r.
+    """
+    Pinv = lower_inverse(P)
+    S = support if np.isfinite(Pinv.sum() + P.sum()) else slice(None)
+    M = np.einsum("mab,mrbc,mdc->mrad", Pinv, dS[:, S], Pinv)
+    dP = np.zeros(dS.shape)
+    dP[:, S] = np.einsum("mab,mrbc->mrac", P, phi_lower(M))
+    return dP
 
 
 def phi_lower(M: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ at the restricted estimate (the double-tilde J) are what the adjustment
 factors of the modified test statistics consume.
 
 Cholesky-factor derivatives use the identity dP = P Phi(P^{-1} dS P^{-T})
-with Phi = strict lower triangle plus half the diagonal; the elementwise
-recursion is kept as a test oracle.
+with Phi = strict lower triangle plus half the diagonal (the batched
+kernel ``_linalg.chol_derivative``); the elementwise recursion is kept as
+a test oracle.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import phi_lower, solve_lower
+from ._linalg import chol_derivative, cholesky_or_none, solve_lower
 from .families import EllipticalFamily
 from .likelihood import _block_core, _first_order, _support, _t_kernel, observed_info
 from .model import Dataset, ModelEval, ModelSpec, evaluate
@@ -43,25 +43,24 @@ def cholesky_lower(S: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     if not np.allclose(S, S.T, rtol=0.0, atol=1e-8 * max(1.0, np.max(np.abs(S)))):
         raise ValueError("matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive definite") from None
+    P = cholesky_or_none(S)
+    if P is None:
+        raise ValueError("matrix is not positive definite")
+    return P
 
 
 def cholesky_derivative(P: np.ndarray, dS: np.ndarray) -> np.ndarray:
     """Directional derivative of the Cholesky factor: d chol(S)[dS].
 
     Given P = chol(S) and a symmetric perturbation dS, returns the lower
-    triangular dP with dP P' + P dP' = dS, via dP = P Phi(P^{-1} dS P^{-T}).
+    triangular dP with dP P' + P dP' = dS, via dP = P Phi(P^{-1} dS P^{-T}):
+    the batched kernel of ``build_ancillary`` on a batch of one.
     """
     P = np.asarray(P, dtype=float)
     dS = np.asarray(dS, dtype=float)
     if np.min(np.abs(np.diag(P))) == 0.0:
         raise ValueError("Cholesky factor is singular")
-    X = scipy.linalg.solve_triangular(P, dS, lower=True)
-    X = scipy.linalg.solve_triangular(P, X.T, lower=True).T
-    return P @ phi_lower(X)
+    return chol_derivative(P[None], dS[None, None])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +102,8 @@ def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: Elliptical
     for be in ev.blocks:
         z = be.data.y - be.mu
         a = solve_lower(be.P, z[:, :, None])[:, :, 0]
-        Pinv = solve_lower(be.P, np.broadcast_to(np.eye(be.data.q), be.P.shape).copy())
-        # dP_r is zero where dSigma_r is; a non-finite factor keeps every r
-        S = be.sigma_support if np.isfinite(Pinv.sum() + be.P.sum()) else slice(None)
-        M = np.einsum("mab,mrbc,mdc->mrad", Pinv, be.dsigma[:, S], Pinv)
-        dP = np.zeros(be.dsigma.shape)
-        dP[:, S] = np.einsum("mab,mrbc->mrac", be.P, phi_lower(M))
-        blocks.append(BundleBlock(a=a, P=be.P, dP=dP))
+        # dP_r is zero where dSigma_r is
+        blocks.append(BundleBlock(a=a, P=be.P, dP=chol_derivative(be.P, be.dsigma, be.sigma_support)))
     return AncillaryBundle(eval_hat=ev, blocks=blocks)
 
 
@@ -144,10 +138,7 @@ def _reconstructed_blocks(eval_at: ModelEval, bundle: AncillaryBundle, family: E
 
 def _ell_prime(eval_at: ModelEval, bundle: AncillaryBundle, family: EllipticalFamily) -> np.ndarray:
     """l' alone, with the bits ``sample_space_gradients`` gives it: no Q, no U'."""
-    ell = np.zeros(eval_at.p)
-    for *_, ell_block in _reconstructed_blocks(eval_at, bundle, family):
-        ell += ell_block
-    return ell
+    return sum((ell for *_, ell in _reconstructed_blocks(eval_at, bundle, family)), np.zeros(eval_at.p))
 
 
 def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: EllipticalFamily):

@@ -43,13 +43,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import gammaincc, ndtr
 
+from ._linalg import cho_solve, cholesky_or_none, inverse_diag, ridge_cholesky
 from .ancillary import SampleSpaceDerivs, _ell_prime, build_ancillary, doubletilde_info, sample_space_gradients
 from .families import EllipticalFamily
 from .likelihood import loglik, score_info
-from .model import Dataset, ModelEval, ModelSpec, NonSPDError, evaluate
+from .model import Dataset, ModelEval, ModelSpec, NonSPDError, _integral, evaluate
 
 __all__ = [
     "FitError",
@@ -94,6 +94,42 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r}: {detail}")
 
 
+def _interest_block(indices, psi0, model: ModelSpec | None = None):
+    """(indices, psi0) of a ``Hypothesis`` or a ``fit`` restriction; a ValueError naming the index otherwise.
+
+    Indices are integral (``model._integral``: 2, 2.0 and np.int64(2), not
+    2.9) and distinct, with one psi0 value each.  Given a model, an index
+    outside 0..p-1 (a negative one is not taken from the end), a psi0 that
+    is not finite or a variance-type parameter's psi0 <= 0 is a
+    HypothesisError.
+    """
+    idx = []
+    for i in indices:
+        try:
+            j = _integral(i)
+        except (TypeError, ValueError):
+            raise ValueError(f"interest index {i!r} is not an integer") from None
+        if j in idx:
+            raise ValueError(f"interest index {j} is repeated")
+        idx.append(j)
+    if not idx:
+        raise ValueError("interest indices must be nonempty")
+    psi0 = np.atleast_1d(np.asarray(psi0, dtype=float))
+    if psi0.size != len(idx):
+        raise ValueError(f"psi0 has {psi0.size} values for the {len(idx)} interest indices {tuple(idx)}")
+    if model is None:
+        return tuple(idx), psi0
+    for j, v in zip(idx, psi0):
+        if not 0 <= j < model.p:
+            raise HypothesisError(f"interest index {j} is out of range for {model.name} (parameters 0..{model.p - 1})")
+        name = model.param_names[j]
+        if not math.isfinite(v):
+            raise HypothesisError(f"psi0 for {name} must be finite, got {v}")
+        if j in model.positive and v <= 0.0:
+            raise HypothesisError(f"psi0 for the variance-type parameter {name} must be positive, got {v}")
+    return tuple(idx), psi0
+
+
 @dataclass(frozen=True)
 class Hypothesis:
     """Interest block, hypothesized value and tail direction.
@@ -108,13 +144,9 @@ class Hypothesis:
     sided: str = "two"
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.interest_indices)
-        if len(idx) < 1 or len(set(idx)) != len(idx):
-            raise ValueError("interest indices must be a nonempty set of distinct indices")
+        idx, psi0 = _interest_block(self.interest_indices, self.psi0)
         object.__setattr__(self, "interest_indices", idx)
-        object.__setattr__(self, "psi0", np.atleast_1d(np.asarray(self.psi0, dtype=float)))
-        if self.psi0.size != len(idx):
-            raise ValueError("psi0 length must match the number of interest indices")
+        object.__setattr__(self, "psi0", psi0)
         if self.sided not in ("two", "lower", "upper"):
             raise ValueError(f"sided must be 'two', 'lower' or 'upper', got {self.sided!r}")
         if self.sided != "two" and len(idx) != 1:
@@ -125,22 +157,8 @@ class Hypothesis:
         return len(self.interest_indices)
 
     def check(self, model: ModelSpec) -> None:
-        """Raise HypothesisError unless every index and psi0 value fits ``model``.
-
-        Indices must lie in 0..p-1 (a negative index is not taken from the
-        end), psi0 must be finite, and a variance-type parameter must be
-        hypothesized at a positive value.
-        """
-        for j, v in zip(self.interest_indices, self.psi0):
-            if not 0 <= j < model.p:
-                raise HypothesisError(
-                    f"interest index {j} is out of range for {model.name} (parameters 0..{model.p - 1})"
-                )
-            name = model.param_names[j]
-            if not math.isfinite(v):
-                raise HypothesisError(f"psi0 for {name} must be finite, got {v}")
-            if j in model.positive and v <= 0.0:
-                raise HypothesisError(f"psi0 for the variance-type parameter {name} must be positive, got {v}")
+        """Raise HypothesisError unless every index and psi0 value fits ``model`` (``_interest_block``)."""
+        _interest_block(self.interest_indices, self.psi0, model)
 
 
 @dataclass
@@ -226,10 +244,10 @@ def _newton(obj: _Objective, x0, max_iter):
         g = Uf * s  # gradient of the log-likelihood in internal coords
         H = s[:, None] * si.info[free_block] * s[None, :]
         H[diag] -= np.where(obj.is_log, g, 0.0)
-        ridge = _ridge_cholesky(H)
+        ridge = ridge_cholesky(H)
         if ridge is None:
             break
-        d = _cho_solve(ridge[1], g)
+        d = cho_solve(ridge[1], g)
         slope = float(g @ d)
         if not np.isfinite(slope) or slope <= 0:
             break
@@ -262,83 +280,6 @@ def _newton(obj: _Objective, x0, max_iter):
             converged = bool(np.abs(Uf).max() < SCORE_TOL * (1.0 + abs(si.loglik)))
             break
     return x, ev, si, converged, iters
-
-
-RIDGE_TRIES = 60
-
-
-def _ridge_cholesky(H):
-    """(tau, L) with L the Cholesky factor of H + tau I: modified Newton's ridge.
-
-    tau is the first of the sequence 0, t_1, 2 t_1, 4 t_1, ... (t_1 =
-    1e-10 max(max_i |H_ii|, 1), at most RIDGE_TRIES terms) for which
-    H + tau I factors; None when none does (Nocedal & Wright 2006, §3.4).
-    After tau = 0 fails, the first term above the Gershgorin bound
-    max_i (sum_{j != i} |H_ij| - H_ii) >= -lambda_min(H) is factored and
-    the terms below it are bisected.  When that term does not factor, or
-    H is not finite, the terms are tried in order instead.  Bisection
-    finds the first term that factors because factoring is monotone in
-    tau (in exact arithmetic; the tests compare it with the in-order scan).
-    """
-    eye = np.eye(H.shape[0])
-
-    def factor(tau):
-        try:
-            return np.linalg.cholesky(H + tau * eye)
-        except np.linalg.LinAlgError:
-            return None
-
-    L = factor(0.0)
-    if L is not None:
-        return 0.0, L
-    base = max(np.abs(np.diag(H)).max(), 1.0)
-    if np.isfinite(H).all():
-        absH = np.abs(H)
-        with np.errstate(over="ignore"):
-            bound = (absH.sum(axis=1) - np.diag(absH) - np.diag(H)).max()
-        taus = [0.0]  # taus[k] is the k-th term; taus[0] failed
-        while len(taus) < RIDGE_TRIES:
-            taus.append(max(2.0 * taus[-1], 1e-10 * base))
-            if taus[-1] > bound:
-                break
-        lo, hi = 0, len(taus) - 1
-        L = factor(taus[hi]) if taus[hi] > bound else None
-        if L is not None:
-            while hi - lo > 1:  # taus[lo] fails, taus[hi] factors
-                mid = (lo + hi) // 2
-                Lmid = factor(taus[mid])
-                if Lmid is None:
-                    lo = mid
-                else:
-                    hi, L = mid, Lmid
-            return taus[hi], L
-    tau = 0.0
-    for _ in range(RIDGE_TRIES - 1):
-        tau = max(2.0 * tau, 1e-10 * base)
-        L = factor(tau)
-        if L is not None:
-            return tau, L
-    return None
-
-
-def _trsolve(Lt, b, trans):
-    """Solve L x = b (trans=1) or L' x = b (trans=0) given Lt = L', lower L.
-
-    This is the LAPACK call ``scipy.linalg.solve_triangular`` makes for a
-    C-ordered L, without its per-call argument handling; its finiteness
-    check is kept.
-    """
-    if not (np.isfinite(Lt).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = _dtrtrs(Lt, b, lower=0, trans=trans)
-    if info:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
-
-
-def _cho_solve(L, b):
-    """(L L')^{-1} b for a lower Cholesky factor L."""
-    return _trsolve(L.T, _trsolve(L.T, b, 1), 0)
 
 
 def _lbfgs(obj: _Objective, x0):
@@ -378,20 +319,19 @@ def fit(
 ) -> FitResult:
     """Maximize the log-likelihood, optionally with the interest block frozen.
 
-    ``restriction`` is (interest_indices, psi0); the psi block is pinned
-    at psi0 and only the nuisance block is optimized.  Convergence
-    requires the free-block score to satisfy
-    ||U||_inf < SCORE_TOL (1 + |l|).  Non-convergence is reported in the
-    result, never silently; a FitError is raised only when no starting
-    point is evaluable at all.
+    ``restriction`` is (interest_indices, psi0), checked against the model
+    as a ``Hypothesis`` is; the psi block is pinned at psi0 and only the
+    nuisance block is optimized.  Convergence requires the free-block
+    score to satisfy ||U||_inf < SCORE_TOL (1 + |l|).  Non-convergence is
+    reported in the result, never silently; a FitError is raised only
+    when no starting point is evaluable at all.
     """
     p = model.p
     if not p < data.n:
         raise ValueError(f"model has p={p} parameters but only n={data.n} observations (need p < n)")
     template = np.zeros(p)
     if restriction is not None:
-        interest = tuple(int(i) for i in restriction[0])
-        psi0 = np.atleast_1d(np.asarray(restriction[1], dtype=float))
+        interest, psi0 = _interest_block(restriction[0], restriction[1], model)
         fixed = set(interest)
         free = np.array([j for j in range(p) if j not in fixed], dtype=int)
         template[list(interest)] = psi0
@@ -444,14 +384,12 @@ def fit(
 
     converged, _, x, ev, si, obj = best
     theta = obj.theta_of(x)
-    Uf = si.score[obj.free] if obj.free.size else np.zeros(0)
-    score_norm = float(np.max(np.abs(Uf))) if Uf.size else 0.0
+    score_norm = float(np.abs(si.score[obj.free]).max(initial=0.0))
 
     diagnostics = list(dict.fromkeys(f"near_zero_residual obs={i}" for i in si.clamped))
-    stderr = np.full(p, np.nan)
-    try:
-        stderr = np.sqrt(_inverse_diag(np.linalg.cholesky(si.info)))
-    except np.linalg.LinAlgError:
+    L = cholesky_or_none(si.info)
+    stderr = np.full(p, np.nan) if L is None else np.sqrt(inverse_diag(L))
+    if L is None:
         diagnostics.append("nonpd_info")
     if any(theta[j] < BOUNDARY_EPS for j in model.positive if j in free_set):
         diagnostics.append("boundary_fit")
@@ -472,21 +410,6 @@ def fit(
     )
 
 
-def _inverse_diag(L):
-    """diag((L L')^{-1}) as squared column norms of L^{-1}.
-
-    One vector triangular solve per column: a multi-column solve would
-    wake a BLAS helper thread that then spins between calls.
-    """
-    p = L.shape[0]
-    eye = np.eye(p)
-    out = np.empty(p)
-    for j in range(p):
-        col = _trsolve(L.T, eye[j], 1)
-        out[j] = col @ col
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Test statistics
 # ---------------------------------------------------------------------------
@@ -496,13 +419,11 @@ def lr_and_r(fit_hat: FitResult, fit_tilde: FitResult, interest):
     """Likelihood ratio statistic and, for scalar interest, its signed root."""
     if not (fit_hat.converged and fit_tilde.converged):
         raise ValueError("both fits must have converged")
-    LR = 2.0 * (fit_hat.loglik - fit_tilde.loglik)
-    LR = max(LR, 0.0)
+    LR = max(2.0 * (fit_hat.loglik - fit_tilde.loglik), 0.0)
     r = None
     if len(interest) == 1:
         j = interest[0]
-        psi0 = fit_tilde.theta[j]
-        r = math.copysign(math.sqrt(LR), fit_hat.theta[j] - psi0) if LR > 0 else 0.0
+        r = math.copysign(math.sqrt(LR), fit_hat.theta[j] - fit_tilde.theta[j]) if LR > 0 else 0.0
     return LR, r
 
 
@@ -639,14 +560,6 @@ def adjusted_statistics(LR: float, r, gamma, rho: float, q: int):
     return r_star, LR_star, LR_star2, notes
 
 
-def _chi2_sf(x: float, q: int) -> float:
-    return float(gammaincc(0.5 * q, 0.5 * x))
-
-
-def _phi(x: float) -> float:
-    return float(ndtr(x))
-
-
 def p_values(LR, r, r_star, LR_star, LR_star2, q: int, sided: str) -> dict:
     """Asymptotic p-values: chi2_q for the LR family, N(0,1) for r and r*.
 
@@ -655,19 +568,19 @@ def p_values(LR, r, r_star, LR_star, LR_star2, q: int, sided: str) -> dict:
     1 - Phi(r)).  The LR** p-value is computed from max(LR**, 0).
     """
     out = {
-        "p_LR": _chi2_sf(LR, q),
-        "p_LR_star": _chi2_sf(LR_star, q),
-        "p_LR_star2": _chi2_sf(max(LR_star2, 0.0), q),
+        "p_LR": float(gammaincc(0.5 * q, 0.5 * LR)),
+        "p_LR_star": float(gammaincc(0.5 * q, 0.5 * LR_star)),
+        "p_LR_star2": float(gammaincc(0.5 * q, 0.5 * max(LR_star2, 0.0))),
         "p_r": None,
         "p_r_star": None,
     }
 
     def tail(val):
         if sided == "lower":
-            return _phi(val)
+            return float(ndtr(val))
         if sided == "upper":
-            return _phi(-val)
-        return 2.0 * _phi(-abs(val))
+            return float(ndtr(-val))
+        return 2.0 * float(ndtr(-abs(val)))
 
     if r is not None:
         out["p_r"] = tail(r)

@@ -56,21 +56,18 @@ full-support assembly; the kernel must equal it bit for bit.  E keeps
 the association (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are
 added to J as (T + tr(B A)) + E.
 
-Scalar path, in the assembly only: the ancillary stage, run
-once per test, takes q = 1 blocks through the general block code.  Stage 0
-sends each q = 1 block down ``_scalar_terms``, which works on (m,)
-residuals and weights and (m, p) slices of dmu and dSigma, over every r.
-Each einsum contraction there is a single-term sum, which is its one
-product as long as the product keeps einsum's operand order (three
-operands associate left to right: kappa = (z A) z).  einsum adds that
-product to a zero, which can only turn -0.0 into +0.0, and every output is
-a sum started at +0.0, where the sign of a zero does not survive.  Solves
-are two divisions by P, log|Sigma| is 2 log P and 2 vdot is vdot + vdot
-(exact, as 2.0 * vdot is).  The score's einsum, its column sums and J's
-sum over observations keep their operand shapes and memory layouts, so
-they add in the same order.  A q = 1 Sigma is factored as sqrt(sigma)
-(``model._chol_blocks``), which fails where LAPACK fails: at sigma <= 0,
--0.0 and -inf included; NaN and +inf pass through.
+Scalar path: the q = 1 rule lives in two places, here (``_stage0`` and
+``_scalar_terms``) and in ``_linalg`` (the factor sqrt(sigma) and the
+inverse 1 / P / P).  The ancillary stage, run once per test, takes q = 1
+blocks through the general block code.  Stage 0 sends each q = 1 block
+down ``_scalar_terms``, on (m,) residuals and weights and (m, p) slices of
+dmu and dSigma, over every r.  Each einsum contraction there is a
+single-term sum, its one product in einsum's operand order (three operands
+associate left to right: kappa = (z A) z); einsum adds it to a zero, which
+can only turn -0.0 into +0.0, a sign no output sum keeps.  Solves are two
+divisions by P, log|Sigma| is 2 log P and 2 vdot is vdot + vdot.  The
+score's einsum, its column sums and J's sum over observations keep their
+operand shapes and memory layouts, so they add in the same order.
 """
 
 from __future__ import annotations
@@ -102,12 +99,6 @@ class ScoreInfo:
     clamped: list  # observation indices where the weight clamp fired
 
 
-def _residuals(ev: ModelEval, z_blocks):
-    if z_blocks is not None:
-        return z_blocks
-    return [be.data.y - be.mu for be in ev.blocks]
-
-
 @dataclass
 class _Stage0:
     """Per-block (terms, z, w, v, vdot), per-observation u and v, and the log-likelihood."""
@@ -134,7 +125,8 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
         return ev.stage0
     n = ev.n
     st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), [])
-    for be, z in zip(ev.blocks, _residuals(ev, z_blocks)):
+    zs = [be.data.y - be.mu for be in ev.blocks] if z_blocks is None else z_blocks
+    for be, z in zip(ev.blocks, zs):
         q = be.data.q
         if q == 1:  # ``_block_core`` on (m,) residuals: w = z / P / P
             z, P = z[:, 0], be.P[:, 0, 0]
@@ -150,8 +142,7 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
         st.per_u[be.data.idx] = u
         st.per_v[be.data.idx] = v
         if family.kind == "power_exponential" and family.lam != 1.0:
-            hit = be.data.idx[u < 1e-12]
-            st.clamped.extend(int(i) for i in hit)
+            st.clamped.extend(int(i) for i in be.data.idx[u < 1e-12])
         st.loglik += float((-0.5 * logdet + family._log_g(u, q)).sum())
     if z_blocks is None:
         ev.stage0 = st
@@ -299,9 +290,10 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
     info = None
     if want_info:
         sym = 0.5 * (J + J.T)
-        scale = float(np.abs(sym).max())
+        # one reduction over the symmetric and antisymmetric parts
+        scale, asym = np.abs((sym, J - J.T)).max(axis=(1, 2)).tolist()
         if 0.0 < scale < math.inf:
-            raw_asym = float(np.abs(J - J.T).max()) / scale
+            raw_asym = asym / scale
             if ASYMMETRY_WARN < raw_asym < math.inf:
                 warnings.warn(
                     f"observed information asymmetry {raw_asym:.2e} exceeds {ASYMMETRY_WARN:.0e}",

@@ -30,6 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._linalg import cholesky_blocks
+
 __all__ = [
     "Observation",
     "Dataset",
@@ -153,11 +155,8 @@ class Dataset:
                 idx = np.asarray(by_q[q], dtype=int)
                 members = [self.observations[i] for i in idx]
                 y = np.stack([o.y for o in members])
-                cov: dict = {}
-                keys = members[0].covariates.keys()
-                for k in keys:
-                    vals = [o.covariates[k] for o in members]
-                    cov[k] = np.stack([np.asarray(v, dtype=float) for v in vals])
+                cov = {k: np.stack([np.asarray(o.covariates[k], dtype=float) for o in members])
+                       for k in members[0].covariates}
                 blocks.append(DataBlock(q=q, idx=idx, y=y, cov=cov))
             self._blocks = blocks
         return self._blocks
@@ -341,33 +340,14 @@ class ModelEval:
 
 
 def _chol_blocks(sigma: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Batched lower Cholesky with per-observation failure reporting.
+    """Lower Cholesky factors of a block's Sigma (``_linalg.cholesky_blocks``).
 
     NonSPDError names the first observation whose Sigma does not factor.
-    A q = 1 block is factored by ``np.sqrt``, which gives LAPACK's bits
-    and fails where it fails: at sigma <= 0, -0.0 and -inf included (NaN
-    and +inf pass through).  On a q >= 2 failure the batch is bisected
-    with batched factorizations of its halves.
     """
-    if sigma.shape[-1] == 1:
-        bad = sigma <= 0.0
-        if bad.any():
-            raise NonSPDError(int(idx[bad.argmax()]))
-        return np.sqrt(sigma)
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    # the first failure lies in [lo, hi), and sigma[:lo] factors
-    lo, hi = 0, sigma.shape[0]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            np.linalg.cholesky(sigma[lo:mid])
-            lo = mid
-        except np.linalg.LinAlgError:
-            hi = mid
-    raise NonSPDError(int(idx[lo]))
+    P, bad = cholesky_blocks(sigma)
+    if P is None:
+        raise NonSPDError(int(idx[bad]))
+    return P
 
 
 def _fd_steps(theta: np.ndarray, scale: float) -> np.ndarray:

@@ -119,8 +119,8 @@ class SimulationConfig:
             self.hypothesis().check(spec)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        true = self.true_theta if self.true_theta is not None else self.default_true_theta()
-        true = _listed("true_theta", true)
+        default = MODEL1_TRUE if self.model == "model1" else MODEL2_TRUE
+        true = _listed("true_theta", default if self.true_theta is None else self.true_theta)
         object.__setattr__(self, "true_theta", true)
         if len(true) != spec.p:
             raise ConfigError(f"true_theta has {len(true)} values; {self.model} has p={spec.p}")
@@ -129,9 +129,6 @@ class SimulationConfig:
                 raise ConfigError(
                     f"true_theta[{j}]={true[j]} violates the null value {v}; rates would not be null rates"
                 )
-
-    def default_true_theta(self) -> tuple:
-        return MODEL1_TRUE if self.model == "model1" else MODEL2_TRUE
 
     def family_obj(self) -> EllipticalFamily:
         return EllipticalFamily.from_config(self.family, nu=self.nu, lam=self.lam)

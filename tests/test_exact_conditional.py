@@ -1,0 +1,91 @@
+"""r* against Fisher's exact conditional p-value in the location-scale model.
+
+For y_i = mu + sigma e_i with e_i iid of density f, the configuration
+a_i = (y_i - mu-hat) / sigma-hat is an exact ancillary.  Given a, the
+pivot T = (mu-hat - mu) / sigma-hat has density proportional to
+
+    h(t) = int_0^inf s^(n-1) prod_i f(s (a_i + t)) ds
+
+(Fisher 1934), so the one-sided conditional p-value of mu = mu0 against
+mu > mu0 is P(T >= t_obs | a) = int_{t_obs}^inf h / int h.  r* approximates
+it to third order; r to first order.  The quadrature is checked against
+the closed form of normal errors, where sqrt(n - 1) T given a is t_{n-1}.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.stats
+from scipy.integrate import quad
+
+from conftest import make_locscale_model, scalar_dataset
+from elliplrt.families import EllipticalFamily
+from elliplrt.inference import Hypothesis, fit, run_test
+
+N = 10
+T_OBS = 0.9  # psi0 = mu-hat - T_OBS sigma-hat, so the observed pivot is T_OBS
+DRAWS = 8
+P_BOUND = 2e-3
+
+
+def _log_f(family):
+    """log density of the standardized error, up to a constant."""
+    if family.kind == "normal":
+        return lambda x: -0.5 * x * x
+    nu = family.nu
+    return lambda x: -0.5 * (nu + 1.0) * np.log1p(x * x / nu)
+
+
+def exact_conditional_pvalue(a, t_obs, family):
+    """P(T >= t_obs | a) by nested quadrature; the inner integral runs over u = log s."""
+    log_f, n = _log_f(family), a.size
+    c = float(np.sum(log_f(a)))  # log integrand at s = 1, t = 0
+
+    def h(t):
+        x = a + t
+        u_peak = -0.5 * math.log(float(np.mean(x * x)))  # where s (a + t) has unit scale
+
+        def inner(u):
+            return math.exp(n * u + float(np.sum(log_f(math.exp(u) * x))) - c)
+
+        return quad(inner, u_peak - 8.0, u_peak + 8.0, limit=200)[0]
+
+    upper = quad(h, t_obs, math.inf, limit=200)[0]
+    lower = quad(h, -2.0, t_obs, limit=200)[0] + quad(h, -math.inf, -2.0, limit=200)[0]
+    return upper / (upper + lower)
+
+
+def _draw(family, rng):
+    """A location-scale dataset of size N, its fit, configuration and an upper-sided report at T_OBS."""
+    model = make_locscale_model()
+    y = 0.3 + 1.5 * family.sample_spherical(1, rng, size=N)[:, 0]
+    data = scalar_dataset(y)
+    hat = fit(model, family, data)
+    assert hat.converged
+    mu_hat, sigma_hat = hat.theta[0], math.sqrt(hat.theta[1])
+    a = (y - mu_hat) / sigma_hat
+    rep = run_test(model, family, data, Hypothesis((0,), [mu_hat - T_OBS * sigma_hat], "upper"))
+    return a, rep
+
+
+def test_quadrature_matches_the_normal_closed_form():
+    family = EllipticalFamily.normal()
+    rng = np.random.default_rng(1934)
+    for _ in range(3):
+        a, _ = _draw(family, rng)
+        want = scipy.stats.t.sf(T_OBS * math.sqrt(N - 1), N - 1)
+        assert exact_conditional_pvalue(a, T_OBS, family) == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("nu, seed", [(3.0, 20151), (4.0, 20152)])
+def test_r_star_matches_the_exact_conditional_pvalue(nu, seed):
+    family = EllipticalFamily.student_t(nu)
+    rng = np.random.default_rng(seed)
+    for draw in range(DRAWS):
+        a, rep = _draw(family, rng)
+        assert not rep.flags, (draw, rep.flags)
+        p_exact = exact_conditional_pvalue(a, T_OBS, family)
+        err_star, err_r = abs(rep.p_r_star - p_exact), abs(rep.p_r - p_exact)
+        assert err_star <= P_BOUND, (draw, rep.p_r_star, p_exact)
+        assert err_star < err_r, (draw, rep.p_r_star, rep.p_r, p_exact)

@@ -23,6 +23,7 @@ from conftest import (
     simulate_model1,
     simulate_model2,
 )
+from elliplrt import _linalg as linalg
 from elliplrt import inference
 from elliplrt import model as M
 from elliplrt.families import EllipticalFamily
@@ -463,6 +464,31 @@ def test_hypothesis_checked_against_model_before_fitting(interest, psi0, match, 
         run_test(model, NORMAL, data, Hypothesis(interest, psi0, "two"))
 
 
+@pytest.mark.parametrize(
+    "interest, psi0, match",
+    [((2.9,), [0.0], "interest index 2.9 is not an integer"), ((7,), [0.0], "interest index 7 is out of range"),
+     ((2, 2), [0.0, 0.0], "interest index 2 is repeated")],
+    ids=["fractional", "index_past_p", "repeated"],
+)
+def test_restriction_and_hypothesis_share_the_index_rule(interest, psi0, match):
+    # fit's restriction used to truncate 2.9 to 2, pin a repeated index once
+    # and end index 7 in a raw IndexError
+    model, data = simulate_model1(NORMAL, 15, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=match):
+        fit(model, NORMAL, data, restriction=(interest, psi0))
+    with pytest.raises(ValueError, match=match):
+        Hypothesis(interest, psi0, "two").check(model)
+
+
+def test_integral_indices_stay_accepted():
+    model, data = simulate_model1(NORMAL, 15, np.random.default_rng(2))
+    for index in (2.0, np.int64(2)):
+        hyp = Hypothesis((index,), [0.0], "two")
+        assert hyp.interest_indices == (2,) and type(hyp.interest_indices[0]) is int
+        res = fit(model, NORMAL, data, restriction=((index,), [0.0]))
+        assert res.converged and res.restriction[0] == (2,) and res.theta[2] == 0.0
+
+
 def test_sign_skips_have_their_own_flags():
     # model 1, Student-t nu=1, config seed 42, replication 3: LR and r are far
     # from degenerate, yet both factors are skipped for a sign reason
@@ -544,7 +570,7 @@ def test_ridge_search_matches_the_forward_scan():
         shift = 10.0 ** rng.uniform(-12.0, 3.0) * (1.0 if i % 3 == 0 else -1.0)
         H = scale * (B + (shift - np.linalg.eigvalsh(B)[0]) * np.eye(p))
         want = _ridge_forward_scan(H)
-        assert _same_ridge(inference._ridge_cholesky(H), want), (i, p, scale, shift)
+        assert _same_ridge(linalg.ridge_cholesky(H), want), (i, p, scale, shift)
         ridged += want is not None and want[0] > 0.0
     assert ridged > 6000
 
@@ -567,7 +593,7 @@ def test_ridge_search_on_nonfinite_H_matches_the_forward_scan_and_its_warnings(b
             want = _ridge_forward_scan(H)
         with warnings.catch_warnings(record=True) as search_warnings:
             warnings.simplefilter("always")
-            got = inference._ridge_cholesky(H)
+            got = linalg.ridge_cholesky(H)
         assert _same_ridge(got, want)
         seen = {(w.category, str(w.message)) for w in scan_warnings}
         assert {(w.category, str(w.message)) for w in search_warnings} <= seen

@@ -31,7 +31,7 @@ from .inference import (
     p_values,
     run_test,
 )
-from .likelihood import ScoreInfo, loglik, observed_info, score, score_info
+from .likelihood import ScoreInfo, loglik, score_info
 from .model import (
     MODELS,
     Dataset,
@@ -99,14 +99,12 @@ __all__ = [
     "model2_dataset",
     "model2_design",
     "nonlinear_model1",
-    "observed_info",
     "p_values",
     "pvalue_discrepancy",
     "read_dataset_csv",
     "run_simulation",
     "run_test",
     "sample_space_gradients",
-    "score",
     "score_info",
     "simulate_dataset",
     "write_dataset_csv",

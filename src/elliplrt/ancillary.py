@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import chol_derivative, cholesky_or_none, solve_lower
 from .families import EllipticalFamily
-from .likelihood import _block_core, _first_order, _support, _t_kernel, observed_info
+from .likelihood import _block_core, _first_order, _sigma_support, _support, _t_kernel, score_info
 from .model import Dataset, ModelEval, ModelSpec, evaluate
 
 __all__ = [
@@ -103,7 +103,7 @@ def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: Elliptical
         z = be.data.y - be.mu
         a = solve_lower(be.P, z[:, :, None])[:, :, 0]
         # dP_r is zero where dSigma_r is
-        blocks.append(BundleBlock(a=a, P=be.P, dP=chol_derivative(be.P, be.dsigma, be.sigma_support)))
+        blocks.append(BundleBlock(a=a, P=be.P, dP=chol_derivative(be.P, be.dsigma, _sigma_support(be)[0])))
     return AncillaryBundle(eval_hat=ev, blocks=blocks)
 
 
@@ -176,4 +176,4 @@ def doubletilde_info(eval_tilde: ModelEval, bundle: AncillaryBundle, family: Ell
     theta-tilde = theta-hat this reproduces J(theta-hat) exactly.
     """
     z_blocks = [np.einsum("mab,mb->ma", be.P, bb.a) for be, bb in zip(eval_tilde.blocks, bundle.blocks)]
-    return observed_info(family, eval_tilde, z_blocks=z_blocks)
+    return score_info(family, eval_tilde, True, z_blocks).info

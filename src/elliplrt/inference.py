@@ -34,7 +34,8 @@ naming the reason rather than producing unusable output: |r| below 1e-4
 (``near_zero_r``), LR below 1e-8 (``near_zero_LR``), a nonpositive gamma
 ratio (``nonpositive_gamma_ratio``) or rho denominator
 (``nonpositive_rho_denominator``), and a nonpositive score quadratic form
-(``nonpd_info``).
+(``nonpositive_score_quadratic_form``).  ``nonpd_info`` flags an indefinite
+J-hat; it skips nothing.
 """
 
 from __future__ import annotations
@@ -218,6 +219,10 @@ class _Objective:
         theta, ev = self.evaluate(x)
         return theta, ev, score_info(self.family, ev)
 
+    def converged(self, si) -> bool:
+        """The stop test: ||U||_inf < SCORE_TOL (1 + |l|) over the free parameters."""
+        return bool(np.abs(si.score[self.free]).max() < SCORE_TOL * (1.0 + abs(si.loglik)))
+
     def scale(self, x):
         s = np.ones_like(x)
         s[self.is_log] = _from_internal(x, self.is_log)[self.is_log]
@@ -235,13 +240,11 @@ def _newton(obj: _Objective, x0, max_iter):
     free_block = np.ix_(obj.free, obj.free)
     diag = np.diag_indices(x.size)
     for _ in range(max_iter):
-        Uf = si.score[obj.free]
-        tol = SCORE_TOL * (1.0 + abs(si.loglik))
-        if np.abs(Uf).max() < tol:
+        if obj.converged(si):
             converged = True
             break
         s = obj.scale(x)
-        g = Uf * s  # gradient of the log-likelihood in internal coords
+        g = si.score[obj.free] * s  # gradient of the log-likelihood in internal coords
         H = s[:, None] * si.info[free_block] * s[None, :]
         H[diag] -= np.where(obj.is_log, g, 0.0)
         ridge = ridge_cholesky(H)
@@ -276,8 +279,7 @@ def _newton(obj: _Objective, x0, max_iter):
         x = x + t * d
         theta, ev, si = theta2, ev2, si2
         if rel_step < STEP_TOL:
-            Uf = si.score[obj.free]
-            converged = bool(np.abs(Uf).max() < SCORE_TOL * (1.0 + abs(si.loglik)))
+            converged = obj.converged(si)
             break
     return x, ev, si, converged, iters
 
@@ -388,9 +390,12 @@ def fit(
 
     diagnostics = list(dict.fromkeys(f"near_zero_residual obs={i}" for i in si.clamped))
     L = cholesky_or_none(si.info)
-    stderr = np.full(p, np.nan) if L is None else np.sqrt(inverse_diag(L))
-    if L is None:
+    # LAPACK factors a J with +inf on its diagonal; the factor then holds +inf
+    if L is None or not np.isfinite(L).all():
+        stderr = np.full(p, np.nan)
         diagnostics.append("nonpd_info")
+    else:
+        stderr = np.sqrt(inverse_diag(L))
     if any(theta[j] < BOUNDARY_EPS for j in model.positive if j in free_set):
         diagnostics.append("boundary_fit")
 
@@ -525,7 +530,7 @@ def adjustment_factors(
         denom = float(vec @ U_star)
         if quad <= 0.0:
             notes.append("nonpositive score quadratic form; adjustment skipped")
-            flags.add("nonpd_info")
+            flags.add("nonpositive_score_quadratic_form")
         elif denom <= 0.0:
             notes.append("nonpositive rho denominator; adjustment skipped")
             flags.add("nonpositive_rho_denominator")

@@ -19,8 +19,8 @@ equals the negative Hessian of the log-likelihood.  The T term comes from
 module shares.  J is symmetrized by averaging after assembly; raw
 relative asymmetry above 1e-8 triggers a warning.
 
-All routines accept an optional residual override so that the
-information matrix can be evaluated with residuals reconstructed through
+The two entry points, ``loglik`` and ``score_info``, accept a residual
+override so that J can be evaluated with residuals reconstructed through
 the ancillary (z_i = P_i a_i) instead of y_i - mu_i.
 
 Assembly runs in two stages.  Stage 0 needs only mu, Sigma and its
@@ -31,30 +31,33 @@ log-likelihood alone and finish the score and information of an accepted
 point from the same stage 0, with the same arithmetic as a one-pass
 assembly.
 
-The C_r = dSigma/dtheta_r products (A_r, kappa_r, tr(B_r A_s), A_r C_s N)
-of q >= 2 blocks are formed only on the support S of dSigma, the
-parameters with a nonzero C_r (``BlockEval.sigma_support``); off S they
-are exact zeros, and skipping them leaves every other float unchanged.
-Sigma^{-1}, S and C on S are computed once per evaluation (S and C on S
-once per block when dSigma does not depend on theta) and shared by J, the
-score, U' and the double-tilde J at that theta.  Blocks where Sigma,
-Sigma^{-1}, dmu, dSigma, the residuals or the weights are not all finite
-run the same products over every r, so that the zeros off S meet the
-non-finite factor and NaN and inf propagate as before; over every r they
-equal the full products bit for bit.
+Support rule: the C_r = dSigma/dtheta_r products (A_r, kappa_r,
+tr(B_r A_s), A_r C_s N) of q >= 2 blocks and the ancillary bundle's dP_r
+are formed only on the support S of dSigma, the parameters with a nonzero
+(or non-finite) C_r; off S they are exact zeros, and skipping them leaves
+every other float unchanged.  S and C on S are computed here alone
+(``_sigma_support``), once per block through ``DataBlock.derived`` when
+dSigma does not depend on theta and once per evaluation otherwise; like
+Sigma^{-1}, formed once per evaluation, they are shared by J, the score,
+U' and the double-tilde J at that theta.  Blocks where Sigma, Sigma^{-1},
+dmu, dSigma, the residuals or the weights are not all finite run the same
+products over every r, so that the zeros off S meet the non-finite factor
+and NaN and inf propagate as before; over every r they equal the full
+products bit for bit.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
-layout sets.  C on S is stored as (m, b, (r, c)) so the products with
-Sigma^{-1} and N run their inner loop over the long (r, c) axis; their
-results (Sigma^{-1} C, A and C N) are then copied to C-contiguous
-(m, r, a, b) arrays before kappa, tr(B A) or E reads them.  The traces
-tr(X_r Y_s) run as one contraction over the flattened (a, b) axis of X
-and of Y transposed, which sums in the order the two-axis einsum over
-C-contiguous operands did.  ``tests/kernel_oracle.py`` keeps the
-full-support assembly; the kernel must equal it bit for bit.  E keeps
-the association (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are
-added to J as (T + tr(B A)) + E.
+layout sets.  C on S is stored as (m, b, (r, c)), C[i, r, b, c] at
+[i, b, r q + c], so the products with Sigma^{-1} and N run their inner
+loop over the long (r, c) axis; their results (Sigma^{-1} C, A and C N)
+are then copied to C-contiguous (m, r, a, b) arrays before kappa,
+tr(B A) or E reads them.  The traces tr(X_r Y_s) run as one contraction
+over the flattened (a, b) axis of X and of Y transposed, which sums in
+the order the two-axis einsum over C-contiguous operands did.
+``tests/kernel_oracle.py`` keeps the full-support assembly; the kernel
+must equal it bit for bit.  E keeps the association
+(A C N + d2Sigma K / 2) - v w' d2mu, and the terms are added to J as
+(T + tr(B A)) + E.
 
 Scalar path: the q = 1 rule lives in two places, here (``_stage0`` and
 ``_scalar_terms``) and in ``_linalg`` (the factor sqrt(sigma) and the
@@ -80,9 +83,9 @@ import numpy as np
 
 from ._linalg import chol_inverse, chol_solve, logdet_from_chol
 from .families import EllipticalFamily
-from .model import ModelEval, _bk_layout
+from .model import ModelEval
 
-__all__ = ["ScoreInfo", "loglik", "score", "observed_info", "score_info"]
+__all__ = ["ScoreInfo", "loglik", "score_info"]
 
 ASYMMETRY_WARN = 1e-8
 
@@ -151,10 +154,42 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
 
 def _sigma_inverse(be):
     """Sigma^{-1} of a block, formed once per evaluation and kept on it."""
-    if be.sinv is None:
-        be.sinv = chol_inverse(be.P)
-        be.sinv.setflags(write=False)
-    return be.sinv
+    Sinv = be.shared.get("sinv")
+    if Sinv is None:
+        Sinv = be.shared["sinv"] = chol_inverse(be.P)
+        Sinv.setflags(write=False)
+    return Sinv
+
+
+def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
+    m, p = C.shape[:2]
+    nz = np.flatnonzero(C.reshape(m, p, -1).any(axis=(0, 2)))
+    if nz.size == 0:
+        return slice(0, 0)
+    if nz[-1] - nz[0] + 1 == nz.size:
+        return slice(int(nz[0]), int(nz[-1]) + 1)
+    return nz
+
+
+def _bk_layout(C: np.ndarray) -> np.ndarray:
+    """C (m, r, b, c) in the (m, b, (r, c)) layout of the module docstring."""
+    m, s, q, _ = C.shape
+    return np.ascontiguousarray(C.transpose(0, 2, 1, 3)).reshape(m, q, s * q)
+
+
+def _support_layout(C: np.ndarray):
+    S = _nonzero_params(C)
+    C_bk = _bk_layout(C[:, S])
+    C_bk.setflags(write=False)
+    return S, C_bk
+
+
+def _sigma_support(be):
+    """(S, dSigma on S in (m, b, (r, c)) layout) of a block, cached as the module docstring says."""
+    got = be.shared.get("support")
+    if got is None:
+        got = be.shared["support"] = be.data.derived("dsigma_support", be.dsigma, _support_layout)
+    return got
 
 
 def _first_order(be, w):
@@ -165,16 +200,10 @@ def _first_order(be, w):
 
 
 def _support(be, *operands):
-    """(S, dSigma on S in (m, b, (r, c)) layout), with S every r when a factor is not finite.
-
-    Off S = ``be.sigma_support`` the dSigma products are exact zeros as
-    long as the factors they would multiply are finite.  A non-finite
-    factor takes the products over every r, so 0 * inf still gives NaN
-    where it did.
-    """
-    factors = (be.sinv, be.sigma, be.dmu, be.dsigma) + operands
+    """``_sigma_support``, or every r when a factor is not finite (the module docstring's support rule)."""
+    factors = (_sigma_inverse(be), be.sigma, be.dmu, be.dsigma) + operands
     if np.isfinite(np.concatenate([x.ravel() for x in factors])).all():
-        return be.sigma_support, be.dsigma_bk
+        return _sigma_support(be)
     return slice(None), _bk_layout(be.dsigma)
 
 
@@ -185,11 +214,7 @@ def _unpack(X, axes):
 
 
 def _trace_products(X, Yt):
-    """tr(X_r Y_s) for C-contiguous X (m, r, a, b) and Yt (m, s, a, b) = Y transposed.
-
-    One contraction over the flattened (a, b) axis, summed in the order
-    ``einsum("mrab,msba->mrs", X, Y)`` sums for a C-contiguous Y.
-    """
+    """tr(X_r Y_s) for C-contiguous X (m, r, a, b) and Yt (m, s, a, b) = Y transposed (the layout rule)."""
     m, r, q, _ = X.shape
     return np.einsum("mrk,msk->mrs", X.reshape(m, r, q * q), Yt.reshape(m, Yt.shape[1], q * q))
 
@@ -198,8 +223,8 @@ def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
     """(A_r, kappa_r, T_r) of one block, shared by J and the sample-space U'.
 
     A_r = -Sigma^{-1} C_r Sigma^{-1}, kappa_r = z' A_r z and
-    T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z).
-    A and kappa are formed for r in S only: off S they are exact zeros.
+    T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z),
+    A and kappa for r in S only.
     """
     SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
     A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
@@ -214,10 +239,9 @@ def _block_terms(be, z, w, v, vdot, U, J):
     """Add a q >= 2 block's score to U and its J, summed over observations, to J (None: skip)."""
     Sinv, alpha, Cw = _first_order(be, w)
     dmu, C = be.dmu, be.dsigma
-    if U is not None:
-        wCw = np.einsum("ma,mra->mr", w, Cw)
-        trSC = np.einsum("mab,mrba->mr", Sinv, C)
-        U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
+    wCw = np.einsum("ma,mra->mr", w, Cw)
+    trSC = np.einsum("mab,mrba->mr", Sinv, C)
+    U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
     if J is not None:
         S, C_bk = _support(be, z, w, v, vdot)
         A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
@@ -258,8 +282,7 @@ def _scalar_terms(be, z, w, v, vdot, U, J):
     Sinv, d, C = _sigma_inverse(be)[:, 0, 0], be.dmu[:, :, 0], be.dsigma[:, :, 0, 0]
     zc, wc, vd = z[:, None], w[:, None], vdot[:, None]
     SC, alpha, Cw = Sinv[:, None] * C, d * wc, C * wc
-    if U is not None:
-        U += np.einsum("m,mr->r", v, alpha + 0.5 * (wc * Cw)) - 0.5 * SC.sum(axis=0)
+    U += np.einsum("m,mr->r", v, alpha + 0.5 * (wc * Cw)) - 0.5 * SC.sum(axis=0)
     if J is not None:
         A = -(SC * Sinv[:, None])
         kappa = zc * A * zc
@@ -279,13 +302,29 @@ def _scalar_terms(be, z, w, v, vdot, U, J):
         J += term.sum(axis=0)
 
 
-def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score, want_info):
+def loglik(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> float:
+    """Log-likelihood at ev.theta (optionally with overridden residuals).
+
+    Runs stage 0 only: no derivative of mu or Sigma is computed.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _stage0(family, ev, z_blocks).loglik
+
+
+def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True, z_blocks=None) -> ScoreInfo:
+    """Log-likelihood, score and (optionally) observed information at ev.theta.
+
+    ``z_blocks`` overrides the residuals per block; this is how the
+    double-tilde information (residuals reconstructed through the
+    ancillary) is obtained from the same assembly.  Stage 0 is reused
+    when it is already cached on ``ev``.
+    """
     p = ev.p
     U = np.zeros(p)
     J = np.zeros((p, p))
     st = _stage0(family, ev, z_blocks)
     for be, (terms, *block) in zip(ev.blocks, st.blocks):
-        terms(be, *block, U if want_score else None, J if want_info else None)
+        terms(be, *block, U, J if want_info else None)
 
     info = None
     if want_info:
@@ -298,7 +337,7 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
                 warnings.warn(
                     f"observed information asymmetry {raw_asym:.2e} exceeds {ASYMMETRY_WARN:.0e}",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
         info = sym
     return ScoreInfo(
@@ -309,35 +348,3 @@ def _assemble_impl(family: EllipticalFamily, ev: ModelEval, z_blocks, want_score
         per_obs_v=st.per_v,
         clamped=list(st.clamped),
     )
-
-
-def loglik(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> float:
-    """Log-likelihood at ev.theta (optionally with overridden residuals).
-
-    Runs stage 0 only: no derivative of mu or Sigma is computed.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _stage0(family, ev, z_blocks).loglik
-
-
-def score(family: EllipticalFamily, ev: ModelEval) -> np.ndarray:
-    """Score vector at ev.theta."""
-    return _assemble_impl(family, ev, None, want_score=True, want_info=False).score
-
-
-def observed_info(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> np.ndarray:
-    """Observed information matrix (negative Hessian) at ev.theta.
-
-    ``z_blocks`` overrides the residuals per block; this is how the
-    double-tilde information (residuals reconstructed through the
-    ancillary) is obtained from the same assembly.
-    """
-    return _assemble_impl(family, ev, z_blocks, want_score=False, want_info=True).info
-
-
-def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True) -> ScoreInfo:
-    """Log-likelihood, score and (optionally) observed information.
-
-    Stage 0 is reused when it is already cached on ``ev``.
-    """
-    return _assemble_impl(family, ev, None, want_score=True, want_info=want_info)

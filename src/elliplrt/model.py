@@ -238,14 +238,9 @@ class BlockEval:
     ``d2mu``, ``dsigma`` and ``d2sigma`` are computed on first access, so
     a caller that needs only the log-likelihood runs no derivative
     callback.  Derivatives come from the model's analytic callbacks, or
-    from central finite differences where the model has none.
-
-    Per-theta products the likelihood shares between J, the score and
-    the ancillary stage live here too: ``sinv`` (Sigma^{-1}, set by
-    likelihood.py on first use), ``sigma_support`` and ``dsigma_bk``.
-    When the model's dsigma is theta-independent (a read-only array from
-    ``DataBlock.cached``), its symmetrized form, support and layout are
-    built once per block and shared by every evaluation.
+    from central finite differences where the model has none.  A
+    theta-independent dsigma (a read-only array from ``DataBlock.cached``)
+    is symmetrized once per block and shared by every evaluation.
     """
 
     def __init__(self, model: ModelSpec, theta: np.ndarray, data: DataBlock):
@@ -253,7 +248,7 @@ class BlockEval:
         self.mu = model.mu_fn(theta, data)
         self.sigma = model.sigma_fn(theta, data)
         self.P = _chol_blocks(self.sigma, data.idx)
-        self.sinv = None
+        self.shared = {}  # by name, what likelihood.py forms once per evaluation and shares
         self._analytic_mu = model.dmu_fn is not None
         self._analytic_sigma = model.dsigma_fn is not None
 
@@ -295,36 +290,6 @@ class BlockEval:
         else:
             d2sigma = _fd_second(self._sigma_at, self.theta)
         return None if d2sigma is None else 0.5 * (d2sigma + np.swapaxes(d2sigma, 1, 2))
-
-    @_lazy
-    def sigma_support(self) -> slice | np.ndarray:
-        """The parameters r with a nonzero (or non-finite) ``dsigma[:, r]``.
-
-        A slice when they are contiguous, else an index array; off it
-        every dSigma product is an exact zero.
-        """
-        return self.data.derived("sigma_support", self.dsigma, _nonzero_params)
-
-    @_lazy
-    def dsigma_bk(self) -> np.ndarray:
-        """``dsigma`` on ``sigma_support`` in (m, b, (r, c)) layout."""
-        return self.data.derived("dsigma_bk", self.dsigma, lambda C: _bk_layout(C[:, self.sigma_support]))
-
-
-def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
-    m, p = C.shape[:2]
-    nz = np.flatnonzero(C.reshape(m, p, -1).any(axis=(0, 2)))
-    if nz.size == 0:
-        return slice(0, 0)
-    if nz[-1] - nz[0] + 1 == nz.size:
-        return slice(int(nz[0]), int(nz[-1]) + 1)
-    return nz
-
-
-def _bk_layout(C: np.ndarray) -> np.ndarray:
-    """C[i, r, b, c] stored at [i, b, r q + c]: one contiguous row per b."""
-    m, s, q, _ = C.shape
-    return np.ascontiguousarray(C.transpose(0, 2, 1, 3)).reshape(m, q, s * q)
 
 
 @dataclass

@@ -50,10 +50,9 @@ MODEL2_TRUE = (0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)
 
 _DESIGN_KEY = (0,)  # spawn key of the design stream; replication k uses (1, k)
 
-# flags with which run_test reports a correction factor forced to 1; nonpd_info
-# counts only with its skip note, since it also marks an indefinite J-hat
-_SKIP_FLAGS = ("near_zero_r", "near_zero_LR", "nonpositive_gamma_ratio", "nonpositive_rho_denominator")
-_NONPD_SKIP_NOTE = "nonpositive score quadratic form; adjustment skipped"
+# flags with which run_test reports a correction factor forced to 1
+_SKIP_FLAGS = ("near_zero_r", "near_zero_LR", "nonpositive_gamma_ratio", "nonpositive_rho_denominator",
+               "nonpositive_score_quadratic_form")
 
 
 class SimulationError(RuntimeError):
@@ -226,8 +225,6 @@ class _Setup:
             except (StageError, FitError, NonSPDError):
                 continue
             self.skips.update(f for f in _SKIP_FLAGS if f in report.flags)
-            if _NONPD_SKIP_NOTE in report.notes:
-                self.skips["nonpd_info"] += 1
             return {label: report.pvalue(label) for label in self.config.stat_labels()}
         return None
 

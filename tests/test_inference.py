@@ -1,5 +1,6 @@
 """Fitting, test statistics, correction factors, p-values and run_test."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -165,6 +166,16 @@ def test_stderr_is_root_of_inverse_information_diagonal():
         res = fit(model, fam, data)
         expected = np.sqrt(np.diag(np.linalg.inv(res.info)))
         np.testing.assert_allclose(res.stderr, expected, rtol=1e-10, atol=0)
+
+
+def test_infinite_final_information_is_flagged_not_raised():
+    # d2mu = -inf sign(y) puts +inf into J at the exact optimum 0 of y = (-1, 1, -2, 2);
+    # LAPACK factors [[inf]], so the factor, not its absence, carries the failure
+    model = dataclasses.replace(make_mean_model(), d2mu_fn=lambda t, blk: (-np.inf * np.sign(blk.y))[:, None, None])
+    with np.errstate(invalid="ignore"):
+        res = fit(model, NORMAL, scalar_dataset([-1.0, 1.0, -2.0, 2.0]))
+    assert res.converged and res.info[0, 0] == np.inf
+    assert "nonpd_info" in res.diagnostics and np.isnan(res.stderr).all()
 
 
 def test_fit_fully_restricted_evaluates_only():
@@ -530,6 +541,20 @@ def test_near_zero_statistics_skip_the_factors_before_any_determinant():
     assert adjustment_factors(hat, tilde, None, (2,), None) == (1.0, 1.0, {"near_zero_r", "near_zero_LR"}, [])
     # r exists only for a scalar interest: a vector block gets no gamma and no near_zero_r
     assert adjustment_factors(hat, tilde, None, (1, 2), None) == (None, 1.0, {"near_zero_LR"}, [])
+
+
+def test_nonpositive_score_quadratic_form_has_its_own_flag():
+    # J-doubletilde = -I makes U~' JJ^{-1} U~ negative while gamma's ratio is positive
+    def fitted(theta, ll):
+        return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(2),
+                                   converged=True, iterations=0, restricted=False, stderr=np.ones(2))
+
+    derivs = inference.SampleSpaceDerivs(ell_hat_prime=np.array([0.0, 1.0]), ell_tilde_prime=np.zeros(2),
+                                         U_tilde_prime=np.eye(2), J_doubletilde=-np.eye(2))
+    gamma, rho, flags, notes = adjustment_factors(fitted([0.0, 1.0], -10.0), fitted([0.0, 0.0], -11.0), derivs,
+                                                  (1,), np.array([0.5, 0.0]))
+    assert flags == {"nonpositive_score_quadratic_form"} and rho == 1.0 and gamma != 1.0
+    assert "nonpositive score quadratic form; adjustment skipped" in notes
 
 
 # ---------------------------------------------------------------------------

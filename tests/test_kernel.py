@@ -174,7 +174,7 @@ def test_kernel_equals_full_support_oracle(kind, fam, derivs):
         U, J = O.score_and_info(fam, ev_hat)
         assert si.loglik == O.loglik(fam, ev_hat) and L.loglik(fam, ev_tilde) == O.loglik(fam, ev_tilde)
         assert np.array_equal(si.score, U) and np.array_equal(si.info, J)
-        assert np.array_equal(L.score(fam, ev_tilde), O.score_and_info(fam, ev_tilde)[0])
+        assert np.array_equal(L.score_info(fam, ev_tilde, want_info=False).score, O.score_and_info(fam, ev_tilde)[0])
 
         bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev_hat), data, model, fam)
         for bb, dP in zip(bundle.blocks, O.cholesky_derivatives(ev_hat)):
@@ -186,7 +186,7 @@ def test_kernel_equals_full_support_oracle(kind, fam, derivs):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.array_equal(doubletilde_info(ev_tilde, bundle, fam), O.doubletilde_info(ev_tilde, bundle, fam))
         # J at theta-tilde after the ancillary stage reused the cached Sigma^{-1}
-        assert np.array_equal(L.observed_info(fam, ev_tilde), O.score_and_info(fam, ev_tilde)[1])
+        assert np.array_equal(L.score_info(fam, ev_tilde).info, O.score_and_info(fam, ev_tilde)[1])
 
 
 def test_sigma_support_shapes():
@@ -200,13 +200,14 @@ def test_sigma_support_shapes():
     for kind, S in expect.items():
         model, data, th, _ = _case(kind, fam, 0)
         for be in M.evaluate(model, th, data).blocks:
-            assert be.sigma_support == S
+            assert L._sigma_support(be)[0] == S
     model, data, th, _ = _case("gapped", fam, 0)
     (be,) = M.fd_derivatives(model, th, data).blocks
-    np.testing.assert_array_equal(be.sigma_support, [0, 2])
-    assert be.dsigma_bk.shape == (13, 2, 4)
+    S, C_bk = L._sigma_support(be)
+    np.testing.assert_array_equal(S, [0, 2])
+    assert C_bk.shape == (13, 2, 4)
     # C[i, r, b, c] sits at [i, b, r q + c]
-    assert be.dsigma_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
+    assert C_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
 
 
 def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_every_r():
@@ -222,13 +223,13 @@ def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_every_r():
         else:
             assert terms is L._block_terms
             S, C_bk = L._support(be, z, w, v, vdot)
-            assert S == slice(5, 9) and C_bk is be.dsigma_bk
+            assert S == slice(5, 9) and C_bk is L._sigma_support(be)[1]
             for bad in (np.inf, np.nan):
                 z_bad = z.copy()
                 z_bad[0, 0] = bad
                 S_bad, C_bad = L._support(be, z_bad, w, v, vdot)
                 assert S_bad == slice(None)
-                np.testing.assert_array_equal(C_bad, M._bk_layout(be.dsigma))
+                np.testing.assert_array_equal(C_bad, L._bk_layout(be.dsigma))
 
 
 def test_scalar_exact_fit_hits_the_power_exponential_clamp():
@@ -267,7 +268,7 @@ def test_sigma_inverse_is_computed_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(L, "chol_inverse", lambda P: calls.append(P) or real(P))
     ev = M.evaluate(model, th, data)
     L.score_info(fam, ev)
-    L.observed_info(fam, ev)
+    L.score_info(fam, ev)
     bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev), data, model, fam)
     sample_space_gradients(ev, bundle, fam)
     doubletilde_info(ev, bundle, fam)
@@ -285,7 +286,7 @@ def test_nonfinite_residuals_propagate_as_in_full_support(kind, bad):
     z_blocks[-1][0, 0] = bad
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = L.observed_info(fam, ev, z_blocks=z_blocks)
+        got = L.score_info(fam, ev, z_blocks=z_blocks).info
         want = O.score_and_info(fam, ev, z_blocks)[1]
     assert not np.all(np.isfinite(want))
     assert np.array_equal(got, want, equal_nan=True)
@@ -305,7 +306,7 @@ def test_nonfinite_dsigma_propagates_as_in_full_support():
     ev = M.evaluate(model, th, data)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = L.observed_info(FAMILIES[1], ev)
+        got = L.score_info(FAMILIES[1], ev).info
         want = O.score_and_info(FAMILIES[1], ev)[1]
     assert np.isnan(want[1, 2])
     assert np.array_equal(got, want, equal_nan=True)
@@ -318,9 +319,10 @@ def test_empty_support_gives_the_known_sigma_information():
     rng = np.random.default_rng(3)
     data = M.Dataset([M.Observation(rng.normal(size=2), {"X": np.ones((2, 1))}) for _ in range(9)])
     ev = M.evaluate(model, np.array([0.1]), data)
-    assert ev.blocks[0].sigma_support == slice(0, 0)
-    assert ev.blocks[0].dsigma_bk.shape == (9, 2, 0)
-    np.testing.assert_array_equal(L.observed_info(FAMILIES[0], ev), [[18.0]])
+    S, C_bk = L._sigma_support(ev.blocks[0])
+    assert S == slice(0, 0)
+    assert C_bk.shape == (9, 2, 0)
+    np.testing.assert_array_equal(L.score_info(FAMILIES[0], ev).info, [[18.0]])
 
 
 @pytest.mark.parametrize("kind", ["model1", "model2"])
@@ -329,8 +331,8 @@ def test_theta_independent_dsigma_is_symmetrized_once_per_block(kind):
     ev1, ev2 = M.evaluate(model, th, data), M.evaluate(model, th2, data)
     for b1, b2 in zip(ev1.blocks, ev2.blocks):
         assert b2.dsigma is b1.dsigma and not b1.dsigma.flags.writeable
-        assert b2.dsigma_bk is b1.dsigma_bk
+        assert L._sigma_support(b2)[1] is L._sigma_support(b1)[1]
     # finite-difference derivatives are fresh arrays: rebuilt per evaluation
     f1, f2 = M.fd_derivatives(model, th, data), M.fd_derivatives(model, th2, data)
     assert f2.blocks[0].dsigma is not f1.blocks[0].dsigma
-    assert f2.blocks[0].dsigma_bk is not f1.blocks[0].dsigma_bk
+    assert L._sigma_support(f2.blocks[0])[1] is not L._sigma_support(f1.blocks[0])[1]

@@ -108,7 +108,7 @@ def test_score_gaussian_known_variance():
     )
     y = np.array([1.0, 2.0, 4.0])
     ev = M.evaluate(spec, np.array([1.5]), scalar_dataset(y))
-    assert L.score(NORMAL, ev)[0] == pytest.approx(np.sum(y - 1.5) / 4.0, rel=1e-12)
+    assert L.score_info(NORMAL, ev, want_info=False).score[0] == pytest.approx(np.sum(y - 1.5) / 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.label())
@@ -126,7 +126,7 @@ def test_score_matches_fd_gradient(fam, kind):
     def ll(t):
         return L.loglik(fam, M.evaluate(model, t, data))
 
-    score = L.score(fam, M.evaluate(model, theta, data))
+    score = L.score_info(fam, M.evaluate(model, theta, data), want_info=False).score
     # Richardson extrapolation cancels the O(h^2) truncation error of the
     # central differences, which alone exceeds rtol on some draws: the step
     # is scaled by max(1, |theta_r|) and so is large against sigma^2 = 0.005
@@ -148,7 +148,7 @@ def test_score_equals_materialized_block_form():
     data = M.model2_dataset(ys, units)
     model = M.mixed_model2()
     for fam in ALL_FAMILIES:
-        prod = L.score(fam, M.evaluate(model, theta, data))
+        prod = L.score_info(fam, M.evaluate(model, theta, data), want_info=False).score
         oracle = T.t_score_materialized(fam, T.obs_list_model2(theta, data), 9)
         np.testing.assert_allclose(prod, oracle, rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(oracle))))
 
@@ -156,7 +156,7 @@ def test_score_equals_materialized_block_form():
     data1 = M.model1_dataset(rng.uniform(0.5, 0.7, 6), x1, x2)
     theta1 = np.array([0.5, 0.2, 0.1, -0.1, 0.01])
     for fam in ALL_FAMILIES:
-        prod = L.score(fam, M.evaluate(M.nonlinear_model1(), theta1, data1))
+        prod = L.score_info(fam, M.evaluate(M.nonlinear_model1(), theta1, data1), want_info=False).score
         oracle = T.t_score_materialized(fam, T.obs_list_model1(theta1, data1), 5)
         np.testing.assert_allclose(prod, oracle, rtol=0, atol=1e-10 * max(1.0, np.max(np.abs(oracle))))
 
@@ -172,7 +172,7 @@ def test_info_gaussian_location_scale_closed_form():
     y = rng.normal(2.0, 1.5, size=40)
     mhat, s2hat = y.mean(), y.var()
     ev = M.evaluate(make_locscale_model(), np.array([mhat, s2hat]), scalar_dataset(y))
-    J = L.observed_info(NORMAL, ev)
+    J = L.score_info(NORMAL, ev).info
     n = y.size
     np.testing.assert_allclose(J, np.diag([n / s2hat, n / (2 * s2hat**2)]), rtol=1e-9, atol=1e-9)
 
@@ -192,7 +192,7 @@ def test_info_matches_fd_hessian(fam, kind):
     def ll(t):
         return L.loglik(fam, M.evaluate(model, t, data))
 
-    J = L.observed_info(fam, M.evaluate(model, theta, data))
+    J = L.score_info(fam, M.evaluate(model, theta, data)).info
     # Richardson extrapolation cancels the O(h^2) truncation error of the
     # central differences, which alone reaches 1e-3 relative on some draws
     h = 2e-5
@@ -215,7 +215,7 @@ def test_info_symmetric_and_matches_transcription():
     fam = EllipticalFamily.student_t(3.0)
     model, data = simulate_model2(fam, 12, rng)
     theta = np.array([0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0])
-    J = L.observed_info(fam, M.evaluate(model, theta, data))
+    J = L.score_info(fam, M.evaluate(model, theta, data)).info
     np.testing.assert_array_equal(J, J.T)
     Jt = T.t_obsinfo(fam, T.obs_list_model2(theta, data), 9)
     np.testing.assert_allclose(J, Jt, rtol=1e-9, atol=1e-9 * np.max(np.abs(Jt)))

@@ -151,12 +151,13 @@ def test_failure_accounting_and_loud_error(monkeypatch):
 def test_redraws_and_adjustment_skips_are_counted(monkeypatch):
     calls = {"k": 0}
     real = inference.run_test
-    # flags of the kept report of replications 0..3; nonpd_info without its
-    # skip note marks an indefinite J-hat, not a skipped adjustment
+    # flags of the kept report of replications 0..3; nonpd_info marks an
+    # indefinite J-hat, not a skipped adjustment
     kept = [
         (["near_zero_LR"], []),
         (["nonpd_info"], []),
-        (["nonpd_info", "nonpositive_gamma_ratio"], ["nonpositive score quadratic form; adjustment skipped"]),
+        (["nonpositive_gamma_ratio", "nonpositive_score_quadratic_form"],
+         ["nonpositive score quadratic form; adjustment skipped"]),
         (["boundary_fit"], []),
     ]
 
@@ -172,7 +173,9 @@ def test_redraws_and_adjustment_skips_are_counted(monkeypatch):
     assert calls["k"] == 8
     assert s.failure_count == 0 and s.replications_done == 4
     assert s.redraw_count == 4
-    assert s.adjustment_skips == {"near_zero_LR": 1, "nonpd_info": 1, "nonpositive_gamma_ratio": 1}
+    assert s.adjustment_skips == {
+        "near_zero_LR": 1, "nonpositive_gamma_ratio": 1, "nonpositive_score_quadratic_form": 1
+    }
 
 
 def test_emit_one_matches_first_replication():

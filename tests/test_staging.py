@@ -194,20 +194,20 @@ def test_rejected_trial_point_builds_no_derivatives_and_no_information(monkeypat
     model, seen = counting_model(M.nonlinear_model1())
     _, data = simulate_model1(T3, 15, np.random.default_rng(11))
     evals, infos = [], []
-    real_evaluate, real_assemble = inference.evaluate, L._assemble_impl
+    real_evaluate, real_score_info = inference.evaluate, inference.score_info
 
     def evaluate(*args, **kwargs):
         ev = real_evaluate(*args, **kwargs)
         evals.append(ev)
         return ev
 
-    def assemble(family, ev, z_blocks, want_score, want_info):
+    def score_info(family, ev, want_info=True, z_blocks=None):
         if want_info:
             infos.append(ev)
-        return real_assemble(family, ev, z_blocks, want_score, want_info)
+        return real_score_info(family, ev, want_info, z_blocks)
 
     monkeypatch.setattr(inference, "evaluate", evaluate)
-    monkeypatch.setattr(L, "_assemble_impl", assemble)
+    monkeypatch.setattr(inference, "score_info", score_info)
     res = fit(model, T3, data, start=np.array([0.2, 0.6, -0.3, 0.3, 0.02]), restarts=0)
     assert res.converged
     rejected = [ev for ev in evals if not any(ev is e for e in infos)]

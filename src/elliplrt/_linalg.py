@@ -1,18 +1,18 @@
 """Cholesky factorizations and triangular solves: no other module runs either.
 
 ``cholesky_or_none`` is the one failure rule (the lower factor, or None
-where LAPACK rejects the matrix); the Newton ridge, the batched factor of
-the model's Sigma blocks, a fit's standard errors and
-``ancillary.cholesky_lower`` all use it.  Single p x p factors are solved
+where LAPACK rejects the matrix or its factor is not finite, as for a NaN
+or +inf entry); the Newton ridge, the batched factor of the model's Sigma
+blocks, a fit's standard errors and ``ancillary.cholesky_lower`` all use
+it.  Single p x p factors are solved
 with LAPACK ``dtrtrs``; stacks of (m, q, q) factors, q a handful, with
 forward/back substitution looping over q.  Sigma^{-1} x products go
 through the factor; inverses solve against the identity.
 
 The q = 1 rule: a q = 1 Sigma is factored as sqrt(sigma), which gives
-LAPACK's bits and fails where LAPACK fails (at sigma <= 0, -0.0 and -inf
-included; NaN and +inf pass through), and inverted as 1 / P / P, the
-floating-point operations of the q-loops.  The likelihood's scalar path
-does its other q = 1 arithmetic itself.
+LAPACK's bits and fails unless 0 < sigma < inf, as the failure rule does,
+and inverted as 1 / P / P, the floating-point operations of the q-loops.
+The likelihood's scalar path does its other q = 1 arithmetic itself.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 
 def cholesky_or_none(S: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of S (one matrix or a stack), or None where LAPACK rejects it."""
+    """Lower Cholesky factor of S (one matrix or a stack), or None where it fails (the module's rule)."""
     try:
-        return np.linalg.cholesky(S)
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return None
+    return L if np.isfinite(L).all() else None
 
 
 def cholesky_blocks(sigma: np.ndarray):
@@ -36,9 +37,9 @@ def cholesky_blocks(sigma: np.ndarray):
     module's q = 1 rule; a q >= 2 failure is bisected over the batch.
     """
     if sigma.shape[-1] == 1:
-        bad = sigma <= 0.0
-        if bad.any():
-            return None, int(bad.argmax())
+        ok = (sigma > 0.0) & (sigma < np.inf)
+        if not ok.all():
+            return None, int(ok.argmin())
         return np.sqrt(sigma), None
     P = cholesky_or_none(sigma)
     if P is not None:
@@ -64,11 +65,12 @@ def ridge_cholesky(H: np.ndarray):
     1e-10 max(max_i |H_ii|, 1), at most RIDGE_TRIES terms) for which
     H + tau I factors; None when none does (Nocedal & Wright 2006, §3.4).
     tau = 0 factors H itself.  After it fails, the first term above the
-    Gershgorin bound max_i (sum_{j != i} |H_ij| - H_ii) >= -lambda_min(H)
-    is factored and the terms below it are bisected, which finds the first
-    term that factors since factoring is monotone in tau (in exact
-    arithmetic).  When that term does not factor, or H is not finite, the
-    terms are tried in order instead.
+    Gershgorin bound max_i (sum_{j != i} |H_ij| - H_ii) >= -lambda_min(H),
+    or else the last term, is factored and the terms below it are bisected,
+    which finds the first term that factors since factoring is monotone in
+    tau (in exact arithmetic).  So no term factors when the last does not,
+    as for a non-finite H (its bound is NaN or +inf).  When rounding keeps
+    the term above the bound from factoring, the terms are tried in order.
     """
     L = cholesky_or_none(H)
     if L is not None:
@@ -78,26 +80,28 @@ def ridge_cholesky(H: np.ndarray):
     taus = [0.0]  # taus[k] is the k-th term; taus[0] failed
     while len(taus) < RIDGE_TRIES:
         taus.append(max(2.0 * taus[-1], 1e-10 * base))
-    if np.isfinite(H).all():
-        absH = np.abs(H)
-        with np.errstate(over="ignore"):
-            bound = (absH.sum(axis=1) - np.diag(absH) - np.diag(H)).max()
-        lo, hi = 0, next((k for k in range(1, RIDGE_TRIES) if taus[k] > bound), 0)
-        L = cholesky_or_none(H + taus[hi] * eye) if hi else None
-        while L is not None and hi - lo > 1:  # taus[lo] fails, taus[hi] factors
-            mid = (lo + hi) // 2
-            Lmid = cholesky_or_none(H + taus[mid] * eye)
-            if Lmid is None:
-                lo = mid
-            else:
-                hi, L = mid, Lmid
-        if L is not None:
-            return taus[hi], L
-    for tau in taus[1:]:
-        L = cholesky_or_none(H + tau * eye)
-        if L is not None:
-            return tau, L
-    return None
+    absH = np.abs(H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (absH.sum(axis=1) - np.diag(absH) - np.diag(H)).max()
+    above = next((k for k in range(1, RIDGE_TRIES) if taus[k] > bound), None)
+    lo, hi = 0, RIDGE_TRIES - 1 if above is None else above
+    L = cholesky_or_none(H + taus[hi] * eye)
+    if L is None:
+        if above is None:
+            return None
+        for tau in taus[1:]:
+            L = cholesky_or_none(H + tau * eye)
+            if L is not None:
+                return tau, L
+        return None
+    while hi - lo > 1:  # taus[lo] fails, taus[hi] factors
+        mid = (lo + hi) // 2
+        Lmid = cholesky_or_none(H + taus[mid] * eye)
+        if Lmid is None:
+            lo = mid
+        else:
+            hi, L = mid, Lmid
+    return taus[hi], L
 
 
 def _trsolve(Lt, b, trans):

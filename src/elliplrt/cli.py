@@ -56,7 +56,7 @@ def _split(spec: str) -> list:
 
 def _inputs(args):
     """(model, family, dataset) named by the common fit/test options."""
-    family = EllipticalFamily.from_config(args.family, nu=args.nu, lam=args.lam)
+    family = EllipticalFamily(args.family, nu=args.nu, lam=args.lam)
     return MODELS[args.model](), family, read_dataset_csv(args.data, args.model)
 
 

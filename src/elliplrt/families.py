@@ -40,6 +40,17 @@ def _check_uq(u, q):
     return u
 
 
+def _shape(kind: str, name: str, value) -> float:
+    """``float(value)`` for a finite positive shape; a ValueError naming it otherwise."""
+    try:
+        shape = float(value)
+    except (TypeError, ValueError):
+        shape = np.nan
+    if not 0.0 < shape < np.inf:
+        raise ValueError(f"{kind} requires a finite {name} > 0, got {value!r}")
+    return shape
+
+
 @functools.cache
 def _log_consts(family, q: int):
     """The u-free terms of log g for (family, q), computed once.
@@ -68,6 +79,9 @@ class EllipticalFamily:
         Degrees of freedom; required iff kind == "student_t".
     lam : float, optional
         Shape parameter; required iff kind == "power_exponential".
+
+    A shape is stored as a float; a missing, non-finite or non-positive
+    shape, or one the kind does not take, is a ValueError naming it.
     """
 
     kind: str
@@ -77,19 +91,13 @@ class EllipticalFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}")
-        if self.kind == "student_t":
-            if self.nu is None or self.nu <= 0:
-                raise ValueError(f"student_t requires nu > 0, got {self.nu!r}")
-            if self.lam is not None:
-                raise ValueError("lam is only valid for the power_exponential family")
-        elif self.kind == "power_exponential":
-            if self.lam is None or self.lam <= 0:
-                raise ValueError(f"power_exponential requires lam > 0, got {self.lam!r}")
-            if self.nu is not None:
-                raise ValueError("nu is only valid for the student_t family")
-        else:
-            if self.nu is not None or self.lam is not None:
-                raise ValueError("normal family takes no shape parameter")
+        takes = {"student_t": "nu", "power_exponential": "lam"}.get(self.kind)
+        for name in ("nu", "lam"):
+            value = getattr(self, name)
+            if name == takes:
+                object.__setattr__(self, name, _shape(self.kind, name, value))
+            elif value is not None:
+                raise ValueError(f"the {self.kind} family takes no {name}, got {value!r}")
 
     # -- constructors -----------------------------------------------------
 
@@ -99,26 +107,11 @@ class EllipticalFamily:
 
     @classmethod
     def student_t(cls, nu: float) -> "EllipticalFamily":
-        return cls("student_t", nu=float(nu))
+        return cls("student_t", nu=nu)
 
     @classmethod
     def power_exponential(cls, lam: float) -> "EllipticalFamily":
-        return cls("power_exponential", lam=float(lam))
-
-    @classmethod
-    def from_config(cls, family: str, nu=None, lam=None) -> "EllipticalFamily":
-        """Build a family from config-file fields (`family`, `nu`, `lambda`)."""
-        if family == "normal":
-            return cls.normal()
-        if family == "student_t":
-            if nu is None:
-                raise ValueError("student_t family requires the 'nu' key")
-            return cls.student_t(nu)
-        if family == "power_exponential":
-            if lam is None:
-                raise ValueError("power_exponential family requires the 'lambda' key")
-            return cls.power_exponential(lam)
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_KINDS}")
+        return cls("power_exponential", lam=lam)
 
     # -- density generator -------------------------------------------------
 

@@ -70,10 +70,13 @@ __all__ = [
 R_DEGENERATE = 1e-4
 LR_DEGENERATE = 1e-8
 BOUNDARY_EPS = 1e-10
-# Newton's score and relative step tolerances (see fit and _newton); the L-BFGS fallback's iteration cap
+# Newton's score and relative step tolerances and iteration cap (see fit and _newton); the L-BFGS
+# fallback's iteration cap; the jittered restarts after the first start
 SCORE_TOL = 1e-8
 STEP_TOL = 1e-10
+NEWTON_MAX_ITER = 500
 LBFGS_MAXITER = 300
+RESTARTS = 5
 # adjustment factors within rounding noise of 1 are treated as exactly 1,
 # so exact cases (Gaussian, known Sigma) report identical adjusted statistics
 FACTOR_SNAP = 1e-10
@@ -229,7 +232,7 @@ class _Objective:
         return s
 
 
-def _newton(obj: _Objective, x0, max_iter):
+def _newton(obj: _Objective, x0):
     """Damped Newton ascent; returns (x, ev, si, converged, iterations)."""
     x = x0.copy()
     theta, ev, si = obj.eval(x)
@@ -239,7 +242,7 @@ def _newton(obj: _Objective, x0, max_iter):
         return x, ev, si, True, 0
     free_block = np.ix_(obj.free, obj.free)
     diag = np.diag_indices(x.size)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if obj.converged(si):
             converged = True
             break
@@ -315,9 +318,6 @@ def fit(
     data: Dataset,
     restriction: tuple | None = None,
     start=None,
-    *,
-    max_iter: int = 500,
-    restarts: int = 5,
 ) -> FitResult:
     """Maximize the log-likelihood, optionally with the interest block frozen.
 
@@ -343,6 +343,8 @@ def fit(
     base_start = np.asarray(start, dtype=float).copy() if start is not None else model.start(data)
     if base_start.shape != (p,):
         raise ValueError(f"start has shape {base_start.shape}, expected ({p},)")
+    if not np.isfinite(base_start).all():
+        raise ValueError(f"start must be finite, got {base_start}")
     free_set = set(free.tolist())
     for j in model.positive:
         if j in free_set and base_start[j] <= 0:
@@ -351,7 +353,7 @@ def fit(
     rng = None  # the deterministic jitter stream, created by the first restart
     best = None
     total_iters = 0
-    for attempt in range(restarts + 1):
+    for attempt in range(RESTARTS + 1):
         theta0 = base_start.copy()
         if attempt > 0:
             if rng is None:
@@ -364,7 +366,7 @@ def fit(
         obj = _Objective(model, family, data, template, free)
         x0 = _to_internal(theta0[free], obj.is_log)
         try:
-            x, ev, si, converged, iters = _newton(obj, x0, max_iter)
+            x, ev, si, converged, iters = _newton(obj, x0)
         except NonSPDError:
             continue
         total_iters += iters
@@ -372,7 +374,7 @@ def fit(
             x, lb_iters = _lbfgs(obj, x)
             total_iters += lb_iters
             try:
-                x, ev, si, converged, iters = _newton(obj, x, max_iter)
+                x, ev, si, converged, iters = _newton(obj, x)
                 total_iters += iters
             except NonSPDError:
                 continue
@@ -390,8 +392,7 @@ def fit(
 
     diagnostics = list(dict.fromkeys(f"near_zero_residual obs={i}" for i in si.clamped))
     L = cholesky_or_none(si.info)
-    # LAPACK factors a J with +inf on its diagonal; the factor then holds +inf
-    if L is None or not np.isfinite(L).all():
+    if L is None:
         stderr = np.full(p, np.nan)
         diagnostics.append("nonpd_info")
     else:

@@ -132,34 +132,47 @@ class DataBlock:
 
 
 class Dataset:
-    """Ordered collection of independent observations."""
+    """Ordered collection of independent observations.
+
+    The observations are grouped by q into blocks when the dataset is
+    built; a non-finite response or covariate is a ValueError naming the
+    first observation that holds one.
+    """
 
     def __init__(self, observations: Sequence[Observation]):
         if len(observations) < 1:
             raise ValueError("dataset must contain at least one observation")
         self.observations = list(observations)
-        self._blocks: list[DataBlock] | None = None
+        self._blocks = _group_blocks(self.observations)
 
     @property
     def n(self) -> int:
         return len(self.observations)
 
     def blocks(self) -> list[DataBlock]:
-        """Group observations by q (ascending), stable in original order."""
-        if self._blocks is None:
-            by_q: dict[int, list[int]] = {}
-            for i, obs in enumerate(self.observations):
-                by_q.setdefault(obs.q, []).append(i)
-            blocks = []
-            for q in sorted(by_q):
-                idx = np.asarray(by_q[q], dtype=int)
-                members = [self.observations[i] for i in idx]
-                y = np.stack([o.y for o in members])
-                cov = {k: np.stack([np.asarray(o.covariates[k], dtype=float) for o in members])
-                       for k in members[0].covariates}
-                blocks.append(DataBlock(q=q, idx=idx, y=y, cov=cov))
-            self._blocks = blocks
+        """Observations grouped by q (ascending), stable in original order."""
         return self._blocks
+
+
+def _group_blocks(observations: list[Observation]) -> list[DataBlock]:
+    by_q: dict[int, list[int]] = {}
+    for i, obs in enumerate(observations):
+        by_q.setdefault(obs.q, []).append(i)
+    blocks, bad = [], []
+    for q in sorted(by_q):
+        idx = np.asarray(by_q[q], dtype=int)
+        members = [observations[i] for i in idx]
+        y = np.stack([o.y for o in members])
+        cov = {k: np.stack([np.asarray(o.covariates[k], dtype=float) for o in members])
+               for k in members[0].covariates}
+        for what, arr in (("response", y), *((f"covariate {k!r}", c) for k, c in cov.items())):
+            finite = np.isfinite(arr.reshape(idx.size, -1)).all(axis=1)
+            if not finite.all():
+                bad.append((int(idx[finite.argmin()]), what))
+        blocks.append(DataBlock(q=q, idx=idx, y=y, cov=cov))
+    if bad:
+        raise ValueError("observation {} has a non-finite {}".format(*min(bad)))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,8 @@ class SimulationConfig:
         object.__setattr__(self, "true_theta", true)
         if len(true) != spec.p:
             raise ConfigError(f"true_theta has {len(true)} values; {self.model} has p={spec.p}")
+        if not np.isfinite(true).all():
+            raise ConfigError(f"true_theta must be finite, got {true}")
         for j, v in zip(self.interest, self.psi0):
             if true[j] != v:
                 raise ConfigError(
@@ -130,7 +132,7 @@ class SimulationConfig:
                 )
 
     def family_obj(self) -> EllipticalFamily:
-        return EllipticalFamily.from_config(self.family, nu=self.nu, lam=self.lam)
+        return EllipticalFamily(self.family, nu=self.nu, lam=self.lam)
 
     def hypothesis(self) -> Hypothesis:
         return Hypothesis(self.interest, np.asarray(self.psi0), self.sided)

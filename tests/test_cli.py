@@ -152,6 +152,17 @@ def test_family_shape_validation(one_dataset, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, match", [
+    (["--family", "normal", "--nu", "4"], "the normal family takes no nu"),
+    (["--family", "student_t", "--nu", "inf"], "student_t requires a finite nu > 0"),
+    (["--family", "power_exponential", "--lambda", "nan"], "power_exponential requires a finite lam > 0"),
+], ids=["normal_with_nu", "infinite_nu", "nan_lambda"])
+def test_family_shape_outside_its_domain_is_input_error(one_dataset, capsys, family, match):
+    code = cli.main(["fit", "--model", "model1", *family, "--data", str(one_dataset)])
+    assert code == 1
+    assert match in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate + discrepancy
 # ---------------------------------------------------------------------------
@@ -302,6 +313,34 @@ def test_fit_start_of_wrong_length_is_input_error(one_dataset, capsys):
                      "--start", "1,2"])
     assert code == 1
     assert "start" in capsys.readouterr().err
+
+
+def test_fit_start_that_is_not_finite_is_input_error(one_dataset, capsys):
+    code = cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(one_dataset),
+                     "--start=nan,0.2,0,0,0.005"])
+    assert code == 1
+    assert "start must be finite" in capsys.readouterr().err
+
+
+def test_fit_data_that_is_not_finite_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("unit_id,row_index,y,x1,x2\n" + "".join(f"{i},1,{0.6 if i != 4 else 'nan'},0.3,0.{i}\n"
+                                                         for i in range(1, 9)))
+    code = cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(bad)])
+    assert code == 1
+    assert "observation 3 has a non-finite response" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_start_where_the_mean_is_infinite_is_no_input_error(tmp_path):
+    # 1 + beta0 = 0 at this start, so mu and the Newton matrix there are not finite
+    cfg = dict(model="model1", family="student_t", nu=3.0, n=15, interest=[3], sided="lower", seed=31415)
+    cfg_path, data = tmp_path / "t3.json", tmp_path / "t3.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--emit-one", str(data)]) == 0
+    code = cli.main(["fit", "--model", "model1", "--family", "student_t", "--nu", "3", "--data", str(data),
+                     "--start=-1,0,0,0,0.01", "--out", str(tmp_path / "fit.json")])
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("n", [3, 0, -2])

@@ -25,10 +25,10 @@ U_GRID = np.array([0.1, 0.5, 1.0, 2.0, 10.0])
 # ---------------------------------------------------------------------------
 
 
-def test_from_config_roundtrip():
-    assert EllipticalFamily.from_config("normal") == NORMAL
-    assert EllipticalFamily.from_config("student_t", nu=3) == T3
-    assert EllipticalFamily.from_config("power_exponential", lam=0.9) == PE09
+def test_constructor_roundtrip():
+    assert EllipticalFamily("normal") == NORMAL
+    assert EllipticalFamily("student_t", nu=3) == T3
+    assert EllipticalFamily("power_exponential", lam=0.9) == PE09
 
 
 @pytest.mark.parametrize(
@@ -46,6 +46,32 @@ def test_from_config_roundtrip():
 def test_invalid_families_rejected(kwargs):
     with pytest.raises(ValueError):
         EllipticalFamily(**kwargs)
+
+
+@pytest.mark.parametrize("kind, name", [("student_t", "nu"), ("power_exponential", "lam")])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, None, "three"])
+def test_a_missing_nonfinite_or_nonpositive_shape_is_rejected_naming_it(kind, name, value):
+    with pytest.raises(ValueError, match=f"^{kind} requires a finite {name} > 0, got "):
+        EllipticalFamily(kind, **{name: value})
+
+
+def test_the_shape_constructors_check_their_shape():
+    with pytest.raises(ValueError, match="nu"):
+        EllipticalFamily.student_t(float("nan"))
+    with pytest.raises(ValueError, match="lam"):
+        EllipticalFamily.power_exponential(float("nan"))
+
+
+def test_a_shape_the_kind_does_not_take_is_rejected_naming_it():
+    with pytest.raises(ValueError, match="^the normal family takes no nu, got 4.0$"):
+        EllipticalFamily("normal", nu=4.0)
+    with pytest.raises(ValueError, match="^the student_t family takes no lam, got 0.7$"):
+        EllipticalFamily("student_t", nu=3.0, lam=0.7)
+
+
+def test_shapes_are_stored_as_floats():
+    assert type(EllipticalFamily("student_t", nu=3).nu) is float
+    assert type(EllipticalFamily("power_exponential", lam=np.float32(0.5)).lam) is float
 
 
 def test_log_g_domain_errors():

@@ -47,8 +47,11 @@ def test_lbfgs_fallback_loads_on_first_use():
     # one Newton iteration cannot converge, so the fit goes through L-BFGS
     # and still reaches the optimum of an unrestricted Newton fit
     out = _run_fresh("""
+        from elliplrt import inference
         before = "scipy.optimize" in sys.modules
-        res = fit(model, fam, data, max_iter=1)
+        inference.NEWTON_MAX_ITER = 1
+        res = fit(model, fam, data)
+        inference.NEWTON_MAX_ITER = 500
         after = "scipy.optimize" in sys.modules
         ref = fit(model, fam, data)
         print(before, after, res.converged, abs(res.loglik - ref.loglik) < 1e-9 * abs(ref.loglik))

@@ -29,6 +29,7 @@ from elliplrt import inference
 from elliplrt import model as M
 from elliplrt.families import EllipticalFamily
 from elliplrt.inference import (
+    FitResult,
     Hypothesis,
     HypothesisError,
     StageError,
@@ -40,6 +41,7 @@ from elliplrt.inference import (
     p_values,
     run_test,
 )
+from elliplrt.montecarlo import SimulationConfig, simulate_dataset
 
 NORMAL = EllipticalFamily.normal()
 
@@ -116,13 +118,35 @@ def test_restricted_fit_nested_likelihood():
         np.testing.assert_array_equal(rest.theta[[2, 3]], [0.0, 0.0])
 
 
-def test_fit_reports_nonconvergence_not_silently():
+def test_fit_reports_nonconvergence_not_silently(monkeypatch):
     rng = np.random.default_rng(4)
     model, data = simulate_model1(NORMAL, 12, rng)
-    res = fit(model, NORMAL, data, start=np.array([50.0, -30.0, 20.0, -10.0, 1e4]), max_iter=1, restarts=0)
+    monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(inference, "RESTARTS", 0)
+    res = fit(model, NORMAL, data, start=np.array([50.0, -30.0, 20.0, -10.0, 1e4]))
     assert isinstance(res.converged, bool)
     if not res.converged:
         assert res.score_norm > 0
+
+
+# mu = 1 / (1 + beta0 + ...) is infinite at beta0 = -1 on this dataset; sigma2 = 1e-300 overflows the information
+NONFINITE_NEWTON_STARTS = ([-1.0, 0.0, 0.0, 0.0, 0.01], [0.5, 0.2, 0.0, 0.0, 1e-300])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("start", NONFINITE_NEWTON_STARTS, ids=["infinite_mean", "tiny_sigma2"])
+def test_fit_from_a_start_with_a_nonfinite_newton_matrix_returns_a_result(start):
+    config = SimulationConfig(model="model1", family="student_t", nu=3.0, n=15, interest=(3,), sided="lower",
+                              seed=31415)
+    res = fit(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 0), start=np.array(start))
+    assert isinstance(res, FitResult)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_a_start_that_is_not_finite(bad):
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="^start must be finite, got "):
+        fit(model, NORMAL, data, start=np.array([0.5, bad, 0.0, 0.0, 0.005]))
 
 
 def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
@@ -143,8 +167,9 @@ def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
     fit(model, NORMAL, data, start=start)
     assert made == []  # a fit that needs no restart creates no generator
     monkeypatch.setattr(inference, "_newton", failing_newton)
+    monkeypatch.setattr(inference, "RESTARTS", 3)
     with pytest.raises(inference.FitError):
-        fit(model, NORMAL, data, start=start, restarts=3)
+        fit(model, NORMAL, data, start=start)
     assert made == [(0x5EED,)]
     rng = default_rng(0x5EED)
     for attempt, (x0, is_log) in enumerate(starts):
@@ -563,15 +588,21 @@ def test_nonpositive_score_quadratic_form_has_its_own_flag():
 
 
 def _ridge_forward_scan(H):
-    """The ridge as a forward scan: every term of the tau sequence in order."""
+    """The ridge as a forward scan: every term of the tau sequence in order.
+
+    A term fails where LAPACK rejects H + tau I or factors it into a non-finite factor.
+    """
     tau = 0.0
     base = max(np.max(np.abs(np.diag(H))), 1.0)
     eye = np.eye(H.shape[0])
     for _ in range(60):
         try:
-            return tau, np.linalg.cholesky(H + tau * eye)
+            L = np.linalg.cholesky(H + tau * eye)
+            if np.isfinite(L).all():
+                return tau, L
         except np.linalg.LinAlgError:
-            tau = max(2.0 * tau, 1e-10 * base)
+            pass
+        tau = max(2.0 * tau, 1e-10 * base)
     return None
 
 
@@ -598,6 +629,24 @@ def test_ridge_search_matches_the_forward_scan():
         assert _same_ridge(linalg.ridge_cholesky(H), want), (i, p, scale, shift)
         ridged += want is not None and want[0] > 0.0
     assert ridged > 6000
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ridge_search_on_nonfinite_H_gives_up_after_two_factorizations(bad, monkeypatch):
+    calls = []
+    real = linalg.cholesky_or_none
+
+    def counting(S):
+        calls.append(S)
+        return real(S)
+
+    monkeypatch.setattr(linalg, "cholesky_or_none", counting)
+    H = np.eye(5)
+    H[1, 3] = H[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert linalg.ridge_cholesky(H) is None
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

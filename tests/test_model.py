@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import obs_view
+from elliplrt import _linalg as linalg
 from elliplrt import model as M
 
 THETA1 = np.array([0.5, 0.2, 0.0, 0.0, 0.005])
@@ -136,10 +137,11 @@ def test_non_spd_raises_with_index():
 
 
 def _first_failure_one_by_one(sigma, idx):
-    """Index of the first observation whose Sigma np.linalg.cholesky rejects, or None."""
+    """Index of the first observation whose Sigma LAPACK rejects or factors into a non-finite factor, or None."""
     for j in range(sigma.shape[0]):
         try:
-            np.linalg.cholesky(sigma[j])
+            if not np.isfinite(np.linalg.cholesky(sigma[j])).all():
+                return int(idx[j])
         except np.linalg.LinAlgError:
             return int(idx[j])
     return None
@@ -186,6 +188,19 @@ def test_bisected_failure_report_names_the_first_failing_observation():
                 _check_chol_blocks(bad, idx)
 
 
+def test_cholesky_fails_on_a_nonfinite_factor():
+    # LAPACK factors both into a non-finite factor
+    assert linalg.cholesky_or_none(np.array([[np.nan, 0.0], [0.0, 1.0]])) is None
+    assert linalg.cholesky_or_none(np.array([[np.inf]])) is None
+
+
+@pytest.mark.parametrize("sigma2", [np.inf, np.nan])
+def test_a_nonfinite_scalar_sigma_is_not_spd(sigma2):
+    data = _model1_data()
+    with pytest.raises(M.NonSPDError, match="^scatter matrix of observation 0 is not positive definite$"):
+        M.evaluate(M.nonlinear_model1(), np.array([0.5, 0.2, 0.0, 0.0, sigma2]), data)
+
+
 def test_theta_length_validated():
     data = _model1_data()
     with pytest.raises(ValueError):
@@ -199,6 +214,23 @@ def test_observation_q_and_validation():
     assert obs.q == 2
     with pytest.raises(ValueError):
         M.Dataset([])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_a_nonfinite_response_naming_the_first_observation(bad):
+    data, design = _model2_data(n=8, seed=0)
+    ys = [obs.y.copy() for obs in data.observations]
+    ys[5][-1] = ys[2][0] = bad
+    with pytest.raises(ValueError, match="^observation 2 has a non-finite response$"):
+        M.model2_dataset(ys, design)
+
+
+def test_dataset_rejects_a_nonfinite_covariate_naming_it():
+    design = M.model1_design(8, np.random.default_rng(0))
+    x2 = design["x2"].copy()
+    x2[3] = np.nan
+    with pytest.raises(ValueError, match="^observation 3 has a non-finite covariate 'x2'$"):
+        M.model1_dataset(np.full(8, 0.6), design["x1"], x2)
 
 
 # ---------------------------------------------------------------------------

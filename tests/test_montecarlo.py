@@ -63,6 +63,24 @@ def test_config_errors_are_value_errors_and_name_the_field():
         dataclasses.replace(BASE, true_theta=(0.5, 0.2))
 
 
+@pytest.mark.parametrize("shapes, name", [({"nu": 4.0}, "nu"), ({"lam": 0.7}, "lam"), ({"nu": 4.0, "lam": 0.7}, "nu")])
+def test_config_rejects_a_shape_its_family_does_not_take(shapes, name):
+    with pytest.raises(ConfigError, match=f"^the normal family takes no {name}, got "):
+        dataclasses.replace(BASE, **shapes)
+
+
+@pytest.mark.parametrize("family, shapes, name", [("student_t", {"nu": float("inf")}, "nu"),
+                                                  ("power_exponential", {"lam": float("nan")}, "lam")])
+def test_config_rejects_a_nonfinite_shape_naming_it(family, shapes, name):
+    with pytest.raises(ConfigError, match=f"^{family} requires a finite {name} > 0, got "):
+        dataclasses.replace(BASE, family=family, **shapes)
+
+
+def test_config_rejects_a_nonfinite_true_theta():
+    with pytest.raises(ConfigError, match="^true_theta must be finite, got "):
+        dataclasses.replace(BASE, true_theta=(float("nan"), 0.2, 0.0, 0.0, 0.005))
+
+
 @pytest.mark.parametrize("field, value", [("n", 15.7), ("replications", 15.7), ("seed", 15.7),
                                           ("max_refit_attempts", 15.7), ("threads", 15.7), ("n", float("inf"))])
 def test_config_rejects_a_non_integral_count(field, value):

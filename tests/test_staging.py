@@ -208,7 +208,8 @@ def test_rejected_trial_point_builds_no_derivatives_and_no_information(monkeypat
 
     monkeypatch.setattr(inference, "evaluate", evaluate)
     monkeypatch.setattr(inference, "score_info", score_info)
-    res = fit(model, T3, data, start=np.array([0.2, 0.6, -0.3, 0.3, 0.02]), restarts=0)
+    monkeypatch.setattr(inference, "RESTARTS", 0)
+    res = fit(model, T3, data, start=np.array([0.2, 0.6, -0.3, 0.3, 0.02]))
     assert res.converged
     rejected = [ev for ev in evals if not any(ev is e for e in infos)]
     assert rejected, "the start must make the line search reject a trial point"

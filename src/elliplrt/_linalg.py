@@ -64,13 +64,10 @@ def ridge_cholesky(H: np.ndarray):
     tau is the first of the sequence 0, t_1, 2 t_1, 4 t_1, ... (t_1 =
     1e-10 max(max_i |H_ii|, 1), at most RIDGE_TRIES terms) for which
     H + tau I factors; None when none does (Nocedal & Wright 2006, §3.4).
-    tau = 0 factors H itself.  After it fails, the first term above the
-    Gershgorin bound max_i (sum_{j != i} |H_ij| - H_ii) >= -lambda_min(H),
-    or else the last term, is factored and the terms below it are bisected,
-    which finds the first term that factors since factoring is monotone in
-    tau (in exact arithmetic).  So no term factors when the last does not,
-    as for a non-finite H (its bound is NaN or +inf).  When rounding keeps
-    the term above the bound from factoring, the terms are tried in order.
+    tau = 0 factors H itself.  After it fails, the last term is factored
+    and the terms below it are bisected, which finds the first term that
+    factors since factoring is monotone in tau (in exact arithmetic).  So
+    no term factors when the last does not, as for a non-finite H.
     """
     L = cholesky_or_none(H)
     if L is not None:
@@ -80,19 +77,9 @@ def ridge_cholesky(H: np.ndarray):
     taus = [0.0]  # taus[k] is the k-th term; taus[0] failed
     while len(taus) < RIDGE_TRIES:
         taus.append(max(2.0 * taus[-1], 1e-10 * base))
-    absH = np.abs(H)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = (absH.sum(axis=1) - np.diag(absH) - np.diag(H)).max()
-    above = next((k for k in range(1, RIDGE_TRIES) if taus[k] > bound), None)
-    lo, hi = 0, RIDGE_TRIES - 1 if above is None else above
+    lo, hi = 0, RIDGE_TRIES - 1
     L = cholesky_or_none(H + taus[hi] * eye)
     if L is None:
-        if above is None:
-            return None
-        for tau in taus[1:]:
-            L = cholesky_or_none(H + tau * eye)
-            if L is not None:
-                return tau, L
         return None
     while hi - lo > 1:  # taus[lo] fails, taus[hi] factors
         mid = (lo + hi) // 2

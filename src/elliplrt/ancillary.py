@@ -23,7 +23,7 @@ import numpy as np
 from ._linalg import chol_derivative, cholesky_or_none, solve_lower
 from .families import EllipticalFamily
 from .likelihood import _block_core, _first_order, _sigma_support, _support, _t_kernel, score_info
-from .model import Dataset, ModelEval, ModelSpec, evaluate
+from .model import ModelEval
 
 __all__ = [
     "AncillaryBundle",
@@ -87,17 +87,15 @@ class AncillaryBundle:
     blocks: list
 
 
-def build_ancillary(fit_hat, data: Dataset, model: ModelSpec, family: EllipticalFamily) -> AncillaryBundle:
+def build_ancillary(fit_hat) -> AncillaryBundle:
     """Construct the ancillary bundle at the unrestricted MLE.
 
-    ``fit_hat`` must be a converged unrestricted fit; its cached model
-    evaluation is reused when present.
+    ``fit_hat`` must be a converged unrestricted fit; the bundle is built
+    from its cached model evaluation ``fit_hat.eval_``.
     """
     if not fit_hat.converged:
         raise ValueError("ancillary construction requires a converged unrestricted fit")
-    ev = getattr(fit_hat, "eval_", None)
-    if ev is None:
-        ev = evaluate(model, fit_hat.theta, data)
+    ev = fit_hat.eval_
     blocks = []
     for be in ev.blocks:
         z = be.data.y - be.mu

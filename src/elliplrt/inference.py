@@ -543,7 +543,7 @@ def adjustment_factors(
     return gamma, rho, flags, notes
 
 
-def adjusted_statistics(LR: float, r, gamma, rho: float, q: int):
+def adjusted_statistics(LR: float, r, gamma, rho: float):
     """(r*, LR*, LR**) from the raw statistics and correction factors.
 
     Degenerate inputs must already carry gamma = rho = 1, in which case
@@ -716,14 +716,11 @@ def run_test(
                 notes.append(f"{label} fit: {msg}")
     notes = list(dict.fromkeys(notes))
 
-    try:
-        bundle = build_ancillary(fit_hat, data, model, family)
-        ell_hat = _ell_prime(fit_hat.eval_, bundle, family)
-        eval_tilde = fit_tilde.eval_
-        ell_tilde, U_tilde_prime = sample_space_gradients(eval_tilde, bundle, family)
-        JJ = doubletilde_info(eval_tilde, bundle, family)
-    except NonSPDError as exc:
-        raise StageError("ancillary", exc) from exc
+    bundle = build_ancillary(fit_hat)
+    ell_hat = _ell_prime(fit_hat.eval_, bundle, family)
+    eval_tilde = fit_tilde.eval_
+    ell_tilde, U_tilde_prime = sample_space_gradients(eval_tilde, bundle, family)
+    JJ = doubletilde_info(eval_tilde, bundle, family)
     derivs = SampleSpaceDerivs(
         ell_hat_prime=ell_hat, ell_tilde_prime=ell_tilde, U_tilde_prime=U_tilde_prime, J_doubletilde=JJ
     )
@@ -734,7 +731,7 @@ def run_test(
     flags |= factor_flags
     notes += factor_notes
 
-    r_star, LR_star, LR_star2, adj_notes = adjusted_statistics(LR, r, gamma, rho, q)
+    r_star, LR_star, LR_star2, adj_notes = adjusted_statistics(LR, r, gamma, rho)
     notes += adj_notes
     pv = p_values(LR, r, r_star, LR_star, LR_star2, q, hypothesis.sided)
 

@@ -302,13 +302,13 @@ def _scalar_terms(be, z, w, v, vdot, U, J):
         J += term.sum(axis=0)
 
 
-def loglik(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> float:
-    """Log-likelihood at ev.theta (optionally with overridden residuals).
+def loglik(family: EllipticalFamily, ev: ModelEval) -> float:
+    """Log-likelihood at ev.theta.
 
     Runs stage 0 only: no derivative of mu or Sigma is computed.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _stage0(family, ev, z_blocks).loglik
+        return _stage0(family, ev).loglik
 
 
 def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True, z_blocks=None) -> ScoreInfo:

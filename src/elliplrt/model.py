@@ -135,14 +135,19 @@ class Dataset:
     """Ordered collection of independent observations.
 
     The observations are grouped by q into blocks when the dataset is
-    built; a non-finite response or covariate is a ValueError naming the
-    first observation that holds one.
+    built.  A ValueError names the first observation whose covariate
+    names differ from observation 0's, else the first that holds a
+    non-finite response or covariate.
     """
 
     def __init__(self, observations: Sequence[Observation]):
         if len(observations) < 1:
             raise ValueError("dataset must contain at least one observation")
         self.observations = list(observations)
+        names = self.observations[0].covariates.keys()
+        for i, obs in enumerate(self.observations):
+            if obs.covariates.keys() != names:
+                raise ValueError(f"observation {i} has covariates {sorted(obs.covariates)}, not {sorted(names)}")
         self._blocks = _group_blocks(self.observations)
 
     @property
@@ -669,7 +674,7 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
         rows = []
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append({c: float(row[c]) for c in needed})
+                rows.append({c: float(row[c]) for c in needed} | {"line": lineno})
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: row {lineno}: non-numeric value ({exc})") from None
     if not rows:
@@ -687,11 +692,17 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
                 raise ValueError(f"model1 units must have one row; unit {uid:g} has {len(unit_rows)}")
             obs.append(Observation(y, {"x1": unit_rows[0]["x1"], "x2": unit_rows[0]["x2"]}))
         else:
-            group = int(unit_rows[0]["group"])
+            for r in unit_rows:
+                where = f"{path}: row {r['line']}: unit {uid:g}: group"
+                try:
+                    r["group"] = _integral(r["group"])
+                except ValueError:
+                    raise ValueError(f"{where} {r['group']!r} is not an integer") from None
+                if r["group"] != unit_rows[0]["group"]:
+                    raise ValueError(f"{where} must be constant within a unit")
+            group = unit_rows[0]["group"]
             if not 1 <= group <= 4:
                 raise ValueError(f"unit {uid:g}: group must be in 1..4, got {group}")
-            if any(int(r["group"]) != group for r in unit_rows):
-                raise ValueError(f"unit {uid:g}: group must be constant within a unit")
             time = np.array([r["time"] for r in unit_rows])
             unit = _m2_unit(len(unit_rows), group, time)
             obs.append(Observation(y, {"time": time, "group": float(group), "X": unit["X"], "Z": unit["Z"]}))

@@ -301,7 +301,8 @@ def pvalue_discrepancy(summary_or_pvalues, statistic: str | None = None, grid=No
 
     ``summary_or_pvalues`` is either a SimulationSummary (then
     ``statistic`` selects the sample) or a p-value array.  Returns an
-    array of rows (asymptotic_p, relative_discrepancy).
+    array of rows (asymptotic_p, relative_discrepancy).  Every level of
+    ``grid`` is finite and in (0, 1]; another is a ValueError naming it.
     """
     if isinstance(summary_or_pvalues, SimulationSummary):
         if statistic is None:
@@ -314,6 +315,9 @@ def pvalue_discrepancy(summary_or_pvalues, statistic: str | None = None, grid=No
     if sample.size == 0:
         raise ValueError("empty p-value sample")
     g = DISCREPANCY_GRID if grid is None else np.asarray(grid, dtype=float)
+    bad = g[~((g > 0.0) & (g <= 1.0))]
+    if bad.size:
+        raise ValueError(f"discrepancy level {float(bad[0])!r} is not in (0, 1]")
     ecdf = np.searchsorted(sample, g, side="right") / sample.size
     return np.column_stack([g, (ecdf - g) / g])
 

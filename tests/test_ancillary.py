@@ -127,7 +127,7 @@ def test_ancillary_scalar_case_and_reconstruction():
     fam = NORMAL
     model, data = simulate_model1(fam, 20, rng)
     res = fit(model, fam, data)
-    bundle = build_ancillary(res, data, model, fam)
+    bundle = build_ancillary(res)
     ev = bundle.eval_hat
     for i, obs in enumerate(data.observations):
         o = obs_view(ev, i)
@@ -146,14 +146,14 @@ def test_ancillary_requires_converged_fit():
     res = fit(model, NORMAL, data)
     res.converged = False
     with pytest.raises(ValueError):
-        build_ancillary(res, data, model, NORMAL)
+        build_ancillary(res)
 
 
 def test_ancillary_asymptotically_standardized():
     rng = np.random.default_rng(12)
     model, data = simulate_model1(NORMAL, 50, rng)
     res = fit(model, NORMAL, data)
-    bundle = build_ancillary(res, data, model, NORMAL)
+    bundle = build_ancillary(res)
     a = np.concatenate([bb.a[:, 0] for bb in bundle.blocks])
     assert abs(a.mean()) < 0.5
     assert 0.5 < a.var() < 1.6
@@ -164,7 +164,7 @@ def test_ancillary_reconstruction_model2():
     fam = EllipticalFamily.student_t(3.0)
     model, data = simulate_model2(fam, 12, rng)
     res = fit(model, fam, data)
-    bundle = build_ancillary(res, data, model, fam)
+    bundle = build_ancillary(res)
     for be, bb in zip(bundle.eval_hat.blocks, bundle.blocks):
         recon = np.einsum("mab,mb->ma", bb.P, bb.a) + be.mu
         scale = max(1.0, np.max(np.abs(be.data.y)))
@@ -182,7 +182,7 @@ def test_mean_model_closed_forms():
     data = scalar_dataset(y)
     model = make_mean_model()
     res = fit(model, NORMAL, data)
-    bundle = build_ancillary(res, data, model, NORMAL)
+    bundle = build_ancillary(res)
     # at theta-hat: sum of ancillaries vanishes, so l' = 0
     ell_hat, _ = sample_space_gradients(res.eval_, bundle, NORMAL)
     assert ell_hat[0] == pytest.approx(0.0, abs=1e-10)
@@ -207,7 +207,7 @@ def test_ell_prime_matches_fd_through_ancillary(fam):
     model, data = simulate_model1(fam, 12, rng)
     res = fit(model, fam, data, start=np.array([0.5, 0.2, 0.0, 0.0, 0.005]))
     rest = fit(model, fam, data, restriction=((2, 3), (0.0, 0.0)), start=res.theta * [1, 1, 0, 0, 1])
-    bundle = build_ancillary(res, data, model, fam)
+    bundle = build_ancillary(res)
     a = bundle.blocks[0].a
     x1 = np.array([float(o.covariates["x1"]) for o in data.observations])
     x2 = np.array([float(o.covariates["x2"]) for o in data.observations])
@@ -237,7 +237,7 @@ def test_U_prime_matches_fd_of_ell_prime(fam):
     model, data = simulate_model1(fam, 12, rng)
     res = fit(model, fam, data, start=np.array([0.5, 0.2, 0.0, 0.0, 0.005]))
     rest = fit(model, fam, data, restriction=((3,), (0.0,)), start=res.theta * [1, 1, 1, 0, 1])
-    bundle = build_ancillary(res, data, model, fam)
+    bundle = build_ancillary(res)
     _, Uprime = sample_space_gradients(rest.eval_, bundle, fam)
     fd = np.zeros((5, 5))
     for r in range(5):
@@ -260,7 +260,7 @@ def test_ell_prime_alone_equals_the_ell_prime_of_the_gradients(kind, fam):
     else:
         model, data = simulate_model2(fam, 30, rng)
         th = np.array([0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0])
-    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=M.evaluate(model, th, data)), data, model, fam)
+    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=M.evaluate(model, th, data)))
     for theta in (th, th * (1.0 + 0.05 * rng.standard_normal(th.size))):
         ell = _ell_prime(M.evaluate(model, theta, data), bundle, fam)
         assert np.array_equal(ell, sample_space_gradients(M.evaluate(model, theta, data), bundle, fam)[0])
@@ -275,7 +275,7 @@ def test_U_prime_equals_info_in_gaussian_known_sigma():
     data = M.Dataset([M.Observation(np.array([yi]), {"X": X[i]}) for i, yi in enumerate(y)])
     model = make_linreg_model(pc)
     res = fit(model, NORMAL, data)
-    bundle = build_ancillary(res, data, model, NORMAL)
+    bundle = build_ancillary(res)
     _, Uprime = sample_space_gradients(res.eval_, bundle, NORMAL)
     np.testing.assert_allclose(Uprime, res.info, rtol=1e-6, atol=1e-6 * np.max(np.abs(res.info)))
 
@@ -290,7 +290,7 @@ def test_doubletilde_equals_info_at_theta_hat():
     for fam in ALL_FAMILIES:
         model, data = simulate_model1(fam, 12, rng)
         res = fit(model, fam, data, start=np.array([0.5, 0.2, 0.0, 0.0, 0.005]))
-        bundle = build_ancillary(res, data, model, fam)
+        bundle = build_ancillary(res)
         JJ = doubletilde_info(res.eval_, bundle, fam)
         np.testing.assert_allclose(JJ, res.info, rtol=1e-10, atol=1e-10 * np.max(np.abs(res.info)))
 
@@ -301,7 +301,7 @@ def test_doubletilde_constant_for_mean_model():
     data = scalar_dataset(y)
     model = make_mean_model()
     res = fit(model, NORMAL, data)
-    bundle = build_ancillary(res, data, model, NORMAL)
+    bundle = build_ancillary(res)
     for theta0 in (0.0, -2.0, 3.5):
         JJ = doubletilde_info(M.evaluate(model, np.array([theta0]), data), bundle, NORMAL)
         assert JJ[0, 0] == pytest.approx(y.size, rel=1e-12)
@@ -316,7 +316,7 @@ def test_doubletilde_matches_transcription_model2():
         model, fam, data, restriction=((2, 3, 4), (0.0, 0.0, 0.0)),
         start=np.where(np.isin(np.arange(9), (2, 3, 4)), 0.0, res.theta),
     )
-    bundle = build_ancillary(res, data, model, fam)
+    bundle = build_ancillary(res)
     JJ = doubletilde_info(rest.eval_, bundle, fam)
     obs_hat = T.obs_list_model2(res.theta, data)
     obs_til = T.obs_list_model2(rest.theta, data)

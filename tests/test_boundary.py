@@ -1,5 +1,6 @@
 """Module boundaries of the package source."""
 
+import ast
 from pathlib import Path
 
 from elliplrt import likelihood
@@ -25,3 +26,20 @@ def test_the_dsigma_support_and_layout_live_in_likelihood():
     text = (SRC / "model.py").read_text()
     assert [name for name in ("sigma_support", "dsigma_bk", "_bk_layout", "_nonzero_params") if name in text] == []
     assert likelihood.__all__ == ["ScoreInfo", "loglik", "score_info"]
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        public = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                public = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                a = node.args
+                params = [x.arg for x in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if x]
+                read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{path.name}: {node.name}({p})" for p in params if p not in read]
+    assert not unread, "\n".join(unread)

@@ -335,20 +335,20 @@ def test_rho_matches_transcription_model2():
 
 
 def test_adjusted_identity_when_factors_one():
-    r_star, LR_star, LR_star2, notes = adjusted_statistics(3.1, 1.2, 1.0, 1.0, 1)
+    r_star, LR_star, LR_star2, notes = adjusted_statistics(3.1, 1.2, 1.0, 1.0)
     assert (r_star, LR_star, LR_star2) == (1.2, 3.1, 3.1) and notes == []
 
 
 def test_adjusted_arithmetic():
-    r_star, _, _, _ = adjusted_statistics(4.0, 2.0, math.e, 1.0, 1)
+    r_star, _, _, _ = adjusted_statistics(4.0, 2.0, math.e, 1.0)
     assert r_star == pytest.approx(1.5, abs=1e-15)
-    _, LR_star, LR_star2, _ = adjusted_statistics(4.0, None, None, math.e, 2)
+    _, LR_star, LR_star2, _ = adjusted_statistics(4.0, None, None, math.e)
     assert LR_star2 == pytest.approx(2.0, abs=1e-15)
     assert LR_star == pytest.approx(4.0 * 0.75**2, abs=1e-15)  # = 2.25
 
 
 def test_adjusted_negative_inner_factor_flagged():
-    _, LR_star, LR_star2, notes = adjusted_statistics(0.5, None, None, math.e**2, 2)
+    _, LR_star, LR_star2, notes = adjusted_statistics(0.5, None, None, math.e**2)
     assert LR_star2 == pytest.approx(0.5 - 4.0)
     assert LR_star >= 0.0
     assert any("inner" in m for m in notes)
@@ -629,6 +629,33 @@ def test_ridge_search_matches_the_forward_scan():
         assert _same_ridge(linalg.ridge_cholesky(H), want), (i, p, scale, shift)
         ridged += want is not None and want[0] > 0.0
     assert ridged > 6000
+
+
+def test_ridge_search_factors_at_most_eight_times(monkeypatch):
+    # tau = 0, the last term, then a bisection of the RIDGE_TRIES - 1 terms below it
+    calls = 0
+    real = linalg.cholesky_or_none
+
+    def counting(S):
+        nonlocal calls
+        calls += 1
+        return real(S)
+
+    monkeypatch.setattr(linalg, "cholesky_or_none", counting)
+    most = 2 + math.ceil(math.log2(linalg.RIDGE_TRIES - 1))
+    assert most == 8
+    rng = np.random.default_rng(20151)
+    dims = (1, 2, 5, 9)
+    for i in range(12000):
+        p = dims[i % 4]
+        B = rng.standard_normal((p, p))
+        B = 0.5 * (B + B.T)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shift = 10.0 ** rng.uniform(-12.0, 3.0) * (1.0 if i % 3 == 0 else -1.0)
+        H = scale * (B + (shift - np.linalg.eigvalsh(B)[0]) * np.eye(p))
+        calls = 0
+        linalg.ridge_cholesky(H)
+        assert calls <= most, (i, p, scale, shift, calls)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

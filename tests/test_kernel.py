@@ -176,7 +176,7 @@ def test_kernel_equals_full_support_oracle(kind, fam, derivs):
         assert np.array_equal(si.score, U) and np.array_equal(si.info, J)
         assert np.array_equal(L.score_info(fam, ev_tilde, want_info=False).score, O.score_and_info(fam, ev_tilde)[0])
 
-        bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev_hat), data, model, fam)
+        bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev_hat))
         for bb, dP in zip(bundle.blocks, O.cholesky_derivatives(ev_hat)):
             assert np.array_equal(bb.dP, dP)
         dPs = [bb.dP for bb in bundle.blocks]
@@ -269,7 +269,7 @@ def test_sigma_inverse_is_computed_once_per_evaluation(monkeypatch):
     ev = M.evaluate(model, th, data)
     L.score_info(fam, ev)
     L.score_info(fam, ev)
-    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev), data, model, fam)
+    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev))
     sample_space_gradients(ev, bundle, fam)
     doubletilde_info(ev, bundle, fam)
     assert len(calls) == len(ev.blocks)

@@ -1,5 +1,6 @@
 """Model evaluation: built-in models, derivatives, datasets and CSV I/O."""
 
+import re
 import warnings
 
 import numpy as np
@@ -233,6 +234,17 @@ def test_dataset_rejects_a_nonfinite_covariate_naming_it():
         M.model1_dataset(np.full(8, 0.6), design["x1"], x2)
 
 
+@pytest.mark.parametrize("first, second, i", [
+    ({"x1": 1.0, "x2": 0.5}, {"x2": 0.1}, 1),
+    ({"x2": 0.1}, {"x1": 1.0, "x2": 0.5}, 1),
+    ({"x1": 1.0}, {"x2": 0.5}, 1),
+])
+def test_dataset_rejects_covariate_names_that_differ_naming_them(first, second, i):
+    want = f"observation {i} has covariates {sorted(second)}, not {sorted(first)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        M.Dataset([M.Observation([1.0], first), M.Observation([2.0], second), M.Observation([3.0], first)])
+
+
 # ---------------------------------------------------------------------------
 # designs and datasets
 # ---------------------------------------------------------------------------
@@ -330,6 +342,19 @@ def _m2_start_per_unit(data):
     g1 = max(float(np.var(means)), 1.0)
     g3 = max(float(np.var(slopes)) if len(slopes) >= 2 else 1e-2, 1e-3)
     return np.concatenate([beta, [g1, 0.0, g3, max(ssq / nrow * 0.5, 1e-3)]])
+
+
+@pytest.mark.parametrize("groups, line, match", [
+    ((2.5, 2.5), 2, "group 2.5 is not an integer"),
+    ((2, 2.5), 3, "group 2.5 is not an integer"),
+    ((2, 3), 3, "group must be constant within a unit"),
+    ((2, "nan"), 3, "group nan is not an integer"),
+])
+def test_csv_group_is_read_as_an_integer_row_by_row(tmp_path, groups, line, match):
+    path = tmp_path / "groups.csv"
+    path.write_text(f"unit_id,row_index,y,time,group\n7,1,0.5,5,{groups[0]}\n7,2,0.7,10,{groups[1]}\n")
+    with pytest.raises(ValueError, match=f"row {line}: unit 7: {match}"):
+        M.read_dataset_csv(path, "model2")
 
 
 def test_model2_start_batches_slope_fits_by_time_vector(tmp_path):

@@ -247,6 +247,12 @@ def test_discrepancy_constant_sample_step():
     assert np.all(table2[:, 1] == -1.0)
 
 
+@pytest.mark.parametrize("level", [0.0, -0.1, 1.5, 2.0, np.nan, np.inf])
+def test_discrepancy_level_outside_the_unit_interval_is_named(level):
+    with pytest.raises(ValueError, match=f"^discrepancy level {level!r} is not in \\(0, 1\\]$"):
+        pvalue_discrepancy(np.linspace(0.01, 1.0, 100), grid=[0.5, 1.0, level, 0.25])
+
+
 def test_discrepancy_empty_sample_errors():
     with pytest.raises(ValueError):
         pvalue_discrepancy(np.array([]))

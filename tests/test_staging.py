@@ -182,7 +182,7 @@ def test_stage0_cache_is_per_family_and_not_used_for_override_residuals():
     assert L.loglik(T3, ev) == L.loglik(T3, M.evaluate(model, theta, data))
     assert L.loglik(normal, ev) == L.loglik(normal, M.evaluate(model, theta, data))
     z = [2.0 * (be.data.y - be.mu) for be in ev.blocks]
-    assert L.loglik(T3, ev, z_blocks=z) != L.loglik(T3, ev)
+    assert L.score_info(T3, ev, False, z).loglik != L.loglik(T3, ev)
 
 
 # ---------------------------------------------------------------------------

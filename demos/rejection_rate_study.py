@@ -52,8 +52,8 @@ levels almost exactly.
 """)
 
 print("Relative p-value discrepancy (ecdf(p) - p) / p, closer to 0 is better")
-table_lr = pvalue_discrepancy(summary, "LR")
-table_lr2 = pvalue_discrepancy(summary, "LR**")
+table_lr = pvalue_discrepancy(summary.pvalues["LR"])
+table_lr2 = pvalue_discrepancy(summary.pvalues["LR**"])
 print(f"{'nominal p':>10s}{'LR':>12s}{'LR**':>12s}")
 for (g, d1), (_, d2) in list(zip(table_lr, table_lr2))[::4]:
     print(f"{g:10.2f}{d1:12.3f}{d2:12.3f}")

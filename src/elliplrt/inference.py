@@ -29,10 +29,11 @@ both: the first three determinants and the solve against (U'~)' are
 shared, and rho's log-determinant sum continues gamma's.  Determinants
 enter through their absolute values; a negative raw determinant is
 surfaced as a note, once per matrix.
+Both read the interest block psi and U~ from the restricted fit.
 Degenerate situations skip the adjustment (factor 1) and set a flag
-naming the reason rather than producing unusable output: |r| below 1e-4
-(``near_zero_r``), LR below 1e-8 (``near_zero_LR``), a nonpositive gamma
-ratio (``nonpositive_gamma_ratio``) or rho denominator
+naming the reason rather than producing unusable output (``SKIP_FLAGS``):
+|r| below 1e-4 (``near_zero_r``), LR below 1e-8 (``near_zero_LR``), a
+nonpositive gamma ratio (``nonpositive_gamma_ratio``) or rho denominator
 (``nonpositive_rho_denominator``), and a nonpositive score quadratic form
 (``nonpositive_score_quadratic_form``).  ``nonpd_info`` flags an indefinite
 J-hat; it skips nothing.
@@ -80,6 +81,9 @@ RESTARTS = 5
 # adjustment factors within rounding noise of 1 are treated as exactly 1,
 # so exact cases (Gaussian, known Sigma) report identical adjusted statistics
 FACTOR_SNAP = 1e-10
+# the flags with which adjustment_factors forces a correction factor to 1
+SKIP_FLAGS = ("near_zero_r", "near_zero_LR", "nonpositive_gamma_ratio", "nonpositive_rho_denominator",
+              "nonpositive_score_quadratic_form")
 
 
 class FitError(RuntimeError):
@@ -167,7 +171,12 @@ class Hypothesis:
 
 @dataclass
 class FitResult:
-    """Outcome of a maximum-likelihood fit (natural parameter scale)."""
+    """Outcome of a maximum-likelihood fit (natural parameter scale).
+
+    ``restriction`` is the (interest_indices, psi0) a restricted fit held
+    fixed, None for an unrestricted one; ``score`` is the full score
+    vector at ``eval_``.
+    """
 
     theta: np.ndarray
     loglik: float
@@ -175,12 +184,11 @@ class FitResult:
     info: np.ndarray
     converged: bool
     iterations: int
-    restricted: bool
     stderr: np.ndarray
     diagnostics: list = field(default_factory=list)
     restriction: tuple | None = None
     eval_: ModelEval | None = field(default=None, repr=False)
-    score: np.ndarray | None = field(default=None, repr=False)  # full score at eval_
+    score: np.ndarray | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +415,6 @@ def fit(
         info=si.info,
         converged=bool(converged),
         iterations=total_iters,
-        restricted=restriction is not None,
         stderr=stderr,
         diagnostics=diagnostics,
         restriction=(interest, psi0) if restriction is not None else None,
@@ -421,10 +428,17 @@ def fit(
 # ---------------------------------------------------------------------------
 
 
-def lr_and_r(fit_hat: FitResult, fit_tilde: FitResult, interest):
-    """Likelihood ratio statistic and, for scalar interest, its signed root."""
+def lr_and_r(fit_hat: FitResult, fit_tilde: FitResult):
+    """Likelihood ratio statistic and, for scalar interest, its signed root.
+
+    The interest block is the one ``fit_tilde`` held fixed; an unrestricted
+    ``fit_tilde`` is a ValueError.
+    """
+    if fit_tilde.restriction is None:
+        raise ValueError("fit_tilde is unrestricted; the test needs the restricted fit")
     if not (fit_hat.converged and fit_tilde.converged):
         raise ValueError("both fits must have converged")
+    interest = fit_tilde.restriction[0]
     LR = max(2.0 * (fit_hat.loglik - fit_tilde.loglik), 0.0)
     r = None
     if len(interest) == 1:
@@ -458,24 +472,20 @@ def _curvature_scale(J_hat: np.ndarray) -> np.ndarray:
     return np.ones(J_hat.shape[0])
 
 
-def adjustment_factors(
-    fit_hat: FitResult,
-    fit_tilde: FitResult,
-    derivs: SampleSpaceDerivs,
-    interest,
-    U_tilde: np.ndarray,
-):
+def adjustment_factors(fit_hat: FitResult, fit_tilde: FitResult, derivs: SampleSpaceDerivs):
     """Barndorff-Nielsen gamma (scalar interest) and Skovgaard rho.
 
     Returns (gamma, rho, flags, notes); gamma is None for a vector
-    interest block.  ``U_tilde`` is the score vector at the restricted
-    estimate with the actual data.  |J-hat|, |U'~|, |J~_ww| and the solve
-    against (U'~)' are shared by both factors; degenerate cases come back
-    as a factor of 1 with a flag naming the reason.
+    interest block.  The interest block and U~, the score at the
+    restricted estimate with the actual data, are read from ``fit_tilde``
+    (an unrestricted one is a ValueError, as in ``lr_and_r``).  |J-hat|,
+    |U'~|, |J~_ww| and the solve against (U'~)' are shared by both
+    factors; degenerate cases come back as a factor of 1 with a flag from
+    ``SKIP_FLAGS`` naming the reason.
     """
     flags: set = set()
     notes: list = []
-    LR, r = lr_and_r(fit_hat, fit_tilde, interest)
+    LR, r = lr_and_r(fit_hat, fit_tilde)
     gamma = None if r is None else 1.0
     rho = 1.0
     if r is not None and abs(r) < R_DEGENERATE:
@@ -487,6 +497,7 @@ def adjustment_factors(
     if not (want_gamma or want_rho):
         return gamma, rho, flags, notes
 
+    interest = fit_tilde.restriction[0]
     q = len(interest)
     p = fit_hat.theta.size
     nuis = [j for j in range(p) if j not in set(interest)]
@@ -523,7 +534,7 @@ def adjustment_factors(
             - 0.5 * _logabsdet(JJ[np.ix_(nuis, nuis)], notes, "J_doubletilde_nuisance")
             + 0.5 * _logabsdet(JJ, notes, "J_doubletilde")
         )
-        U_star = U_tilde / s
+        U_star = fit_tilde.score / s
         try:
             quad = float(U_star @ np.linalg.solve(JJ, U_star))
         except np.linalg.LinAlgError:
@@ -643,19 +654,6 @@ class TestReport:
                 d[name] = float(val)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TestReport":
-        hyp = d["hypothesis"]
-        kwargs = {name: d.get(name) for name in _REPORT_FLOATS}
-        return cls(
-            sided=hyp["sided"],
-            interest_indices=tuple(hyp["interest_indices"]),
-            psi0=np.asarray(hyp["psi0"], dtype=float),
-            flags=sorted(d.get("flags", [])),
-            notes=list(d.get("notes", [])),
-            **kwargs,
-        )
-
     def pvalue(self, statistic: str):
         """p-value by statistic label ("LR", "LR*", "LR**", "r", "r*")."""
         key = {"LR": "p_LR", "LR*": "p_LR_star", "LR**": "p_LR_star2", "r": "p_r", "r*": "p_r_star"}[statistic]
@@ -707,7 +705,7 @@ def run_test(
         for msg in source.diagnostics:
             if msg == "boundary_fit":
                 flags.add("boundary_fit")
-            elif msg == "nonpd_info" and not source.restricted:
+            elif msg == "nonpd_info" and source.restriction is None:
                 # the full information at the restricted optimum is allowed
                 # to be indefinite; only J(theta-hat) losing definiteness
                 # is a health flag
@@ -724,10 +722,9 @@ def run_test(
     derivs = SampleSpaceDerivs(
         ell_hat_prime=ell_hat, ell_tilde_prime=ell_tilde, U_tilde_prime=U_tilde_prime, J_doubletilde=JJ
     )
-    U_tilde = fit_tilde.score
 
-    LR, r = lr_and_r(fit_hat, fit_tilde, interest)
-    gamma, rho, factor_flags, factor_notes = adjustment_factors(fit_hat, fit_tilde, derivs, interest, U_tilde)
+    LR, r = lr_and_r(fit_hat, fit_tilde)
+    gamma, rho, factor_flags, factor_notes = adjustment_factors(fit_hat, fit_tilde, derivs)
     flags |= factor_flags
     notes += factor_notes
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -235,19 +236,6 @@ def _integral(value) -> int:
     return int(value)
 
 
-class _lazy:
-    """``functools.cached_property`` without the class-wide lock Python 3.11 takes on each first access."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class BlockEval:
     """Evaluated model quantities for one block (see ModelSpec for shapes).
 
@@ -276,13 +264,13 @@ class BlockEval:
     def _sigma_at(self, t):
         return self.model.sigma_fn(t, self.data)
 
-    @_lazy
+    @cached_property
     def dmu(self) -> np.ndarray:
         if self._analytic_mu:
             return self.model.dmu_fn(self.theta, self.data)
         return _fd_first(self._mu_at, self.theta)
 
-    @_lazy
+    @cached_property
     def d2mu(self) -> np.ndarray | None:
         if self._analytic_mu:
             fn = self.model.d2mu_fn
@@ -291,7 +279,7 @@ class BlockEval:
             d2mu = _fd_second(self._mu_at, self.theta)
         return None if d2mu is None else 0.5 * (d2mu + np.swapaxes(d2mu, 1, 2))
 
-    @_lazy
+    @cached_property
     def dsigma(self) -> np.ndarray:
         if self._analytic_sigma:
             dsigma = self.model.dsigma_fn(self.theta, self.data)
@@ -300,7 +288,7 @@ class BlockEval:
         # dsigma must be exactly symmetric in its matrix indices
         return self.data.derived("dsigma", dsigma, lambda d: 0.5 * (d + np.swapaxes(d, -1, -2)))
 
-    @_lazy
+    @cached_property
     def d2sigma(self) -> np.ndarray | None:
         if self._analytic_sigma:
             fn = self.model.d2sigma_fn
@@ -659,7 +647,9 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
     """Read a long-format dataset CSV: unit_id, row_index, y, covariates.
 
     model1 expects covariate columns x1, x2 (one row per unit); model2
-    expects time and group (1-4), several rows per unit.
+    expects time and group (1-4), several rows per unit.  unit_id and
+    row_index are integers, and a row_index appears once per unit; a
+    ValueError names the path, line and unit of a row that breaks this.
     """
     if model_name not in _MODEL_COLUMNS:
         raise ValueError(f"unknown model {model_name!r}; expected one of {tuple(_MODEL_COLUMNS)}")
@@ -674,26 +664,36 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
         rows = []
         for lineno, row in enumerate(reader, start=2):
             try:
-                rows.append({c: float(row[c]) for c in needed} | {"line": lineno})
+                r = {c: float(row[c]) for c in needed} | {"line": lineno}
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: row {lineno}: non-numeric value ({exc})") from None
+            for key in ("unit_id", "row_index"):
+                try:
+                    r[key] = _integral(r[key])
+                except ValueError:
+                    raise ValueError(f"{path}: row {lineno}: unit {r['unit_id']:g}: {key} {r[key]!r} "
+                                     "is not an integer") from None
+            rows.append(r)
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    units: dict[float, list[dict]] = {}
+    units: dict[int, list[dict]] = {}
     for r in rows:
         units.setdefault(r["unit_id"], []).append(r)
     obs = []
     for uid in sorted(units):
         unit_rows = sorted(units[uid], key=lambda r: r["row_index"])
+        for prev, r in zip(unit_rows, unit_rows[1:]):
+            if r["row_index"] == prev["row_index"]:
+                raise ValueError(f"{path}: row {r['line']}: unit {uid}: row_index {r['row_index']} is repeated")
         y = np.array([r["y"] for r in unit_rows])
         if model_name == "model1":
             if len(unit_rows) != 1:
-                raise ValueError(f"model1 units must have one row; unit {uid:g} has {len(unit_rows)}")
+                raise ValueError(f"model1 units must have one row; unit {uid} has {len(unit_rows)}")
             obs.append(Observation(y, {"x1": unit_rows[0]["x1"], "x2": unit_rows[0]["x2"]}))
         else:
             for r in unit_rows:
-                where = f"{path}: row {r['line']}: unit {uid:g}: group"
+                where = f"{path}: row {r['line']}: unit {uid}: group"
                 try:
                     r["group"] = _integral(r["group"])
                 except ValueError:
@@ -702,7 +702,7 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
                     raise ValueError(f"{where} must be constant within a unit")
             group = unit_rows[0]["group"]
             if not 1 <= group <= 4:
-                raise ValueError(f"unit {uid:g}: group must be in 1..4, got {group}")
+                raise ValueError(f"unit {uid}: group must be in 1..4, got {group}")
             time = np.array([r["time"] for r in unit_rows])
             unit = _m2_unit(len(unit_rows), group, time)
             obs.append(Observation(y, {"time": time, "group": float(group), "X": unit["X"], "Z": unit["Z"]}))

@@ -8,9 +8,10 @@ seed sequence keyed by (seed, replication index), so results are
 bit-identical for a given seed regardless of how replications are
 distributed over worker processes.  Replications whose fits fail are
 redrawn up to ``max_refit_attempts`` times.  The summary counts the
-redraws, the replications that ran out of them, and, per flag, the
-replications whose r*, LR* or LR** p-value is unadjusted because a
-correction factor was skipped; none of these counts enters the CSVs.
+redraws, the replications that ran out of them, and, per flag of
+``inference.SKIP_FLAGS``, the replications whose r*, LR* or LR** p-value
+is unadjusted because a correction factor was skipped; none of these
+counts enters the CSVs.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import EllipticalFamily
-from .inference import FitError, Hypothesis, StageError, run_test
-from .model import MODELS, Dataset, NonSPDError, _integral, evaluate, model1_dataset, model1_design, model2_dataset
-from .model import model2_design
+from .inference import SKIP_FLAGS, FitError, Hypothesis, StageError, run_test
+from .model import MODELS, Dataset, NonSPDError, Observation, _integral, evaluate, model1_dataset, model1_design
+from .model import model2_dataset, model2_design
 
 __all__ = [
     "SimulationConfig",
@@ -49,10 +50,6 @@ MODEL1_TRUE = (0.5, 0.2, 0.0, 0.0, 0.005)
 MODEL2_TRUE = (0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)
 
 _DESIGN_KEY = (0,)  # spawn key of the design stream; replication k uses (1, k)
-
-# flags with which run_test reports a correction factor forced to 1
-_SKIP_FLAGS = ("near_zero_r", "near_zero_LR", "nonpositive_gamma_ratio", "nonpositive_rho_denominator",
-               "nonpositive_score_quadratic_form")
 
 
 class SimulationError(RuntimeError):
@@ -176,7 +173,11 @@ class SimulationSummary:
 
 
 class _Setup:
-    """Fixed design, model and true-parameter evaluation for one run."""
+    """Fixed design, model and true-parameter evaluation for one run.
+
+    ``template`` is the design's dataset with zero responses; a
+    replication keeps its covariates and draws new responses.
+    """
 
     def __init__(self, config: SimulationConfig):
         self.config = config
@@ -188,12 +189,12 @@ class _Setup:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=_DESIGN_KEY))
         self.model = MODELS[config.model]()
         if config.model == "model1":
-            self.design = model1_design(config.n, rng)
-            template = model1_dataset(np.zeros(config.n), self.design["x1"], self.design["x2"])
+            design = model1_design(config.n, rng)
+            self.template = model1_dataset(np.zeros(config.n), design["x1"], design["x2"])
         else:
-            self.design = model2_design(config.n, rng)
-            template = model2_dataset([np.zeros(u["q"]) for u in self.design], self.design)
-        ev = evaluate(self.model, self.true_theta, template)
+            design = model2_design(config.n, rng)
+            self.template = model2_dataset([np.zeros(u["q"]) for u in design], design)
+        ev = evaluate(self.model, self.true_theta, self.template)
         # per original observation: q_i, mu_i, Cholesky factor of Sigma_i
         self.obs_mu = [None] * config.n
         self.obs_P = [None] * config.n
@@ -203,14 +204,12 @@ class _Setup:
                 self.obs_P[int(i)] = be.P[j]
 
     def draw_dataset(self, rng: np.random.Generator) -> Dataset:
-        """One null dataset: y_i = mu_i + P_i s_i with spherical s_i."""
-        ys = []
-        for i in range(self.config.n):
-            s = self.family.sample_spherical(self.obs_mu[i].size, rng)
-            ys.append(self.obs_mu[i] + self.obs_P[i] @ s)
-        if self.config.model == "model1":
-            return model1_dataset(np.array([y[0] for y in ys]), self.design["x1"], self.design["x2"])
-        return model2_dataset(ys, self.design)
+        """One null dataset: y_i = mu_i + P_i s_i with spherical s_i, on the template's covariates."""
+        obs = []
+        for mu, P, o in zip(self.obs_mu, self.obs_P, self.template.observations):
+            s = self.family.sample_spherical(mu.size, rng)
+            obs.append(Observation(mu + P @ s, o.covariates))
+        return Dataset(obs)
 
     def run_one(self, rep_index: int):
         """p-values for replication rep_index, or None after exhausted redraws.
@@ -226,7 +225,7 @@ class _Setup:
                 report = run_test(self.model, self.family, data, self.hyp, start=self.true_theta)
             except (StageError, FitError, NonSPDError):
                 continue
-            self.skips.update(f for f in _SKIP_FLAGS if f in report.flags)
+            self.skips.update(f for f in SKIP_FLAGS if f in report.flags)
             return {label: report.pvalue(label) for label in self.config.stat_labels()}
         return None
 
@@ -296,22 +295,15 @@ def simulate_dataset(config: SimulationConfig, rep_index: int = 0) -> Dataset:
 DISCREPANCY_GRID = np.round(np.arange(1, 26) * 0.01, 10)
 
 
-def pvalue_discrepancy(summary_or_pvalues, statistic: str | None = None, grid=None) -> np.ndarray:
+def pvalue_discrepancy(pvalues, grid=None) -> np.ndarray:
     """Relative p-value discrepancy (ecdf(p) - p) / p on a grid of levels.
 
-    ``summary_or_pvalues`` is either a SimulationSummary (then
-    ``statistic`` selects the sample) or a p-value array.  Returns an
-    array of rows (asymptotic_p, relative_discrepancy).  Every level of
-    ``grid`` is finite and in (0, 1]; another is a ValueError naming it.
+    ``pvalues`` is one statistic's p-value sample, e.g.
+    ``summary.pvalues["LR"]``.  Returns an array of rows (asymptotic_p,
+    relative_discrepancy).  Every level of ``grid`` is finite and in
+    (0, 1]; another is a ValueError naming it.
     """
-    if isinstance(summary_or_pvalues, SimulationSummary):
-        if statistic is None:
-            raise ValueError("statistic label required when passing a summary")
-        if statistic not in summary_or_pvalues.pvalues:
-            raise ValueError(f"statistic {statistic!r} not present; have {tuple(summary_or_pvalues.pvalues)}")
-        sample = summary_or_pvalues.pvalues[statistic]
-    else:
-        sample = np.sort(np.asarray(summary_or_pvalues, dtype=float))
+    sample = np.sort(np.asarray(pvalues, dtype=float))
     if sample.size == 0:
         raise ValueError("empty p-value sample")
     g = DISCREPANCY_GRID if grid is None else np.asarray(grid, dtype=float)

@@ -3,7 +3,7 @@
 import ast
 from pathlib import Path
 
-from elliplrt import likelihood
+from elliplrt import inference, likelihood
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "elliplrt"
 
@@ -43,3 +43,13 @@ def test_every_parameter_of_a_public_function_is_read():
                 read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 unread += [f"{path.name}: {node.name}({p})" for p in params if p not in read]
     assert not unread, "\n".join(unread)
+
+
+def test_skip_flags_are_the_flags_adjustment_factors_sets():
+    # montecarlo counts skipped adjustments by inference.SKIP_FLAGS: every flag set here must be in it
+    tree = ast.parse((SRC / "inference.py").read_text())
+    func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "adjustment_factors")
+    added = [call.args[0].value for call in ast.walk(func)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "add"
+             and getattr(call.func.value, "id", None) == "flags" and isinstance(call.args[0], ast.Constant)]
+    assert sorted(added) == sorted(inference.SKIP_FLAGS)

@@ -340,6 +340,15 @@ def test_fit_data_with_a_fractional_group_is_input_error(tmp_path, capsys):
     assert "row 6: unit 3: group 2.5 is not an integer" in capsys.readouterr().err
 
 
+def test_fit_data_with_a_repeated_row_index_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "rows.csv"
+    bad.write_text("unit_id,row_index,y,time,group\n" + "".join(
+        f"{i},{1 if i == 5 else j},{0.1 * i + j},{5 * j},{i % 4 + 1}\n" for i in range(1, 13) for j in (1, 2)))
+    code = cli.main(["fit", "--model", "model2", "--family", "normal", "--data", str(bad)])
+    assert code == 1
+    assert "row 11: unit 5: row_index 1 is repeated" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_start_where_the_mean_is_infinite_is_no_input_error(tmp_path):
     # 1 + beta0 = 0 at this start, so mu and the Newton matrix there are not finite

@@ -33,7 +33,6 @@ from elliplrt.inference import (
     Hypothesis,
     HypothesisError,
     StageError,
-    TestReport,
     adjusted_statistics,
     adjustment_factors,
     fit,
@@ -113,7 +112,7 @@ def test_restricted_fit_nested_likelihood():
         full = fit(model, fam, data, start=np.array([0.5, 0.2, 0.0, 0.0, 0.005]))
         rest = fit(model, fam, data, restriction=((2, 3), (0.0, 0.0)), start=full.theta * [1, 1, 0, 0, 1])
         assert full.converged and rest.converged
-        assert rest.restricted and not full.restricted
+        assert rest.restriction is not None and full.restriction is None
         assert rest.loglik <= full.loglik + 1e-9
         np.testing.assert_array_equal(rest.theta[[2, 3]], [0.0, 0.0])
 
@@ -220,7 +219,7 @@ def test_lr_zero_at_mle():
     model = make_mean_model()
     full = fit(model, NORMAL, y)
     rest = fit(model, NORMAL, y, restriction=((0,), (full.theta[0],)))
-    LR, r = lr_and_r(full, rest, (0,))
+    LR, r = lr_and_r(full, rest)
     assert LR == 0.0 and r == 0.0
 
 
@@ -231,7 +230,7 @@ def test_lr_gaussian_mean_closed_form():
     model = make_mean_model()
     full = fit(model, NORMAL, data)
     rest = fit(model, NORMAL, data, restriction=((0,), (0.0,)))
-    LR, r = lr_and_r(full, rest, (0,))
+    LR, r = lr_and_r(full, rest)
     n = y.size
     assert LR == pytest.approx(n * y.mean() ** 2, rel=1e-9)
     assert r == pytest.approx(np.sqrt(n) * y.mean(), rel=1e-9)
@@ -245,7 +244,7 @@ def test_lr_nonnegative_many_instances():
         y = scalar_dataset(rng.standard_normal(5))
         full = fit(model, NORMAL, y)
         rest = fit(model, NORMAL, y, restriction=((0,), (0.0,)))
-        LR, _ = lr_and_r(full, rest, (0,))
+        LR, _ = lr_and_r(full, rest)
         assert LR >= 0.0
 
 
@@ -256,7 +255,18 @@ def test_lr_requires_converged_fits():
     rest = fit(model, NORMAL, y, restriction=((0,), (0.0,)))
     rest.converged = False
     with pytest.raises(ValueError):
-        lr_and_r(full, rest, (0,))
+        lr_and_r(full, rest)
+
+
+def test_statistics_need_a_restricted_fit_tilde():
+    # the interest block and U~ come from fit_tilde, so an unrestricted one names itself
+    y = scalar_dataset([0.1, 0.4, -0.3, 0.9])
+    full = fit(make_mean_model(), NORMAL, y)
+    assert full.restriction is None
+    with pytest.raises(ValueError, match="^fit_tilde is unrestricted"):
+        lr_and_r(full, full)
+    with pytest.raises(ValueError, match="^fit_tilde is unrestricted"):
+        adjustment_factors(full, full, None)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +454,10 @@ def test_report_json_roundtrip():
     model, data = simulate_model1(NORMAL, 15, rng)
     rep = run_test(model, NORMAL, data, Hypothesis((3,), [0.0], "two"), start=np.array([0.5, 0.2, 0, 0, 0.005]))
     blob = json.dumps(rep.to_dict())
-    back = TestReport.from_dict(json.loads(blob))
-    assert back.to_dict() == rep.to_dict()
+    back = json.loads(blob)
+    assert back == rep.to_dict()
     for name in ("LR", "rho", "r", "gamma", "r_star", "p_LR"):
-        assert getattr(back, name) == getattr(rep, name)
+        assert back[name] == getattr(rep, name)
 
 
 def test_lr_star_vs_r_star_squared_shrinks_with_n():
@@ -558,26 +568,28 @@ def test_negative_determinant_is_noted_once():
 
 def test_near_zero_statistics_skip_the_factors_before_any_determinant():
     # no sample-space derivatives are needed when both factors are skipped
-    def fitted(theta, ll):
+    def fitted(theta, ll, restriction=None):
         return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(3),
-                                   converged=True, iterations=0, restricted=False, stderr=np.ones(3))
+                                   converged=True, iterations=0, stderr=np.ones(3), restriction=restriction)
 
-    hat, tilde = fitted([0.0, 1.0, 2e-5], -10.0), fitted([0.0, 1.0, 0.0], -10.0 - 1e-10)
-    assert adjustment_factors(hat, tilde, None, (2,), None) == (1.0, 1.0, {"near_zero_r", "near_zero_LR"}, [])
+    hat = fitted([0.0, 1.0, 2e-5], -10.0)
+    tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, ((2,), np.array([0.0])))
+    assert adjustment_factors(hat, tilde, None) == (1.0, 1.0, {"near_zero_r", "near_zero_LR"}, [])
     # r exists only for a scalar interest: a vector block gets no gamma and no near_zero_r
-    assert adjustment_factors(hat, tilde, None, (1, 2), None) == (None, 1.0, {"near_zero_LR"}, [])
+    tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, ((1, 2), np.array([1.0, 0.0])))
+    assert adjustment_factors(hat, tilde, None) == (None, 1.0, {"near_zero_LR"}, [])
 
 
 def test_nonpositive_score_quadratic_form_has_its_own_flag():
     # J-doubletilde = -I makes U~' JJ^{-1} U~ negative while gamma's ratio is positive
-    def fitted(theta, ll):
+    def fitted(theta, ll, **tilde):
         return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(2),
-                                   converged=True, iterations=0, restricted=False, stderr=np.ones(2))
+                                   converged=True, iterations=0, stderr=np.ones(2), **tilde)
 
     derivs = inference.SampleSpaceDerivs(ell_hat_prime=np.array([0.0, 1.0]), ell_tilde_prime=np.zeros(2),
                                          U_tilde_prime=np.eye(2), J_doubletilde=-np.eye(2))
-    gamma, rho, flags, notes = adjustment_factors(fitted([0.0, 1.0], -10.0), fitted([0.0, 0.0], -11.0), derivs,
-                                                  (1,), np.array([0.5, 0.0]))
+    tilde = fitted([0.0, 0.0], -11.0, restriction=((1,), np.array([0.0])), score=np.array([0.5, 0.0]))
+    gamma, rho, flags, notes = adjustment_factors(fitted([0.0, 1.0], -10.0), tilde, derivs)
     assert flags == {"nonpositive_score_quadratic_form"} and rho == 1.0 and gamma != 1.0
     assert "nonpositive score quadratic form; adjustment skipped" in notes
 

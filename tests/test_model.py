@@ -357,6 +357,28 @@ def test_csv_group_is_read_as_an_integer_row_by_row(tmp_path, groups, line, matc
         M.read_dataset_csv(path, "model2")
 
 
+@pytest.mark.parametrize("rows, match", [
+    # the reproduction: unit 1.5 with row_index 1 twice, unit 2 with row_index 2.5
+    (["1.5,1,0.5,5,2", "1.5,1,0.7,10,2", "2,2.5,0.3,5,3"], "row 2: unit 1.5: unit_id 1.5 is not an integer"),
+    (["1,1,0.5,5,2", "2,2.5,0.3,5,3"], "row 3: unit 2: row_index 2.5 is not an integer"),
+    (["1,1,0.5,5,2", "1,nan,0.7,10,2"], "row 3: unit 1: row_index nan is not an integer"),
+    (["1,1,0.5,5,2", "1,2,0.7,10,2", "1,1,0.9,15,2"], "row 4: unit 1: row_index 1 is repeated"),
+    (["3,2,0.5,5,2", "3,1,0.7,10,2", "3,2.0,0.9,15,2"], "row 4: unit 3: row_index 2 is repeated"),
+])
+def test_csv_unit_id_and_row_index_are_integers_and_row_index_is_unique(tmp_path, rows, match):
+    path = tmp_path / "keys.csv"
+    path.write_text("unit_id,row_index,y,time,group\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {match}$"):
+        M.read_dataset_csv(path, "model2")
+
+
+def test_csv_integral_keys_written_as_floats_still_read(tmp_path):
+    path = tmp_path / "keys.csv"
+    path.write_text("unit_id,row_index,y,x1,x2\n1.0,1,0.5,0.2,0.3\n2,1.0,0.6,0.4,0.1\n")
+    data = M.read_dataset_csv(path, "model1")
+    assert data.n == 2 and [o.y[0] for o in data.observations] == [0.5, 0.6]
+
+
 def test_model2_start_batches_slope_fits_by_time_vector(tmp_path):
     # units share some time vectors and not others; a constant-time unit has no slope
     times = [(5, 10, 15), (2, 4, 9), (5, 10, 15), (5, 10), (1,), (7, 7), (2, 4, 9), (5, 10, 15, 30, 60),

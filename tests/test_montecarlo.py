@@ -256,11 +256,6 @@ def test_discrepancy_level_outside_the_unit_interval_is_named(level):
 def test_discrepancy_empty_sample_errors():
     with pytest.raises(ValueError):
         pvalue_discrepancy(np.array([]))
-    s = run_simulation(dataclasses.replace(BASE, replications=3))
-    with pytest.raises(ValueError):
-        pvalue_discrepancy(s, statistic="r")  # not recorded for q = 2
-    with pytest.raises(ValueError):
-        pvalue_discrepancy(s)  # statistic label required with a summary
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +281,8 @@ def test_adjusted_statistic_closer_to_reference(sim_model1_normal_n15):
 
 def test_discrepancy_curve_improvement(sim_model1_normal_n15):
     s = sim_model1_normal_n15
-    d_lr = np.abs(pvalue_discrepancy(s, "LR")[:, 1])
-    d_lr2 = np.abs(pvalue_discrepancy(s, "LR**")[:, 1])
+    d_lr = np.abs(pvalue_discrepancy(s.pvalues["LR"])[:, 1])
+    d_lr2 = np.abs(pvalue_discrepancy(s.pvalues["LR**"])[:, 1])
     assert np.mean(d_lr2 < d_lr) > 0.5  # majority of grid points
 
 

@@ -1,6 +1,7 @@
 """Staged evaluation: lazy model derivatives, the cached likelihood stage 0
 and a line search that judges trial points on their log-likelihood alone."""
 
+import functools
 import hashlib
 from dataclasses import replace
 
@@ -143,7 +144,7 @@ def test_lazy_attributes_are_computed_once_per_block():
     assert "d2mu" not in vars(be)
     first = be.d2mu
     assert be.d2mu is first and vars(be)["d2mu"] is first and len(seen["d2mu"]) == 1
-    assert isinstance(type(be).d2mu, M._lazy)
+    assert isinstance(type(be).d2mu, functools.cached_property)
 
 
 # ---------------------------------------------------------------------------

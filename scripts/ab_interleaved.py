@@ -15,7 +15,9 @@ Each round prints its time ratio (working tree over base, below 1 is
 faster); the end prints the median and quartiles of the ratios and each
 side's p-value digest over the ops it ran (``workloads.pvalue_digest``:
 equal digests mean bit-identical p-values) and how many ops missed the
-committed reference.  Rounds in one pair of warm processes resolve
+committed reference, then ``identical`` or ``DIFFERENT``.  The exit
+status is 1 when the digests differ or an op missed the reference, and
+0 otherwise.  Rounds in one pair of warm processes resolve
 smaller differences than the process-level pairs of ``ab_pairs.py``,
 whose runs are a minute apart on separate seeds, so that drift of the
 host's speed enters their spread.
@@ -116,13 +118,16 @@ def main(argv=None) -> int:
         q1, med, q3 = quartiles(ratios)
         wins = sum(r < 1.0 for r in ratios)
         print(f"ratio median {med:.4f}  quartiles {q1:.4f} {q3:.4f}  change faster in {wins}/{len(ratios)} rounds")
-        for s, w in sides.items():
-            d = w.ask("digest")
-            print(f"{s:6s} pvalue_sha256 {d['digest']} over {d['ops']} ops, {d['missed']} outside the reference")
+        digests = {s: w.ask("digest") for s, w in sides.items()}
     finally:
         for w in sides.values():
             w.close()
-    return 0
+    for s, d in digests.items():
+        print(f"{s:6s} pvalue_sha256 {d['digest']} over {d['ops']} ops, {d['missed']} outside the reference")
+    same = digests["base"]["digest"] == digests["change"]["digest"]
+    missed = sum(d["missed"] for d in digests.values())
+    print("identical" if same else "DIFFERENT")
+    return 0 if same and not missed else 1
 
 
 if __name__ == "__main__":

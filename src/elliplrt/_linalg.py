@@ -177,10 +177,11 @@ def chol_derivative(P: np.ndarray, dS: np.ndarray, support=slice(None)) -> np.nd
     """dP_r = P Phi(P^{-1} dS_r P^{-T}), which solves dP_r P' + P dP_r' = dS_r, for P (m,q,q), dS (m,p,q,q).
 
     dP_r is formed for r in ``support`` (zero off it, where dS_r must be
-    zero); a non-finite P or P^{-1} takes every r.
+    zero), and for every r where P^{-1} overflows, as it can for a Sigma
+    that factors: there the zeros of dS_r give NaN, as the full products do.
     """
     Pinv = lower_inverse(P)
-    S = support if np.isfinite(Pinv.sum() + P.sum()) else slice(None)
+    S = support if np.isfinite(Pinv.sum()) else slice(None)
     M = np.einsum("mab,mrbc,mdc->mrad", Pinv, dS[:, S], Pinv)
     dP = np.zeros(dS.shape)
     dP[:, S] = np.einsum("mab,mrbc->mrac", P, phi_lower(M))

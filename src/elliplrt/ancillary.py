@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import chol_derivative, cholesky_or_none, solve_lower
 from .families import EllipticalFamily
-from .likelihood import _block_core, _first_order, _sigma_support, _support, _t_kernel, score_info
+from .likelihood import _block_core, _first_order, _sigma_support, _t_kernel, score_info
 from .model import ModelEval
 
 __all__ = [
@@ -158,7 +158,7 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
     for be, z, w, v, vdot, Rhat, ell_block in _reconstructed_blocks(eval_at, bundle, family):
         ell += ell_block
         Sinv, alpha, Cw = _first_order(be, w)
-        S, C_bk = _support(be, z, w, v, vdot)
+        S, C_bk = _sigma_support(be)
         _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
         QS = np.einsum("mra,mab->mrb", Q, Sinv)
         Uprime += np.einsum("mrb,msb->rs", QS, Rhat)

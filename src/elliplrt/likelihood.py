@@ -32,18 +32,19 @@ point from the same stage 0, with the same arithmetic as a one-pass
 assembly.
 
 Support rule: the C_r = dSigma/dtheta_r products (A_r, kappa_r,
-tr(B_r A_s), A_r C_s N) of q >= 2 blocks and the ancillary bundle's dP_r
-are formed only on the support S of dSigma, the parameters with a nonzero
-(or non-finite) C_r; off S they are exact zeros, and skipping them leaves
-every other float unchanged.  S and C on S are computed here alone
-(``_sigma_support``), once per block through ``DataBlock.derived`` when
-dSigma does not depend on theta and once per evaluation otherwise; like
-Sigma^{-1}, formed once per evaluation, they are shared by J, the score,
-U' and the double-tilde J at that theta.  Blocks where Sigma, Sigma^{-1},
-dmu, dSigma, the residuals or the weights are not all finite run the same
-products over every r, so that the zeros off S meet the non-finite factor
-and NaN and inf propagate as before; over every r they equal the full
-products bit for bit.
+tr(B_r A_s), A_r C_s N) of every q >= 2 block are formed only on the
+support S of dSigma, the parameters with a nonzero (or non-finite) C_r;
+off S they are exact zeros, and skipping them leaves every other float
+unchanged.  S and C on S are computed here alone (``_sigma_support``),
+once per block through ``DataBlock.derived`` when dSigma does not depend
+on theta and once per evaluation otherwise; like Sigma^{-1}, formed once
+per evaluation, they are shared by J, the score, U' and the double-tilde
+J at that theta, and S restricts the ancillary bundle's dP_r
+(``_linalg.chol_derivative``, which takes every r where P^{-1} is not
+finite).  NaN and inf in the residuals, dmu or dSigma, and an
+overflowing Sigma^{-1} or P^{-1}, propagate into J, the score, dP, l',
+U' and the double-tilde J as in the full-support oracle; the cases are
+in ``tests/test_kernel.py``, ``test_nonfinite_*``.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
@@ -171,15 +172,12 @@ def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
     return nz
 
 
-def _bk_layout(C: np.ndarray) -> np.ndarray:
-    """C (m, r, b, c) in the (m, b, (r, c)) layout of the module docstring."""
-    m, s, q, _ = C.shape
-    return np.ascontiguousarray(C.transpose(0, 2, 1, 3)).reshape(m, q, s * q)
-
-
 def _support_layout(C: np.ndarray):
+    """(S, C on S in the (m, b, (r, c)) layout of the module docstring)."""
     S = _nonzero_params(C)
-    C_bk = _bk_layout(C[:, S])
+    C_S = C[:, S]
+    m, s, q, _ = C_S.shape
+    C_bk = np.ascontiguousarray(C_S.transpose(0, 2, 1, 3)).reshape(m, q, s * q)
     C_bk.setflags(write=False)
     return S, C_bk
 
@@ -197,14 +195,6 @@ def _first_order(be, w):
     alpha = np.einsum("mra,ma->mr", be.dmu, w)
     Cw = np.einsum("mrab,mb->mra", be.dsigma, w)
     return _sigma_inverse(be), alpha, Cw
-
-
-def _support(be, *operands):
-    """``_sigma_support``, or every r when a factor is not finite (the module docstring's support rule)."""
-    factors = (_sigma_inverse(be), be.sigma, be.dmu, be.dsigma) + operands
-    if np.isfinite(np.concatenate([x.ravel() for x in factors])).all():
-        return _sigma_support(be)
-    return slice(None), _bk_layout(be.dsigma)
 
 
 def _unpack(X, axes):
@@ -243,7 +233,7 @@ def _block_terms(be, z, w, v, vdot, U, J):
     trSC = np.einsum("mab,mrba->mr", Sinv, C)
     U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
     if J is not None:
-        S, C_bk = _support(be, z, w, v, vdot)
+        S, C_bk = _sigma_support(be)
         A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
         TS = np.einsum("mra,mab->mrb", T, Sinv)
         term = np.einsum("mrb,msb->mrs", TS, dmu)

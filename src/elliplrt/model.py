@@ -689,7 +689,8 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
         y = np.array([r["y"] for r in unit_rows])
         if model_name == "model1":
             if len(unit_rows) != 1:
-                raise ValueError(f"model1 units must have one row; unit {uid} has {len(unit_rows)}")
+                raise ValueError(f"{path}: row {units[uid][1]['line']}: unit {uid}: model1 units must have one row; "
+                                 f"this one has {len(unit_rows)}")
             obs.append(Observation(y, {"x1": unit_rows[0]["x1"], "x2": unit_rows[0]["x2"]}))
         else:
             for r in unit_rows:
@@ -700,9 +701,9 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
                     raise ValueError(f"{where} {r['group']!r} is not an integer") from None
                 if r["group"] != unit_rows[0]["group"]:
                     raise ValueError(f"{where} must be constant within a unit")
+                if not 1 <= r["group"] <= 4:
+                    raise ValueError(f"{where} must be in 1..4, got {r['group']}")
             group = unit_rows[0]["group"]
-            if not 1 <= group <= 4:
-                raise ValueError(f"unit {uid}: group must be in 1..4, got {group}")
             time = np.array([r["time"] for r in unit_rows])
             unit = _m2_unit(len(unit_rows), group, time)
             obs.append(Observation(y, {"time": time, "group": float(group), "X": unit["X"], "Z": unit["Z"]}))

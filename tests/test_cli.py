@@ -349,6 +349,14 @@ def test_fit_data_with_a_repeated_row_index_is_input_error(tmp_path, capsys):
     assert "row 11: unit 5: row_index 1 is repeated" in capsys.readouterr().err
 
 
+def test_fit_data_with_a_two_row_model1_unit_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "units.csv"
+    bad.write_text("unit_id,row_index,y,x1,x2\n" + "".join(f"{min(i, 7)},{i},0.6,0.3,0.{i}\n" for i in range(1, 9)))
+    code = cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(bad)])
+    assert code == 1
+    assert f"{bad}: row 9: unit 7: model1 units must have one row; this one has 2" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_start_where_the_mean_is_infinite_is_no_input_error(tmp_path):
     # 1 + beta0 = 0 at this start, so mu and the Newton matrix there are not finite

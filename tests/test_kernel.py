@@ -9,6 +9,7 @@ locscale, scalar_curved and model2 cases compare that q = 1 arithmetic
 with the oracle's general q-loops.
 """
 
+import functools
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -163,30 +164,35 @@ def _case(kind, fam, seed):
 KINDS = ("model1", "model2", "locscale", "scalar_curved", "known_sigma", "gapped", "gapped_linear_mean")
 
 
+def _assert_kernel_equals_oracle(fam, ev_hat, ev_tilde, equal_nan=False):
+    """J, the score, dP, l', U' and the double-tilde J of the kernel equal the oracle's bit for bit."""
+    eq = functools.partial(np.array_equal, equal_nan=equal_nan)
+    si = L.score_info(fam, ev_hat)
+    U, J = O.score_and_info(fam, ev_hat)
+    assert eq(si.loglik, O.loglik(fam, ev_hat)) and eq(L.loglik(fam, ev_tilde), O.loglik(fam, ev_tilde))
+    assert eq(si.score, U) and eq(si.info, J)
+    assert eq(L.score_info(fam, ev_tilde, want_info=False).score, O.score_and_info(fam, ev_tilde)[0])
+
+    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev_hat))
+    for bb, dP in zip(bundle.blocks, O.cholesky_derivatives(ev_hat)):
+        assert eq(bb.dP, dP)
+    dPs = [bb.dP for bb in bundle.blocks]
+    for ev in (ev_hat, ev_tilde):
+        got = sample_space_gradients(ev, bundle, fam)
+        want = O.sample_space_gradients(ev, bundle, fam, dPs)
+        assert eq(got[0], want[0]) and eq(got[1], want[1])
+    assert eq(doubletilde_info(ev_tilde, bundle, fam), O.doubletilde_info(ev_tilde, bundle, fam))
+    # J at theta-tilde after the ancillary stage reused the cached Sigma^{-1}
+    assert eq(L.score_info(fam, ev_tilde).info, O.score_and_info(fam, ev_tilde)[1])
+
+
 @pytest.mark.parametrize("derivs", [M.evaluate, M.fd_derivatives], ids=["analytic", "fd"])
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_equals_full_support_oracle(kind, fam, derivs):
     for seed in range(3):
         model, data, th_hat, th_tilde = _case(kind, fam, seed)
-        ev_hat, ev_tilde = derivs(model, th_hat, data), derivs(model, th_tilde, data)
-        si = L.score_info(fam, ev_hat)
-        U, J = O.score_and_info(fam, ev_hat)
-        assert si.loglik == O.loglik(fam, ev_hat) and L.loglik(fam, ev_tilde) == O.loglik(fam, ev_tilde)
-        assert np.array_equal(si.score, U) and np.array_equal(si.info, J)
-        assert np.array_equal(L.score_info(fam, ev_tilde, want_info=False).score, O.score_and_info(fam, ev_tilde)[0])
-
-        bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev_hat))
-        for bb, dP in zip(bundle.blocks, O.cholesky_derivatives(ev_hat)):
-            assert np.array_equal(bb.dP, dP)
-        dPs = [bb.dP for bb in bundle.blocks]
-        for ev in (ev_hat, ev_tilde):
-            got = sample_space_gradients(ev, bundle, fam)
-            want = O.sample_space_gradients(ev, bundle, fam, dPs)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.array_equal(doubletilde_info(ev_tilde, bundle, fam), O.doubletilde_info(ev_tilde, bundle, fam))
-        # J at theta-tilde after the ancillary stage reused the cached Sigma^{-1}
-        assert np.array_equal(L.score_info(fam, ev_tilde).info, O.score_and_info(fam, ev_tilde)[1])
+        _assert_kernel_equals_oracle(fam, derivs(model, th_hat, data), derivs(model, th_tilde, data))
 
 
 def test_sigma_support_shapes():
@@ -210,7 +216,7 @@ def test_sigma_support_shapes():
     assert C_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
 
 
-def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_every_r():
+def test_q1_blocks_take_the_scalar_path():
     fam = FAMILIES[1]
     model, data, th, _ = _case("model2", fam, 0)
     ev = M.evaluate(model, th, data)
@@ -222,14 +228,6 @@ def test_q1_blocks_take_the_scalar_path_and_nonfinite_blocks_every_r():
             assert z.shape == w.shape == v.shape == (be.data.m,)
         else:
             assert terms is L._block_terms
-            S, C_bk = L._support(be, z, w, v, vdot)
-            assert S == slice(5, 9) and C_bk is L._sigma_support(be)[1]
-            for bad in (np.inf, np.nan):
-                z_bad = z.copy()
-                z_bad[0, 0] = bad
-                S_bad, C_bad = L._support(be, z_bad, w, v, vdot)
-                assert S_bad == slice(None)
-                np.testing.assert_array_equal(C_bad, L._bk_layout(be.dsigma))
 
 
 def test_scalar_exact_fit_hits_the_power_exponential_clamp():
@@ -290,6 +288,59 @@ def test_nonfinite_residuals_propagate_as_in_full_support(kind, bad):
         want = O.score_and_info(fam, ev, z_blocks)[1]
     assert not np.all(np.isfinite(want))
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def _spoil_first_rows(model, spoil, fn="sigma_fn"):
+    """``model`` whose callback ``fn`` gives ``spoil(array)`` in place of its value at each block's first row."""
+    real = getattr(model, fn)
+
+    def spoiled(t, blk):
+        out = real(t, blk).copy()
+        out[0] = spoil(out[0])
+        return out
+
+    return replace(model, **{fn: spoiled})
+
+
+def _spoil_dmu(model, r, bad):
+    def spoil(d):
+        d[r, -1] = bad
+        return d
+
+    return _spoil_first_rows(model, spoil, "dmu_fn")
+
+
+def _overflowing_factor_inverse(s):
+    """The identity with a leading 2 x 2 that factors, while forward substitution overflows to P^{-1}[1, 0] = -inf."""
+    if len(s) < 2:
+        return s
+    out = np.eye(len(s))
+    out[:2, :2] = [[1e-320, 1e-9], [1e-9, 2e302]]
+    return out
+
+
+NONFINITE = {
+    "dmu_inf": lambda model, seed: _spoil_dmu(model, seed * model.p // 3, np.inf),
+    "dmu_nan": lambda model, seed: _spoil_dmu(model, seed * model.p // 3, np.nan),
+    # Sigma ~ 1e-312 factors, and Sigma^{-1} overflows
+    "sigma_tiny": lambda model, seed: _spoil_first_rows(model, lambda s: s * 1e-312),
+    "pinv_overflow": lambda model, seed: _spoil_first_rows(model, _overflowing_factor_inverse),
+}
+
+
+@pytest.mark.parametrize("variant", NONFINITE)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+@pytest.mark.parametrize("kind", ["gapped", "gapped_linear_mean", "model2"])
+def test_nonfinite_dmu_and_overflowing_inverses_propagate_as_in_full_support(kind, fam, seed, variant):
+    # over the seeds, the spoiled dmu entry r = seed p // 3 lies on the support of dSigma and off it
+    model, data, th_hat, th_tilde = _case(kind, fam, seed)
+    model = NONFINITE[variant](model, seed)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ev_hat, ev_tilde = M.evaluate(model, th_hat, data), M.evaluate(model, th_tilde, data)
+        assert not np.isfinite(O.score_and_info(fam, ev_hat)[1]).all()
+        _assert_kernel_equals_oracle(fam, ev_hat, ev_tilde, equal_nan=True)
 
 
 def test_nonfinite_dsigma_propagates_as_in_full_support():

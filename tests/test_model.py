@@ -372,6 +372,22 @@ def test_csv_unit_id_and_row_index_are_integers_and_row_index_is_unique(tmp_path
         M.read_dataset_csv(path, "model2")
 
 
+@pytest.mark.parametrize("model, rows, match", [
+    # the reproductions: a model-2 group of 9, a model-1 unit with two rows
+    ("model2", ["1,1,0.5,5,9"], "row 2: unit 1: group must be in 1..4, got 9"),
+    ("model2", ["4,2,0.5,5,0", "4,1,0.7,10,0"], "row 3: unit 4: group must be in 1..4, got 0"),
+    ("model1", ["1,1,0.5,0.2,0.3", "1,2,0.6,0.4,0.1"], "row 3: unit 1: model1 units must have one row; this one has 2"),
+    ("model1", ["2,1,0.5,0.2,0.3", "1,3,0.6,0.4,0.1", "1,2,0.7,0.4,0.1"],
+     "row 4: unit 1: model1 units must have one row; this one has 2"),
+])
+def test_csv_unit_shape_errors_name_the_path_line_and_unit(tmp_path, model, rows, match):
+    path = tmp_path / "units.csv"
+    header = "unit_id,row_index,y,x1,x2" if model == "model1" else "unit_id,row_index,y,time,group"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(match)}$"):
+        M.read_dataset_csv(path, model)
+
+
 def test_csv_integral_keys_written_as_floats_still_read(tmp_path):
     path = tmp_path / "keys.csv"
     path.write_text("unit_id,row_index,y,x1,x2\n1.0,1,0.5,0.2,0.3\n2,1.0,0.6,0.4,0.1\n")

@@ -2,17 +2,17 @@
 
 ``cholesky_or_none`` is the one failure rule (the lower factor, or None
 where LAPACK rejects the matrix or its factor is not finite, as for a NaN
-or +inf entry); the Newton ridge, the batched factor of the model's Sigma
-blocks, a fit's standard errors and ``ancillary.cholesky_lower`` all use
-it.  Single p x p factors are solved
-with LAPACK ``dtrtrs``; stacks of (m, q, q) factors, q a handful, with
-forward/back substitution looping over q.  Sigma^{-1} x products go
-through the factor; inverses solve against the identity.
+or +inf entry); the Newton ridge, a fit's standard errors and
+``ancillary.cholesky_lower`` use it.  ``cholesky_blocks`` forms the
+model's P, Sigma^{-1} and log|Sigma| together and adds one clause: a
+Sigma fails where Sigma^{-1} is not finite, so every product downstream
+reads a finite inverse.  Single p x p factors are solved with LAPACK
+``dtrtrs``; stacks of (m, q, q) factors, q a handful, with forward/back
+substitution looping over q.
 
 The q = 1 rule: a q = 1 Sigma is factored as sqrt(sigma), which gives
-LAPACK's bits and fails unless 0 < sigma < inf, as the failure rule does,
-and inverted as 1 / P / P, the floating-point operations of the q-loops.
-The likelihood's scalar path does its other q = 1 arithmetic itself.
+LAPACK's bits, and inverted as 1 / P / P, the floating-point operations
+of the q-loops; log|Sigma| is 2 log P for every q.
 """
 
 from __future__ import annotations
@@ -31,28 +31,46 @@ def cholesky_or_none(S: np.ndarray) -> np.ndarray | None:
 
 
 def cholesky_blocks(sigma: np.ndarray):
-    """(P, None) with P the lower factors of the stack sigma (m, q, q), or (None, k).
+    """((P, Sigma^{-1}, log|Sigma|), None) for the stack sigma (m, q, q), or (None, k).
 
-    k is the first batch position that does not factor.  q = 1 takes the
-    module's q = 1 rule; a q >= 2 failure is bisected over the batch.
+    k is the first batch position with no factor P or with a P or
+    Sigma^{-1} that is not finite.  q = 1 takes the module's q = 1 rule;
+    the factors a q >= 2 stack has before its first LAPACK failure are
+    inverted, to find an earlier Sigma^{-1} that overflows.
     """
-    if sigma.shape[-1] == 1:
-        ok = (sigma > 0.0) & (sigma < np.inf)
-        if not ok.all():
-            return None, int(ok.argmin())
-        return np.sqrt(sigma), None
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if sigma.shape[-1] == 1:
+            P, k = np.sqrt(sigma), sigma.shape[0]
+            Sinv, logdet = 1.0 / P / P, 2.0 * np.log(P[:, 0, 0])
+        else:
+            P, k = _factor_prefix(sigma)
+            if k == 0:  # no factor to invert
+                return None, 0
+            Sinv = solve_upper_t(P, lower_inverse(P))
+            logdet = 2.0 * np.log(P.diagonal(0, 1, 2)).sum(axis=-1)
+    if k == sigma.shape[0] and np.isfinite(P).all() and np.isfinite(Sinv).all():
+        Sinv.setflags(write=False)
+        return (P, Sinv, logdet), None
+    ok = np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Sinv).all(axis=(1, 2))
+    return None, k if ok.all() else int(ok.argmin())
+
+
+def _factor_prefix(sigma: np.ndarray):
+    """(P, k): sigma[:k] factors into P, and k is sigma's first position LAPACK rejects (m if none)."""
     P = cholesky_or_none(sigma)
     if P is not None:
-        return P, None
-    # the first failure lies in [lo, hi), and sigma[:lo] factors
-    lo, hi = 0, sigma.shape[0]
+        return P, sigma.shape[0]
+    # the first failure lies in [lo, hi), and sigma[:lo] factors into pieces
+    lo, hi, pieces = 0, sigma.shape[0], [sigma[:0]]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if cholesky_or_none(sigma[lo:mid]) is None:
+        piece = cholesky_or_none(sigma[lo:mid])
+        if piece is None:
             hi = mid
         else:
             lo = mid
-    return None, lo
+            pieces.append(piece)
+    return np.concatenate(pieces), lo
 
 
 RIDGE_TRIES = 60
@@ -166,25 +184,17 @@ def lower_inverse(P: np.ndarray) -> np.ndarray:
     return solve_lower(P, np.broadcast_to(np.eye(P.shape[-1]), P.shape).copy())
 
 
-def chol_inverse(P: np.ndarray) -> np.ndarray:
-    """(P P')^{-1}: back substitution against P^{-1}, or 1 / P / P for q = 1."""
-    if P.shape[-1] == 1:
-        return 1.0 / P / P
-    return solve_upper_t(P, lower_inverse(P))
-
-
 def chol_derivative(P: np.ndarray, dS: np.ndarray, support=slice(None)) -> np.ndarray:
     """dP_r = P Phi(P^{-1} dS_r P^{-T}), which solves dP_r P' + P dP_r' = dS_r, for P (m,q,q), dS (m,p,q,q).
 
-    dP_r is formed for r in ``support`` (zero off it, where dS_r must be
-    zero), and for every r where P^{-1} overflows, as it can for a Sigma
-    that factors: there the zeros of dS_r give NaN, as the full products do.
+    dP_r is formed for r in ``support`` and is zero off it, where dS_r
+    must be zero.  P^{-1} is finite for the factors of ``cholesky_blocks``,
+    so the skipped products are exact zeros.
     """
     Pinv = lower_inverse(P)
-    S = support if np.isfinite(Pinv.sum()) else slice(None)
-    M = np.einsum("mab,mrbc,mdc->mrad", Pinv, dS[:, S], Pinv)
+    M = np.einsum("mab,mrbc,mdc->mrad", Pinv, dS[:, support], Pinv)
     dP = np.zeros(dS.shape)
-    dP[:, S] = np.einsum("mab,mrbc->mrac", P, phi_lower(M))
+    dP[:, support] = np.einsum("mab,mrbc->mrac", P, phi_lower(M))
     return dP
 
 
@@ -195,9 +205,3 @@ def phi_lower(M: np.ndarray) -> np.ndarray:
     idx = np.arange(q)
     out[..., idx, idx] = 0.5 * M[..., idx, idx]
     return out
-
-
-def logdet_from_chol(P: np.ndarray) -> np.ndarray:
-    """log det(P P') per batch entry: twice the log-diagonal sum."""
-    idx = np.arange(P.shape[-1])
-    return 2.0 * np.sum(np.log(P[..., idx, idx]), axis=-1)

@@ -157,10 +157,9 @@ def sample_space_gradients(eval_at: ModelEval, bundle: AncillaryBundle, family: 
     Uprime = np.zeros((p, p))
     for be, z, w, v, vdot, Rhat, ell_block in _reconstructed_blocks(eval_at, bundle, family):
         ell += ell_block
-        Sinv, alpha, Cw = _first_order(be, w)
-        S, C_bk = _sigma_support(be)
-        _, _, Q = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
-        QS = np.einsum("mra,mab->mrb", Q, Sinv)
+        alpha, Cw = _first_order(be, w)
+        _, _, Q = _t_kernel(be, z, v, vdot, alpha, Cw, *_sigma_support(be))
+        QS = np.einsum("mra,mab->mrb", Q, be.sinv)
         Uprime += np.einsum("mrb,msb->rs", QS, Rhat)
     return ell, Uprime
 

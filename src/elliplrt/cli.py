@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
     p_sim.add_argument("--seed", type=int, default=None, help="override run seed")
-    p_sim.add_argument("--threads", type=int, default=None, help="worker processes (default: ELLIP_LRT_THREADS or 1)")
+    p_sim.add_argument("--threads", type=int, default=None,
+                       help="worker processes, at most the CPU count (default: ELLIP_LRT_THREADS or 1)")
     p_sim.add_argument("--out-summary", default=None)
     p_sim.add_argument("--out-pvalues", default=None)
     p_sim.add_argument("--emit-one", default=None, metavar="CSV",

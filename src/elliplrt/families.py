@@ -41,9 +41,9 @@ def _check_uq(u, q):
 
 
 def _shape(kind: str, name: str, value) -> float:
-    """``float(value)`` for a finite positive shape; a ValueError naming it otherwise."""
+    """``float(value)`` for a finite positive shape; a ValueError naming it otherwise (a bool too)."""
     try:
-        shape = float(value)
+        shape = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         shape = np.nan
     if not 0.0 < shape < np.inf:

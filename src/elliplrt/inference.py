@@ -341,7 +341,11 @@ def fit(
         raise ValueError(f"model has p={p} parameters but only n={data.n} observations (need p < n)")
     template = np.zeros(p)
     if restriction is not None:
-        interest, psi0 = _interest_block(restriction[0], restriction[1], model)
+        try:
+            interest, psi0 = restriction
+        except (TypeError, ValueError):
+            raise ValueError(f"restriction must be (interest_indices, psi0), got {restriction!r}") from None
+        interest, psi0 = _interest_block(interest, psi0, model)
         fixed = set(interest)
         free = np.array([j for j in range(p) if j not in fixed], dtype=int)
         template[list(interest)] = psi0

@@ -23,8 +23,10 @@ The two entry points, ``loglik`` and ``score_info``, accept a residual
 override so that J can be evaluated with residuals reconstructed through
 the ancillary (z_i = P_i a_i) instead of y_i - mu_i.
 
-Assembly runs in two stages.  Stage 0 needs only mu, Sigma and its
-Cholesky factor: per block it forms z, w = Sigma^{-1} z, u and the
+Every block arrives with its Cholesky factor P, Sigma^{-1} and
+log|Sigma| (``BlockEval``), all finite, so no step here forms an inverse
+or a determinant.  Assembly runs in two stages.  Stage 0 needs only mu
+and the factor: per block it forms z, w = Sigma^{-1} z, u and the
 weights, and sums the log-likelihood.  For the default residuals it is
 cached on the ModelEval, so a line search can test a trial point on its
 log-likelihood alone and finish the score and information of an accepted
@@ -37,14 +39,12 @@ support S of dSigma, the parameters with a nonzero (or non-finite) C_r;
 off S they are exact zeros, and skipping them leaves every other float
 unchanged.  S and C on S are computed here alone (``_sigma_support``),
 once per block through ``DataBlock.derived`` when dSigma does not depend
-on theta and once per evaluation otherwise; like Sigma^{-1}, formed once
-per evaluation, they are shared by J, the score, U' and the double-tilde
-J at that theta, and S restricts the ancillary bundle's dP_r
-(``_linalg.chol_derivative``, which takes every r where P^{-1} is not
-finite).  NaN and inf in the residuals, dmu or dSigma, and an
-overflowing Sigma^{-1} or P^{-1}, propagate into J, the score, dP, l',
-U' and the double-tilde J as in the full-support oracle; the cases are
-in ``tests/test_kernel.py``, ``test_nonfinite_*``.
+on theta and once per evaluation otherwise; they are shared by J, the
+score, U' and the double-tilde J at that theta, and S restricts the
+ancillary bundle's dP_r (``_linalg.chol_derivative``).  NaN and inf in
+the residuals, dmu or dSigma propagate into J, the score, dP, l', U' and
+the double-tilde J as in the full-support oracle; the cases are in
+``tests/test_kernel.py``, ``test_nonfinite_*``.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
@@ -60,18 +60,19 @@ must equal it bit for bit.  E keeps the association
 (A C N + d2Sigma K / 2) - v w' d2mu, and the terms are added to J as
 (T + tr(B A)) + E.
 
-Scalar path: the q = 1 rule lives in two places, here (``_stage0`` and
-``_scalar_terms``) and in ``_linalg`` (the factor sqrt(sigma) and the
-inverse 1 / P / P).  The ancillary stage, run once per test, takes q = 1
-blocks through the general block code.  Stage 0 sends each q = 1 block
-down ``_scalar_terms``, on (m,) residuals and weights and (m, p) slices of
-dmu and dSigma, over every r.  Each einsum contraction there is a
-single-term sum, its one product in einsum's operand order (three operands
-associate left to right: kappa = (z A) z); einsum adds it to a zero, which
-can only turn -0.0 into +0.0, a sign no output sum keeps.  Solves are two
-divisions by P, log|Sigma| is 2 log P and 2 vdot is vdot + vdot.  The
-score's einsum, its column sums and J's sum over observations keep their
-operand shapes and memory layouts, so they add in the same order.
+Scalar path: the q = 1 rules for Sigma (the factor sqrt(sigma), the
+inverse 1 / P / P and log|Sigma| = 2 log P) live in ``_linalg``; here
+(``_stage0`` and ``_scalar_terms``) q = 1 blocks only take a different
+assembly.  The ancillary stage, run once per test, takes q = 1 blocks
+through the general block code.  Stage 0 sends each q = 1 block down
+``_scalar_terms``, on (m,) residuals and weights and (m, p) slices of dmu
+and dSigma, over every r.  Each einsum contraction there is a single-term
+sum, its one product in einsum's operand order (three operands associate
+left to right: kappa = (z A) z); einsum adds it to a zero, which can only
+turn -0.0 into +0.0, a sign no output sum keeps.  Solves are two divisions
+by P and 2 vdot is vdot + vdot.  The score's einsum, its column sums and
+J's sum over observations keep their operand shapes and memory layouts, so
+they add in the same order.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_inverse, chol_solve, logdet_from_chol
+from ._linalg import chol_solve
 from .families import EllipticalFamily
 from .model import ModelEval
 
@@ -137,29 +138,18 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
             w = z / P / P
             u = np.maximum(z * w, 0.0)
             v, vdot = family._weights(u, 1, clamp=True)
-            logdet = 2.0 * np.log(P)
             st.blocks.append((_scalar_terms, z, w, v, vdot))
         else:
             w, u, v, vdot = _block_core(family, be, z)
-            logdet = logdet_from_chol(be.P)
             st.blocks.append((_block_terms, z, w, v, vdot))
         st.per_u[be.data.idx] = u
         st.per_v[be.data.idx] = v
         if family.kind == "power_exponential" and family.lam != 1.0:
             st.clamped.extend(int(i) for i in be.data.idx[u < 1e-12])
-        st.loglik += float((-0.5 * logdet + family._log_g(u, q)).sum())
+        st.loglik += float((-0.5 * be.logdet + family._log_g(u, q)).sum())
     if z_blocks is None:
         ev.stage0 = st
     return st
-
-
-def _sigma_inverse(be):
-    """Sigma^{-1} of a block, formed once per evaluation and kept on it."""
-    Sinv = be.shared.get("sinv")
-    if Sinv is None:
-        Sinv = be.shared["sinv"] = chol_inverse(be.P)
-        Sinv.setflags(write=False)
-    return Sinv
 
 
 def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
@@ -191,10 +181,8 @@ def _sigma_support(be):
 
 
 def _first_order(be, w):
-    """Sigma^{-1}, alpha_r = d_r' Sigma^{-1} z and C_r Sigma^{-1} z of one block."""
-    alpha = np.einsum("mra,ma->mr", be.dmu, w)
-    Cw = np.einsum("mrab,mb->mra", be.dsigma, w)
-    return _sigma_inverse(be), alpha, Cw
+    """alpha_r = d_r' Sigma^{-1} z and C_r Sigma^{-1} z of one block."""
+    return np.einsum("mra,ma->mr", be.dmu, w), np.einsum("mrab,mb->mra", be.dsigma, w)
 
 
 def _unpack(X, axes):
@@ -209,15 +197,15 @@ def _trace_products(X, Yt):
     return np.einsum("mrk,msk->mrs", X.reshape(m, r, q * q), Yt.reshape(m, Yt.shape[1], q * q))
 
 
-def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
+def _t_kernel(be, z, v, vdot, alpha, Cw, S, C_bk):
     """(A_r, kappa_r, T_r) of one block, shared by J and the sample-space U'.
 
     A_r = -Sigma^{-1} C_r Sigma^{-1}, kappa_r = z' A_r z and
     T_r = (2 vdot alpha_r - vdot kappa_r) z + v (d_r + C_r Sigma^{-1} z),
     A and kappa for r in S only.
     """
-    SC = _unpack(np.einsum("mab,mbk->mak", Sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
-    A = -np.einsum("mrac,mcd->mrad", SC, Sinv)
+    SC = _unpack(np.einsum("mab,mbk->mak", be.sinv, C_bk), (0, 2, 1, 3))  # (m, r, a, c)
+    A = -np.einsum("mrac,mcd->mrad", SC, be.sinv)
     kappa = np.einsum("ma,mrab,mb->mr", z, A, z)
     coef = 2.0 * vdot[:, None] * alpha
     coef[:, S] -= vdot[:, None] * kappa
@@ -227,14 +215,14 @@ def _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk):
 
 def _block_terms(be, z, w, v, vdot, U, J):
     """Add a q >= 2 block's score to U and its J, summed over observations, to J (None: skip)."""
-    Sinv, alpha, Cw = _first_order(be, w)
-    dmu, C = be.dmu, be.dsigma
+    alpha, Cw = _first_order(be, w)
+    Sinv, dmu, C = be.sinv, be.dmu, be.dsigma
     wCw = np.einsum("ma,mra->mr", w, Cw)
     trSC = np.einsum("mab,mrba->mr", Sinv, C)
     U += np.einsum("m,mr->r", v, alpha + 0.5 * wCw) - 0.5 * trSC.sum(axis=0)
     if J is not None:
         S, C_bk = _sigma_support(be)
-        A, kappa, T = _t_kernel(be, z, v, vdot, Sinv, alpha, Cw, S, C_bk)
+        A, kappa, T = _t_kernel(be, z, v, vdot, alpha, Cw, S, C_bk)
         TS = np.einsum("mra,mab->mrb", T, Sinv)
         term = np.einsum("mrb,msb->mrs", TS, dmu)
 
@@ -269,7 +257,7 @@ def _scalar_terms(be, z, w, v, vdot, U, J):
 
     Sigma^{-1} C is shared by the score's trace and A; 2 vdot is vdot + vdot.
     """
-    Sinv, d, C = _sigma_inverse(be)[:, 0, 0], be.dmu[:, :, 0], be.dsigma[:, :, 0, 0]
+    Sinv, d, C = be.sinv[:, 0, 0], be.dmu[:, :, 0], be.dsigma[:, :, 0, 0]
     zc, wc, vd = z[:, None], w[:, None], vdot[:, None]
     SC, alpha, Cw = Sinv[:, None] * C, d * wc, C * wc
     U += np.einsum("m,mr->r", v, alpha + 0.5 * (wc * Cw)) - 0.5 * SC.sum(axis=0)

@@ -4,8 +4,8 @@ A ``ModelSpec`` maps a parameter vector theta to, for every observation i,
 the mean vector mu_i (length q_i), the SPD scatter matrix Sigma_i
 (q_i x q_i) and their first and second derivatives in theta.  Observations
 with equal q_i are grouped into blocks so that evaluation is vectorized;
-``ModelEval`` stores the blocked arrays plus the Cholesky factor of every
-Sigma_i.
+``ModelEval`` stores the blocked arrays plus the Cholesky factor, the
+inverse and the log-determinant of every Sigma_i.
 
 Two built-in models are provided:
 
@@ -56,7 +56,7 @@ __all__ = [
 
 
 class NonSPDError(ValueError):
-    """Sigma_i failed its Cholesky factorization at the current theta."""
+    """Sigma_i has no finite Cholesky factor or no finite inverse at the current theta."""
 
     def __init__(self, index: int, message: str | None = None):
         self.index = index
@@ -230,8 +230,8 @@ class ModelSpec:
 
 
 def _integral(value) -> int:
-    """``int(value)`` for an integral value (15, 15.0 or "15"); ValueError for 15.7, inf or NaN."""
-    if not (isinstance(value, int) or float(value).is_integer()):
+    """``int(value)`` for an integral value (15, 15.0 or "15"); ValueError for 15.7, inf, NaN or a bool."""
+    if isinstance(value, (bool, np.bool_)) or not (isinstance(value, int) or float(value).is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
@@ -239,21 +239,23 @@ def _integral(value) -> int:
 class BlockEval:
     """Evaluated model quantities for one block (see ModelSpec for shapes).
 
-    ``mu``, ``sigma`` and ``P``, the lower Cholesky factor of sigma, are
-    computed when the block is evaluated.  The derivative arrays ``dmu``,
-    ``d2mu``, ``dsigma`` and ``d2sigma`` are computed on first access, so
-    a caller that needs only the log-likelihood runs no derivative
-    callback.  Derivatives come from the model's analytic callbacks, or
-    from central finite differences where the model has none.  A
-    theta-independent dsigma (a read-only array from ``DataBlock.cached``)
-    is symmetrized once per block and shared by every evaluation.
+    ``mu``, ``sigma``, ``P`` (the lower Cholesky factor of sigma), the
+    read-only ``sinv`` (Sigma^{-1}) and ``logdet`` (log|Sigma|) are
+    computed when the block is evaluated; P and sinv are finite, or
+    NonSPDError is raised.  The derivative arrays ``dmu``, ``d2mu``,
+    ``dsigma`` and ``d2sigma`` are computed on first access, so a caller
+    that needs only the log-likelihood runs no derivative callback.
+    Derivatives come from the model's analytic callbacks, or from central
+    finite differences where the model has none.  A theta-independent
+    dsigma (a read-only array from ``DataBlock.cached``) is symmetrized
+    once per block and shared by every evaluation.
     """
 
     def __init__(self, model: ModelSpec, theta: np.ndarray, data: DataBlock):
         self.model, self.theta, self.data = model, theta, data
         self.mu = model.mu_fn(theta, data)
         self.sigma = model.sigma_fn(theta, data)
-        self.P = _chol_blocks(self.sigma, data.idx)
+        self.P, self.sinv, self.logdet = _chol_blocks(self.sigma, data.idx)
         self.shared = {}  # by name, what likelihood.py forms once per evaluation and shares
         self._analytic_mu = model.dmu_fn is not None
         self._analytic_sigma = model.dsigma_fn is not None
@@ -310,15 +312,16 @@ class ModelEval:
     stage0: object = field(default=None, repr=False, compare=False)
 
 
-def _chol_blocks(sigma: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a block's Sigma (``_linalg.cholesky_blocks``).
+def _chol_blocks(sigma: np.ndarray, idx: np.ndarray):
+    """(P, Sigma^{-1}, log|Sigma|) of a block's Sigma (``_linalg.cholesky_blocks``).
 
-    NonSPDError names the first observation whose Sigma does not factor.
+    NonSPDError names the first observation whose Sigma does not factor
+    or whose factor or inverse is not finite.
     """
-    P, bad = cholesky_blocks(sigma)
-    if P is None:
+    factors, bad = cholesky_blocks(sigma)
+    if factors is None:
         raise NonSPDError(int(idx[bad]))
-    return P
+    return factors
 
 
 def _fd_steps(theta: np.ndarray, scale: float) -> np.ndarray:
@@ -370,9 +373,9 @@ def _fd_second(fn: Callable, theta: np.ndarray, h_scale: float = 1e-4):
 def evaluate(model: ModelSpec, theta, data: Dataset) -> ModelEval:
     """Evaluate mu_i and Sigma_i at theta; derivatives follow on first access.
 
-    Every block's Sigma is factored here, so NonSPDError (with the
-    offending observation index) is raised before any derivative
-    callback runs.  Analytic derivatives are used where the model
+    Every block's Sigma is factored and inverted here, so NonSPDError
+    (with the offending observation index) is raised before any
+    derivative callback runs.  Analytic derivatives are used where the model
     provides them and finite differences otherwise.
     """
     # a private copy: derivatives are computed later from this theta

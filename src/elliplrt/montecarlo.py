@@ -17,6 +17,7 @@ counts enters the CSVs.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -64,8 +65,11 @@ def _listed(name: str, value, convert=lambda items: tuple(map(float, items))):
     """``convert(value)`` for a list-valued config field (floats by default); a ConfigError that names it otherwise."""
     if isinstance(value, (str, bytes)) or not np.iterable(value):
         raise ConfigError(f"{name} must be a list, got {value!r}")
+    items = tuple(value)
+    if any(isinstance(v, (bool, np.bool_)) for v in items):
+        raise ConfigError(f"{name} must not hold a boolean, got {value!r}")
     try:
-        return convert(value)
+        return convert(items)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -104,8 +108,8 @@ class SimulationConfig:
                 why = f" ({self.model} has p={spec.p} parameters)" if name == "n" else ""
                 raise ConfigError(f"{name} must be >= {low}, got {value!r}{why}")
         alphas = _listed("alpha_levels", self.alpha_levels)
-        if any(not 0.0 < a < 1.0 for a in alphas) or list(alphas) != sorted(alphas):
-            raise ConfigError("alpha levels must lie in (0,1) and be sorted ascending")
+        if not alphas or any(not 0.0 < a < 1.0 for a in alphas) or list(alphas) != sorted(alphas):
+            raise ConfigError(f"alpha_levels must be nonempty, lie in (0,1) and be sorted ascending, got {alphas}")
         object.__setattr__(self, "alpha_levels", alphas)
         object.__setattr__(self, "interest", _listed("interest", self.interest, spec.indices))
         psi0 = (0.0,) * len(self.interest) if self.psi0 is None else self.psi0
@@ -241,10 +245,11 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     """Execute the configured run; raises SimulationError on >2% failures."""
     t0 = time.perf_counter()
     R = config.replications
-    if config.threads == 1:
+    workers = min(config.threads, os.cpu_count() or 1)  # the CSVs do not depend on it
+    if workers == 1:
         parts = [_run_range(config, 0, R)]
     else:
-        bounds = np.linspace(0, R, config.threads + 1).astype(int)
+        bounds = np.linspace(0, R, workers + 1).astype(int)
         chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(_run_range_star, [(config, a, b) for a, b in chunks]))
@@ -301,11 +306,15 @@ def pvalue_discrepancy(pvalues, grid=None) -> np.ndarray:
     ``pvalues`` is one statistic's p-value sample, e.g.
     ``summary.pvalues["LR"]``.  Returns an array of rows (asymptotic_p,
     relative_discrepancy).  Every level of ``grid`` is finite and in
-    (0, 1]; another is a ValueError naming it.
+    (0, 1]; another is a ValueError naming it, as is a p-value outside
+    [0, 1] (NaN included).
     """
     sample = np.sort(np.asarray(pvalues, dtype=float))
     if sample.size == 0:
         raise ValueError("empty p-value sample")
+    bad = sample[~((sample >= 0.0) & (sample <= 1.0))]
+    if bad.size:
+        raise ValueError(f"p-value {float(bad[0])!r} is not in [0, 1]")
     g = DISCREPANCY_GRID if grid is None else np.asarray(grid, dtype=float)
     bad = g[~((g > 0.0) & (g <= 1.0))]
     if bad.size:
@@ -342,7 +351,11 @@ def write_pvalues_csv(path, summary: SimulationSummary) -> None:
 
 
 def read_pvalues_csv(path) -> dict:
-    """Read a p-values CSV back into {statistic: np.ndarray}; a row that is not all numbers is a ValueError."""
+    """Read a p-values CSV back into {statistic: np.ndarray}.
+
+    A row that is not all numbers, or a p-value outside [0, 1] (NaN
+    included), is a ValueError naming the path and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames
@@ -356,6 +369,8 @@ def read_pvalues_csv(path) -> dict:
             except (TypeError, ValueError):
                 raise ValueError(f"{path}, line {reader.line_num}: expected {len(fields)} numbers") from None
             for label in labels:
+                if not 0.0 <= row[label] <= 1.0:
+                    raise ValueError(f"{path}, line {reader.line_num}: {label} p-value {row[label]!r} is not in [0, 1]")
                 cols[label].append(row[label])
     return {label: np.asarray(vals) for label, vals in cols.items()}
 

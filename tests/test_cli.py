@@ -220,8 +220,30 @@ def test_discrepancy_malformed_pvalues_row_is_input_error(tmp_path, capsys, body
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_discrepancy_pvalue_outside_the_unit_interval_is_input_error(tmp_path, capsys):
+    # the NaN used to count in the sample size
+    bad = tmp_path / "bad.csv"
+    bad.write_text("rank,LR,LR**\n1,0.01,0.02\n2,nan,0.5\n3,0.7,1.5\n")
+    assert cli.main(["discrepancy", "--in", str(bad), "--stat", "LR", "--out", str(tmp_path / "d.csv")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {bad}, line 3: LR p-value nan is not in [0, 1]"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_simulate_config_with_a_boolean_shape_is_input_error(tmp_path, capsys):
+    # JSON true used to read as the number 1; this config exited 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SIM_CONFIG, family="student_t", nu=True, interest=[True], psi0=[0.2])))
+    assert cli.main(["simulate", "--config", str(bad), "--emit-one", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: interest must not hold a boolean")
+    bad.write_text(json.dumps(dict(SIM_CONFIG, family="student_t", nu=True)))
+    assert cli.main(["simulate", "--config", str(bad), "--emit-one", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: student_t requires a finite nu > 0, got True")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [("n", 15.7), ("seed", 7.5), ("interest", [2.9]),
-                                        ("interest", 3), ("psi0", 0.0)])
+                                        ("interest", 3), ("psi0", 0.0), ("seed", True), ("replications", True),
+                                        ("interest", [True]), ("psi0", [True, 0]), ("alpha_levels", [])])
 def test_simulate_config_value_of_the_wrong_kind_is_input_error_naming_its_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SIM_CONFIG, **{key: value})))

@@ -33,6 +33,9 @@ def _log_f(family):
     """log density of the standardized error, up to a constant."""
     if family.kind == "normal":
         return lambda x: -0.5 * x * x
+    if family.kind == "power_exponential":
+        lam = family.lam
+        return lambda x: -0.5 * np.abs(x) ** (2.0 * lam)
     nu = family.nu
     return lambda x: -0.5 * (nu + 1.0) * np.log1p(x * x / nu)
 
@@ -78,9 +81,7 @@ def test_quadrature_matches_the_normal_closed_form():
         assert exact_conditional_pvalue(a, T_OBS, family) == pytest.approx(want, abs=1e-6)
 
 
-@pytest.mark.parametrize("nu, seed", [(3.0, 20151), (4.0, 20152)])
-def test_r_star_matches_the_exact_conditional_pvalue(nu, seed):
-    family = EllipticalFamily.student_t(nu)
+def _check_r_star_against_the_exact_conditional_pvalue(family, seed):
     rng = np.random.default_rng(seed)
     for draw in range(DRAWS):
         a, rep = _draw(family, rng)
@@ -89,3 +90,12 @@ def test_r_star_matches_the_exact_conditional_pvalue(nu, seed):
         err_star, err_r = abs(rep.p_r_star - p_exact), abs(rep.p_r - p_exact)
         assert err_star <= P_BOUND, (draw, rep.p_r_star, p_exact)
         assert err_star < err_r, (draw, rep.p_r_star, rep.p_r, p_exact)
+
+
+@pytest.mark.parametrize("nu, seed", [(3.0, 20151), (4.0, 20152)])
+def test_r_star_matches_the_exact_conditional_pvalue(nu, seed):
+    _check_r_star_against_the_exact_conditional_pvalue(EllipticalFamily.student_t(nu), seed)
+
+
+def test_r_star_matches_the_exact_conditional_pvalue_for_power_exponential_errors():
+    _check_r_star_against_the_exact_conditional_pvalue(EllipticalFamily.power_exponential(0.9), 20153)

@@ -49,7 +49,7 @@ def test_invalid_families_rejected(kwargs):
 
 
 @pytest.mark.parametrize("kind, name", [("student_t", "nu"), ("power_exponential", "lam")])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, None, "three"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, None, "three", True, np.True_])
 def test_a_missing_nonfinite_or_nonpositive_shape_is_rejected_naming_it(kind, name, value):
     with pytest.raises(ValueError, match=f"^{kind} requires a finite {name} > 0, got "):
         EllipticalFamily(kind, **{name: value})

@@ -513,8 +513,8 @@ def test_hypothesis_checked_against_model_before_fitting(interest, psi0, match, 
 @pytest.mark.parametrize(
     "interest, psi0, match",
     [((2.9,), [0.0], "interest index 2.9 is not an integer"), ((7,), [0.0], "interest index 7 is out of range"),
-     ((2, 2), [0.0, 0.0], "interest index 2 is repeated")],
-    ids=["fractional", "index_past_p", "repeated"],
+     ((2, 2), [0.0, 0.0], "interest index 2 is repeated"), ((True,), [0.0], "interest index True is not an integer")],
+    ids=["fractional", "index_past_p", "repeated", "boolean"],
 )
 def test_restriction_and_hypothesis_share_the_index_rule(interest, psi0, match):
     # fit's restriction used to truncate 2.9 to 2, pin a repeated index once
@@ -524,6 +524,14 @@ def test_restriction_and_hypothesis_share_the_index_rule(interest, psi0, match):
         fit(model, NORMAL, data, restriction=(interest, psi0))
     with pytest.raises(ValueError, match=match):
         Hypothesis(interest, psi0, "two").check(model)
+
+
+@pytest.mark.parametrize("restriction", [((3,),), ((3,), (0.0,), (1,)), 3], ids=["one_item", "three_items", "scalar"])
+def test_a_restriction_of_the_wrong_shape_is_named(restriction):
+    # ((3,),) used to end in a raw IndexError
+    model, data = simulate_model1(NORMAL, 15, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=r"^restriction must be \(interest_indices, psi0\), got "):
+        fit(model, NORMAL, data, restriction=restriction)
 
 
 def test_integral_indices_stay_accepted():

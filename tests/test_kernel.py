@@ -182,7 +182,7 @@ def _assert_kernel_equals_oracle(fam, ev_hat, ev_tilde, equal_nan=False):
         want = O.sample_space_gradients(ev, bundle, fam, dPs)
         assert eq(got[0], want[0]) and eq(got[1], want[1])
     assert eq(doubletilde_info(ev_tilde, bundle, fam), O.doubletilde_info(ev_tilde, bundle, fam))
-    # J at theta-tilde after the ancillary stage reused the cached Sigma^{-1}
+    # J at theta-tilde after the ancillary stage read the same blocks
     assert eq(L.score_info(fam, ev_tilde).info, O.score_and_info(fam, ev_tilde)[1])
 
 
@@ -258,19 +258,17 @@ def test_triangular_solves_equal_the_oracle_copies(q):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_sigma_inverse_is_computed_once_per_evaluation(monkeypatch):
+def test_sigma_inverse_is_computed_once_per_evaluation():
+    # evaluate forms Sigma^{-1} with the factor; every consumer reads that read-only array
     fam = FAMILIES[1]
     model, data, th, _ = _case("model2", fam, 1)
-    calls = []
-    real = L.chol_inverse
-    monkeypatch.setattr(L, "chol_inverse", lambda P: calls.append(P) or real(P))
     ev = M.evaluate(model, th, data)
-    L.score_info(fam, ev)
-    L.score_info(fam, ev)
-    bundle = build_ancillary(SimpleNamespace(converged=True, eval_=ev))
-    sample_space_gradients(ev, bundle, fam)
-    doubletilde_info(ev, bundle, fam)
-    assert len(calls) == len(ev.blocks)
+    for be in ev.blocks:
+        assert not be.sinv.flags.writeable
+        assert np.array_equal(be.sinv, O.chol_inverse(be.P))
+        assert np.array_equal(be.logdet, O.logdet_from_chol(be.P))
+        with pytest.raises(ValueError):
+            be.sinv[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -319,6 +317,13 @@ def _overflowing_factor_inverse(s):
     return out
 
 
+def _inverts(sigma):
+    """Whether one Sigma has a finite Cholesky factor and a finite inverse, by the oracle's arithmetic."""
+    P = np.linalg.cholesky(sigma[None])
+    with np.errstate(all="ignore"):
+        return np.isfinite(P).all() and np.isfinite(O.chol_inverse(P)).all()
+
+
 NONFINITE = {
     "dmu_inf": lambda model, seed: _spoil_dmu(model, seed * model.p // 3, np.inf),
     "dmu_nan": lambda model, seed: _spoil_dmu(model, seed * model.p // 3, np.nan),
@@ -333,14 +338,29 @@ NONFINITE = {
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
 @pytest.mark.parametrize("kind", ["gapped", "gapped_linear_mean", "model2"])
 def test_nonfinite_dmu_and_overflowing_inverses_propagate_as_in_full_support(kind, fam, seed, variant):
-    # over the seeds, the spoiled dmu entry r = seed p // 3 lies on the support of dSigma and off it
+    """A non-finite dmu propagates as in the oracle; a Sigma whose inverse overflows is not SPD.
+
+    Over the seeds, the spoiled dmu entry r = seed p // 3 lies on the
+    support of dSigma and off it.  The Sigma variants spoil each block's
+    first row, so evaluation fails at the first block whose first Sigma
+    has no finite inverse by the oracle's arithmetic.
+    """
     model, data, th_hat, th_tilde = _case(kind, fam, seed)
     model = NONFINITE[variant](model, seed)
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ev_hat, ev_tilde = M.evaluate(model, th_hat, data), M.evaluate(model, th_tilde, data)
-        assert not np.isfinite(O.score_and_info(fam, ev_hat)[1]).all()
-        _assert_kernel_equals_oracle(fam, ev_hat, ev_tilde, equal_nan=True)
+    if variant.startswith("dmu"):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ev_hat, ev_tilde = M.evaluate(model, th_hat, data), M.evaluate(model, th_tilde, data)
+            assert not np.isfinite(O.score_and_info(fam, ev_hat)[1]).all()
+            _assert_kernel_equals_oracle(fam, ev_hat, ev_tilde, equal_nan=True)
+        return
+    for th in (th_hat, th_tilde):
+        spoiled = [blk for blk in data.blocks() if not _inverts(model.sigma_fn(th, blk)[0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(M.NonSPDError) as err:
+                M.evaluate(model, th, data)
+        assert err.value.index == spoiled[0].idx[0]
 
 
 def test_nonfinite_dsigma_propagates_as_in_full_support():

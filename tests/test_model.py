@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kernel_oracle as O
 from conftest import obs_view
 from elliplrt import _linalg as linalg
 from elliplrt import model as M
@@ -138,12 +139,15 @@ def test_non_spd_raises_with_index():
 
 
 def _first_failure_one_by_one(sigma, idx):
-    """Index of the first observation whose Sigma LAPACK rejects or factors into a non-finite factor, or None."""
+    """Index of the first observation whose Sigma LAPACK rejects, or whose factor or its inverse is not finite, or None."""
     for j in range(sigma.shape[0]):
         try:
-            if not np.isfinite(np.linalg.cholesky(sigma[j])).all():
-                return int(idx[j])
+            P = np.linalg.cholesky(sigma[j : j + 1])
         except np.linalg.LinAlgError:
+            return int(idx[j])
+        with np.errstate(all="ignore"):
+            Sinv = O.chol_inverse(P)
+        if not (np.isfinite(P).all() and np.isfinite(Sinv).all()):
             return int(idx[j])
     return None
 
@@ -157,11 +161,14 @@ def _check_chol_blocks(sigma, idx):
                 M._chol_blocks(sigma, idx)
             assert err.value.index == want_fail
         else:
-            got = M._chol_blocks(sigma, idx)
-            assert np.array_equal(got, np.linalg.cholesky(sigma), equal_nan=True)
+            P, Sinv, logdet = M._chol_blocks(sigma, idx)
+            assert np.array_equal(P, np.linalg.cholesky(sigma))
+            assert np.array_equal(Sinv, O.chol_inverse(P)) and not Sinv.flags.writeable
+            assert np.array_equal(logdet, O.logdet_from_chol(P))
 
 
-SCALAR_SIGMAS = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1e-320, 4.0)
+# 1e-320 and 1e-310 factor, and their inverses overflow
+SCALAR_SIGMAS = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1e-320, 1e-310, 4.0)
 
 
 def test_scalar_blocks_factor_and_fail_as_lapack_does():
@@ -186,6 +193,10 @@ def test_bisected_failure_report_names_the_first_failing_observation():
                 bad = sigma.copy()
                 hits = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
                 bad[hits, q - 1, q - 1] = -rng.choice([1.0, 1e-12, np.inf])
+                if rng.random() < 0.5:  # a Sigma that factors while P^{-1} and Sigma^{-1} overflow
+                    j = rng.integers(m)
+                    bad[j] = np.eye(q)
+                    bad[j, :2, :2] = [[1e-320, 1e-9], [1e-9, 2e302]]
                 _check_chol_blocks(bad, idx)
 
 
@@ -200,6 +211,24 @@ def test_a_nonfinite_scalar_sigma_is_not_spd(sigma2):
     data = _model1_data()
     with pytest.raises(M.NonSPDError, match="^scatter matrix of observation 0 is not positive definite$"):
         M.evaluate(M.nonlinear_model1(), np.array([0.5, 0.2, 0.0, 0.0, sigma2]), data)
+
+
+def test_a_scalar_sigma_whose_inverse_overflows_is_not_spd():
+    # sigma = 1e-310 factors into a finite P, and 1 / P / P overflows
+    data = _model1_data()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(M.NonSPDError, match="^scatter matrix of observation 0 is not positive definite$"):
+            M.evaluate(M.nonlinear_model1(), np.array([0.5, 0.2, 0.0, 0.0, 1e-310]), data)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_a_boolean_is_not_an_index(value):
+    # bool is an int subclass: True used to read as index 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        M._integral(value)
+    with pytest.raises(ValueError, match=f"^unknown parameter {value!r}; "):
+        M.nonlinear_model1().indices([value])
 
 
 def test_theta_length_validated():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from elliplrt import inference
+from elliplrt import inference, montecarlo
 from elliplrt.montecarlo import (
     ConfigError,
     SimulationConfig,
@@ -70,7 +70,8 @@ def test_config_rejects_a_shape_its_family_does_not_take(shapes, name):
 
 
 @pytest.mark.parametrize("family, shapes, name", [("student_t", {"nu": float("inf")}, "nu"),
-                                                  ("power_exponential", {"lam": float("nan")}, "lam")])
+                                                  ("power_exponential", {"lam": float("nan")}, "lam"),
+                                                  ("student_t", {"nu": True}, "nu")])
 def test_config_rejects_a_nonfinite_shape_naming_it(family, shapes, name):
     with pytest.raises(ConfigError, match=f"^{family} requires a finite {name} > 0, got "):
         dataclasses.replace(BASE, family=family, **shapes)
@@ -82,7 +83,9 @@ def test_config_rejects_a_nonfinite_true_theta():
 
 
 @pytest.mark.parametrize("field, value", [("n", 15.7), ("replications", 15.7), ("seed", 15.7),
-                                          ("max_refit_attempts", 15.7), ("threads", 15.7), ("n", float("inf"))])
+                                          ("max_refit_attempts", 15.7), ("threads", 15.7), ("n", float("inf")),
+                                          ("n", True), ("replications", True), ("seed", True),
+                                          ("max_refit_attempts", True), ("threads", True)])
 def test_config_rejects_a_non_integral_count(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
         dataclasses.replace(BASE, **{field: value})
@@ -95,10 +98,20 @@ def test_config_rejects_a_non_integral_interest_index(interest):
 
 
 @pytest.mark.parametrize("field, value", [("interest", 3), ("interest", "beta2"), ("psi0", 0.0),
-                                          ("psi0", ("low", 0.0)), ("true_theta", 0.5), ("alpha_levels", 0.05)])
+                                          ("psi0", ("low", 0.0)), ("true_theta", 0.5), ("alpha_levels", 0.05),
+                                          ("interest", [True]), ("psi0", [0.0, True]),
+                                          ("true_theta", [0.5, 0.2, 0.0, 0.0, True]), ("alpha_levels", [0.05, True]),
+                                          ("alpha_levels", [])])
 def test_config_list_field_of_the_wrong_kind_names_the_field(field, value):
     with pytest.raises(ConfigError, match=f"^{field}"):
         dataclasses.replace(BASE, **{field: value})
+
+
+def test_config_rejects_booleans():
+    # JSON true used to read as 1: this config ran with nu = 1, interest (1,), 1 replication and seed 1
+    with pytest.raises(ConfigError, match="^replications must be an integer, got True$"):
+        SimulationConfig(model="model1", family="student_t", nu=True, n=15, interest=[True], psi0=[0.2],
+                         replications=True, seed=True)
 
 
 def test_config_accepts_integral_floats_as_indices():
@@ -141,6 +154,35 @@ def test_reproducible_across_thread_counts():
         np.testing.assert_array_equal(s1.pvalues[label], s2.pvalues[label])
     assert s1.failure_count == s2.failure_count
     assert (s1.redraw_count, s1.adjustment_skips) == (s2.redraw_count, s2.adjustment_skips)
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    cfg = dataclasses.replace(BASE, replications=6)
+    capped = run_simulation(dataclasses.replace(cfg, threads=1000))
+    assert seen == [2]
+    serial = run_simulation(cfg)
+    for label in BASE.stat_labels():
+        np.testing.assert_array_equal(capped.pvalues[label], serial.pvalues[label])
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    run_simulation(dataclasses.replace(cfg, threads=1000))
+    assert seen == [2]  # one CPU: no pool
 
 
 def test_same_seed_same_results():
@@ -251,6 +293,22 @@ def test_discrepancy_constant_sample_step():
 def test_discrepancy_level_outside_the_unit_interval_is_named(level):
     with pytest.raises(ValueError, match=f"^discrepancy level {level!r} is not in \\(0, 1\\]$"):
         pvalue_discrepancy(np.linspace(0.01, 1.0, 100), grid=[0.5, 1.0, level, 0.25])
+
+
+@pytest.mark.parametrize("value", [np.nan, -0.1, 1.5, np.inf])
+def test_discrepancy_pvalue_outside_the_unit_interval_is_named(value):
+    with pytest.raises(ValueError, match=f"^p-value {value!r} is not in \\[0, 1\\]$"):
+        pvalue_discrepancy([0.01, value, 0.5])
+
+
+def test_read_pvalues_names_the_line_of_a_pvalue_outside_the_unit_interval(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("rank,LR,LR**\n1,0.01,0.02\n2,nan,0.5\n3,0.7,1.5\n")
+    with pytest.raises(ValueError, match=f"^{path}, line 3: LR p-value nan is not in \\[0, 1\\]$"):
+        read_pvalues_csv(path)
+    path.write_text("rank,LR,LR**\n1,0.01,0.02\n2,0.3,0.5\n3,0.7,1.5\n")
+    with pytest.raises(ValueError, match=f"^{path}, line 4: LR\\*\\* p-value 1.5 is not in \\[0, 1\\]$"):
+        read_pvalues_csv(path)
 
 
 def test_discrepancy_empty_sample_errors():

@@ -1,4 +1,6 @@
-"""Cholesky factorizations and triangular solves: no other module runs either.
+"""Cholesky factorizations and triangular solves: no other module runs either,
+save the likelihood's q = 1 solves, which divide by P twice (w = z / P / P
+in stage 0, N = M / P / P in the scalar assembly).
 
 ``cholesky_or_none`` is the one failure rule (the lower factor, or None
 where LAPACK rejects the matrix or its factor is not finite, as for a NaN
@@ -187,9 +189,9 @@ def lower_inverse(P: np.ndarray) -> np.ndarray:
 def chol_derivative(P: np.ndarray, dS: np.ndarray, support=slice(None)) -> np.ndarray:
     """dP_r = P Phi(P^{-1} dS_r P^{-T}), which solves dP_r P' + P dP_r' = dS_r, for P (m,q,q), dS (m,p,q,q).
 
-    dP_r is formed for r in ``support`` and is zero off it, where dS_r
-    must be zero.  P^{-1} is finite for the factors of ``cholesky_blocks``,
-    so the skipped products are exact zeros.
+    dP_r is formed for r in the range ``support`` and is zero off it,
+    where dS_r must be zero.  P^{-1} is finite for the factors of
+    ``cholesky_blocks``, so the skipped products are exact zeros.
     """
     Pinv = lower_inverse(P)
     M = np.einsum("mab,mrbc,mdc->mrad", Pinv, dS[:, support], Pinv)

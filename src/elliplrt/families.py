@@ -146,6 +146,12 @@ class EllipticalFamily:
         """
         return self._weights(_check_uq(u, q), q, clamp)
 
+    def _clamped(self, u: np.ndarray) -> np.ndarray:
+        """Where the weight clamp fires: u < 1e-12 for power_exponential with lam != 1, nowhere otherwise."""
+        if self.kind == "power_exponential" and self.lam != 1.0:
+            return u < _U_CLAMP
+        return np.zeros(u.shape, dtype=bool)
+
     def _weights(self, u: np.ndarray, q: int, clamp: bool):
         """``weights`` for a float array u >= 0 and a valid q, unchecked."""
         if self.kind == "normal":
@@ -156,13 +162,12 @@ class EllipticalFamily:
             v = (nu + q) / denom
             return v, -(nu + q) / denom**2
         lam = self.lam
-        if lam != 1.0:
-            if clamp:
-                u = np.maximum(u, _U_CLAMP)
-            elif np.any(u == 0):
-                raise SingularWeightError(
-                    f"power_exponential weights are unbounded at u=0 for lam={lam}"
-                )
+        if clamp:
+            u = np.where(self._clamped(u), _U_CLAMP, u)
+        elif lam != 1.0 and np.any(u == 0):
+            raise SingularWeightError(
+                f"power_exponential weights are unbounded at u=0 for lam={lam}"
+            )
         v = lam * u ** (lam - 1.0)
         vdot = lam * (lam - 1.0) * u ** (lam - 2.0)
         return v, vdot

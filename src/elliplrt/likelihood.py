@@ -35,16 +35,17 @@ assembly.
 
 Support rule: the C_r = dSigma/dtheta_r products (A_r, kappa_r,
 tr(B_r A_s), A_r C_s N) of every q >= 2 block are formed only on the
-support S of dSigma, the parameters with a nonzero (or non-finite) C_r;
-off S they are exact zeros, and skipping them leaves every other float
-unchanged.  S and C on S are computed here alone (``_sigma_support``),
-once per block through ``DataBlock.derived`` when dSigma does not depend
-on theta and once per evaluation otherwise; they are shared by J, the
-score, U' and the double-tilde J at that theta, and S restricts the
-ancillary bundle's dP_r (``_linalg.chol_derivative``).  NaN and inf in
-the residuals, dmu or dSigma propagate into J, the score, dP, l', U' and
-the double-tilde J as in the full-support oracle; the cases are in
-``tests/test_kernel.py``, ``test_nonfinite_*``.
+support S of dSigma, the smallest range of parameters that holds every
+nonzero (or non-finite) C_r.  Off S they are exact zeros, and skipping
+them leaves every other float unchanged; a zero C_r inside S gives the
+products the full-support assembly forms for it.  S and C on S are
+computed here alone (``_sigma_support``), once per block through
+``DataBlock.derived`` when dSigma does not depend on theta and on every
+call otherwise; they serve J, the score, U' and the double-tilde J, and S
+restricts the ancillary bundle's dP_r (``_linalg.chol_derivative``).
+NaN and inf in the residuals, dmu or dSigma propagate into J, the score,
+dP, l', U' and the double-tilde J as in the full-support oracle; the
+cases are in ``tests/test_kernel.py``, ``test_nonfinite_*``.
 
 Layout rule: einsum's output inherits its operands' memory layout, and a
 contraction over two axes (``mrab,msba->mrs``) sums in an order that the
@@ -70,7 +71,10 @@ and dSigma, over every r.  Each einsum contraction there is a single-term
 sum, its one product in einsum's operand order (three operands associate
 left to right: kappa = (z A) z); einsum adds it to a zero, which can only
 turn -0.0 into +0.0, a sign no output sum keeps.  Solves are two divisions
-by P and 2 vdot is vdot + vdot.  The score's einsum, its column sums and
+by P (w = z / P / P in ``_stage0``, N = M / P / P in ``_scalar_terms``),
+the one triangular solve run outside ``_linalg``: ``chol_solve`` takes the
+same bits but slows a q = 1 stage 0 by about a fifth.  2 vdot is
+vdot + vdot.  The score's einsum, its column sums and
 J's sum over observations keep their operand shapes and memory layouts, so
 they add in the same order.
 """
@@ -144,22 +148,20 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
             st.blocks.append((_block_terms, z, w, v, vdot))
         st.per_u[be.data.idx] = u
         st.per_v[be.data.idx] = v
-        if family.kind == "power_exponential" and family.lam != 1.0:
-            st.clamped.extend(int(i) for i in be.data.idx[u < 1e-12])
+        st.clamped.extend(be.data.idx[family._clamped(u)].tolist())
         st.loglik += float((-0.5 * be.logdet + family._log_g(u, q)).sum())
     if z_blocks is None:
         ev.stage0 = st
     return st
 
 
-def _nonzero_params(C: np.ndarray) -> slice | np.ndarray:
+def _nonzero_params(C: np.ndarray) -> slice:
+    """The smallest range of r holding every nonzero (or non-finite) C_r; slice(0, 0) if none."""
     m, p = C.shape[:2]
     nz = np.flatnonzero(C.reshape(m, p, -1).any(axis=(0, 2)))
     if nz.size == 0:
         return slice(0, 0)
-    if nz[-1] - nz[0] + 1 == nz.size:
-        return slice(int(nz[0]), int(nz[-1]) + 1)
-    return nz
+    return slice(int(nz[0]), int(nz[-1]) + 1)
 
 
 def _support_layout(C: np.ndarray):
@@ -174,10 +176,7 @@ def _support_layout(C: np.ndarray):
 
 def _sigma_support(be):
     """(S, dSigma on S in (m, b, (r, c)) layout) of a block, cached as the module docstring says."""
-    got = be.shared.get("support")
-    if got is None:
-        got = be.shared["support"] = be.data.derived("dsigma_support", be.dsigma, _support_layout)
-    return got
+    return be.data.derived("dsigma_support", be.dsigma, _support_layout)
 
 
 def _first_order(be, w):
@@ -239,9 +238,8 @@ def _block_terms(be, z, w, v, vdot, U, J):
         term[:, :, S] += _trace_products(B, np.ascontiguousarray(A.transpose(0, 1, 3, 2)))
         # (C_s N)' through C's exact symmetry: CNt[s, a, b] = sum_c N[c, a] C_s[c, b]
         CNt = _unpack(np.einsum("mca,mck->mak", N, C_bk), (0, 2, 1, 3))
-        SS = (slice(None), S, S) if isinstance(S, slice) else (slice(None), S[:, None], S)
         E = np.zeros_like(term)
-        E[SS] = _trace_products(A, CNt)  # A C N is zero off S x S
+        E[:, S, S] = _trace_products(A, CNt)  # A C N is zero off S x S
         # E = (A C N + d2Sigma K / 2) - v w' d2mu
         if be.d2sigma is not None:
             K = np.einsum("mab,mbc->mac", N, Sinv)  # Sigma^{-1} M Sigma^{-1}

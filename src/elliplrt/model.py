@@ -256,7 +256,6 @@ class BlockEval:
         self.mu = model.mu_fn(theta, data)
         self.sigma = model.sigma_fn(theta, data)
         self.P, self.sinv, self.logdet = _chol_blocks(self.sigma, data.idx)
-        self.shared = {}  # by name, what likelihood.py forms once per evaluation and shares
         self._analytic_mu = model.dmu_fn is not None
         self._analytic_sigma = model.dsigma_fn is not None
 
@@ -651,8 +650,9 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
 
     model1 expects covariate columns x1, x2 (one row per unit); model2
     expects time and group (1-4), several rows per unit.  unit_id and
-    row_index are integers, and a row_index appears once per unit; a
-    ValueError names the path, line and unit of a row that breaks this.
+    row_index are integers, a row_index appears once per unit, and y and
+    the x1, x2 or time covariate are finite; a ValueError names the path,
+    line and unit of a row that breaks this.
     """
     if model_name not in _MODEL_COLUMNS:
         raise ValueError(f"unknown model {model_name!r}; expected one of {tuple(_MODEL_COLUMNS)}")
@@ -676,6 +676,9 @@ def read_dataset_csv(path, model_name: str) -> Dataset:
                 except ValueError:
                     raise ValueError(f"{path}: row {lineno}: unit {r['unit_id']:g}: {key} {r[key]!r} "
                                      "is not an integer") from None
+            for key in ("y", "x1", "x2", "time"):
+                if key in r and not np.isfinite(r[key]):
+                    raise ValueError(f"{path}: row {lineno}: unit {r['unit_id']}: {key} must be finite, got {r[key]}")
             rows.append(r)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -126,6 +126,10 @@ class SimulationConfig:
             raise ConfigError(f"true_theta has {len(true)} values; {self.model} has p={spec.p}")
         if not np.isfinite(true).all():
             raise ConfigError(f"true_theta must be finite, got {true}")
+        for j in spec.positive:
+            if true[j] <= 0.0:
+                name = spec.param_names[j]
+                raise ConfigError(f"true_theta for the variance-type parameter {name} must be positive, got {true[j]}")
         for j, v in zip(self.interest, self.psi0):
             if true[j] != v:
                 raise ConfigError(
@@ -180,7 +184,9 @@ class _Setup:
     """Fixed design, model and true-parameter evaluation for one run.
 
     ``template`` is the design's dataset with zero responses; a
-    replication keeps its covariates and draws new responses.
+    replication keeps its covariates and draws new responses.  A true
+    theta that gives an observation a non-SPD Sigma or a non-finite mean
+    is a ConfigError that names the observation.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -198,7 +204,11 @@ class _Setup:
         else:
             design = model2_design(config.n, rng)
             self.template = model2_dataset([np.zeros(u["q"]) for u in design], design)
-        ev = evaluate(self.model, self.true_theta, self.template)
+        try:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ev = evaluate(self.model, self.true_theta, self.template)
+        except NonSPDError as exc:
+            raise ConfigError(f"true_theta: {exc}") from None
         # per original observation: q_i, mu_i, Cholesky factor of Sigma_i
         self.obs_mu = [None] * config.n
         self.obs_P = [None] * config.n
@@ -206,6 +216,9 @@ class _Setup:
             for j, i in enumerate(be.data.idx):
                 self.obs_mu[int(i)] = be.mu[j]
                 self.obs_P[int(i)] = be.P[j]
+        for i, mu in enumerate(self.obs_mu):
+            if not np.isfinite(mu).all():
+                raise ConfigError(f"true_theta: the mean of observation {i} is not finite")
 
     def draw_dataset(self, rng: np.random.Generator) -> Dataset:
         """One null dataset: y_i = mu_i + P_i s_i with spherical s_i, on the template's covariates."""

@@ -252,6 +252,16 @@ def test_simulate_config_value_of_the_wrong_kind_is_input_error_naming_its_key(t
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("true_theta", [[0.5, 0.2, 0, 0, -0.005], [-1, 0, 0, 0, 0.005]])
+def test_simulate_true_theta_outside_the_model_is_input_error(tmp_path, capsys, true_theta):
+    # a negative sigma2 and a mean on its pole; both used to fail as "observation 0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SIM_CONFIG, true_theta=true_theta)))
+    assert cli.main(["simulate", "--config", str(bad), "--emit-one", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: true_theta")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_config_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SIM_CONFIG, extra_key=1)))
@@ -350,7 +360,8 @@ def test_fit_data_that_is_not_finite_is_input_error(tmp_path, capsys):
                                                          for i in range(1, 9)))
     code = cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(bad)])
     assert code == 1
-    assert "observation 3 has a non-finite response" in capsys.readouterr().err
+    # reported by the CSV's line and unit, not as "observation 3"
+    assert capsys.readouterr().err == f"error: {bad}: row 5: unit 4: y must be finite, got nan\n"
 
 
 def test_fit_data_with_a_fractional_group_is_input_error(tmp_path, capsys):

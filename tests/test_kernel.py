@@ -38,7 +38,7 @@ FAMILIES = (
 
 
 def make_gapped_model(curved_mean: bool):
-    """q=2 with Sigma depending on t0 and t2 but not on t1: its support {0, 2} has a gap.
+    """q=2 with Sigma depending on t0 and t2 but not on t1: a gap, which its support range slice(0, 3) spans.
 
     Sigma = [[t0^2, 0.3 t0 t2], [0.3 t0 t2, t0^2 + t2^2]] has nonzero
     second derivatives on the support.  The mean is (t1, t1 x), or
@@ -202,18 +202,22 @@ def test_sigma_support_shapes():
         "model2": slice(5, 9),
         "locscale": slice(1, 2),
         "known_sigma": slice(0, 0),
+        # {0, 2} has a gap; the range holds the zero dSigma_1
+        "gapped": slice(0, 3),
     }
-    for kind, S in expect.items():
+    for kind in KINDS:
         model, data, th, _ = _case(kind, fam, 0)
-        for be in M.evaluate(model, th, data).blocks:
-            assert L._sigma_support(be)[0] == S
+        for derivs in (M.evaluate, M.fd_derivatives):
+            for be in derivs(model, th, data).blocks:
+                S = L._sigma_support(be)[0]
+                assert isinstance(S, slice) and S == expect.get(kind, S)
     model, data, th, _ = _case("gapped", fam, 0)
     (be,) = M.fd_derivatives(model, th, data).blocks
     S, C_bk = L._sigma_support(be)
-    np.testing.assert_array_equal(S, [0, 2])
-    assert C_bk.shape == (13, 2, 4)
+    assert S == slice(0, 3)
+    assert C_bk.shape == (13, 2, 6)
     # C[i, r, b, c] sits at [i, b, r q + c]
-    assert C_bk[5, 1, 2 + 0] == be.dsigma[5, 2, 1, 0]
+    assert C_bk[5, 1, 4 + 0] == be.dsigma[5, 2, 1, 0]
 
 
 def test_q1_blocks_take_the_scalar_path():
@@ -407,3 +411,13 @@ def test_theta_independent_dsigma_is_symmetrized_once_per_block(kind):
     f1, f2 = M.fd_derivatives(model, th, data), M.fd_derivatives(model, th2, data)
     assert f2.blocks[0].dsigma is not f1.blocks[0].dsigma
     assert L._sigma_support(f2.blocks[0])[1] is not L._sigma_support(f1.blocks[0])[1]
+
+
+@pytest.mark.parametrize("kind", ["model2", "gapped"])
+def test_writeable_dsigma_gives_the_same_support_on_every_call(kind):
+    # a finite-difference dSigma is writeable, so its support is rebuilt on each call, to equal values
+    model, data, th, _ = _case(kind, FAMILIES[0], 0)
+    for be in M.fd_derivatives(model, th, data).blocks:
+        assert be.dsigma.flags.writeable
+        (S1, C1), (S2, C2) = L._sigma_support(be), L._sigma_support(be)
+        assert S1 == S2 and np.array_equal(C1, C2)

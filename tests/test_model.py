@@ -417,6 +417,21 @@ def test_csv_unit_shape_errors_name_the_path_line_and_unit(tmp_path, model, rows
         M.read_dataset_csv(path, model)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("model, column", [("model1", "y"), ("model1", "x2"), ("model2", "y"), ("model2", "time")])
+def test_csv_nonfinite_value_names_the_path_line_and_unit(tmp_path, model, column, bad):
+    # the reproduction: unit 7 (line 8) with y = nan was reported as "observation 6"
+    header = ("unit_id,row_index,y,x1,x2" if model == "model1" else "unit_id,row_index,y,time,group").split(",")
+    rows = [dict(zip(header, (u, 1, 0.5, 0.2 * u, 0.3) if model == "model1" else (u, 1, 0.5, 5, 2)))
+            for u in range(1, 10)]
+    rows[6][column] = bad
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("\n".join([",".join(header)] + [",".join(str(r[c]) for c in header) for r in rows]) + "\n")
+    match = f"{path}: row 8: unit 7: {column} must be finite, got {float(bad)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        M.read_dataset_csv(path, model)
+
+
 def test_csv_integral_keys_written_as_floats_still_read(tmp_path):
     path = tmp_path / "keys.csv"
     path.write_text("unit_id,row_index,y,x1,x2\n1.0,1,0.5,0.2,0.3\n2,1.0,0.6,0.4,0.1\n")

@@ -1,6 +1,7 @@
 """Simulation harness: configs, reproducibility, rates and discrepancy curves."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,30 @@ def test_config_rejects_a_nonfinite_shape_naming_it(family, shapes, name):
 def test_config_rejects_a_nonfinite_true_theta():
     with pytest.raises(ConfigError, match="^true_theta must be finite, got "):
         dataclasses.replace(BASE, true_theta=(float("nan"), 0.2, 0.0, 0.0, 0.005))
+
+
+@pytest.mark.parametrize("model, true_theta, name", [("model1", (0.5, 0.2, 0.0, 0.0, -0.005), "sigma2"),
+                                                     ("model1", (0.5, 0.2, 0.0, 0.0, 0.0), "sigma2"),
+                                                     ("model2", (0.7, 0.5, 0, 0, 0, 500.0, 2.0, -1.0, 5.0), "gamma3")])
+def test_config_rejects_a_nonpositive_variance_type_true_theta(model, true_theta, name):
+    with pytest.raises(ConfigError, match=f"^true_theta for the variance-type parameter {name} must be positive"):
+        dataclasses.replace(BASE, model=model, true_theta=true_theta)
+
+
+@pytest.mark.parametrize("model, n, true_theta, match", [
+    # every entry of gamma and sigma2 is positive, but Delta = [[1, 10], [10, 1]] is indefinite
+    ("model2", 16, (0.7, 0.0, 0.0, 0.0, 0.0, 1.0, 10.0, 1.0, 0.01),
+     "true_theta: scatter matrix of observation 4 is not positive definite"),
+    # b0 = -1 puts the model-1 mean on its pole
+    ("model1", 15, (-1.0, 0.0, 0.0, 0.0, 0.005), "true_theta: the mean of observation 0 is not finite"),
+])
+def test_a_true_theta_outside_the_model_fails_before_any_replication(model, n, true_theta, match):
+    config = SimulationConfig(model=model, family="normal", n=n, interest=(2,), true_theta=true_theta, replications=2)
+    for run in (run_simulation, simulate_dataset):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^{match}$"):
+                run(config)
 
 
 @pytest.mark.parametrize("field, value", [("n", 15.7), ("replications", 15.7), ("seed", 15.7),

@@ -8,7 +8,10 @@ or +inf entry); the Newton ridge, a fit's standard errors and
 ``ancillary.cholesky_lower`` use it.  ``cholesky_blocks`` forms the
 model's P, Sigma^{-1} and log|Sigma| together and adds one clause: a
 Sigma fails where Sigma^{-1} is not finite, so every product downstream
-reads a finite inverse.  Single p x p factors are solved with LAPACK
+reads a finite inverse.  A q >= 2 stack that LAPACK rejects is scanned
+from the front, one Sigma at a time, for its first failure: the built-in
+model 2 gives every row of a block the same Sigma, so its rejected stacks
+fail at row 0.  Single p x p factors are solved with LAPACK
 ``dtrtrs``; stacks of (m, q, q) factors, q a handful, with forward/back
 substitution looping over q.
 
@@ -36,18 +39,24 @@ def cholesky_blocks(sigma: np.ndarray):
     """((P, Sigma^{-1}, log|Sigma|), None) for the stack sigma (m, q, q), or (None, k).
 
     k is the first batch position with no factor P or with a P or
-    Sigma^{-1} that is not finite.  q = 1 takes the module's q = 1 rule;
-    the factors a q >= 2 stack has before its first LAPACK failure are
-    inverted, to find an earlier Sigma^{-1} that overflows.
+    Sigma^{-1} that is not finite.  q = 1 takes the module's q = 1 rule.
+    When LAPACK rejects a q >= 2 stack, its Sigma are factored one at a
+    time from the front up to the first that fails, at row j (row 0 for
+    model 2's simulated blocks, whose Sigma are one matrix); the rows
+    before it are then factored together and inverted, to find an earlier
+    Sigma^{-1} that overflows.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if sigma.shape[-1] == 1:
             P, k = np.sqrt(sigma), sigma.shape[0]
             Sinv, logdet = 1.0 / P / P, 2.0 * np.log(P[:, 0, 0])
         else:
-            P, k = _factor_prefix(sigma)
-            if k == 0:  # no factor to invert
-                return None, 0
+            P, k = cholesky_or_none(sigma), sigma.shape[0]
+            if P is None:
+                k = next(j for j in range(k) if cholesky_or_none(sigma[j]) is None)
+                if k == 0:  # no factor to invert
+                    return None, 0
+                P = cholesky_or_none(sigma[:k])
             Sinv = solve_upper_t(P, lower_inverse(P))
             logdet = 2.0 * np.log(P.diagonal(0, 1, 2)).sum(axis=-1)
     if k == sigma.shape[0] and np.isfinite(P).all() and np.isfinite(Sinv).all():
@@ -55,24 +64,6 @@ def cholesky_blocks(sigma: np.ndarray):
         return (P, Sinv, logdet), None
     ok = np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Sinv).all(axis=(1, 2))
     return None, k if ok.all() else int(ok.argmin())
-
-
-def _factor_prefix(sigma: np.ndarray):
-    """(P, k): sigma[:k] factors into P, and k is sigma's first position LAPACK rejects (m if none)."""
-    P = cholesky_or_none(sigma)
-    if P is not None:
-        return P, sigma.shape[0]
-    # the first failure lies in [lo, hi), and sigma[:lo] factors into pieces
-    lo, hi, pieces = 0, sigma.shape[0], [sigma[:0]]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        piece = cholesky_or_none(sigma[lo:mid])
-        if piece is None:
-            hi = mid
-        else:
-            lo = mid
-            pieces.append(piece)
-    return np.concatenate(pieces), lo
 
 
 RIDGE_TRIES = 60
@@ -93,22 +84,23 @@ def ridge_cholesky(H: np.ndarray):
     if L is not None:
         return 0.0, L
     eye = np.eye(H.shape[0])
-    base = max(np.abs(np.diag(H)).max(), 1.0)
-    taus = [0.0]  # taus[k] is the k-th term; taus[0] failed
-    while len(taus) < RIDGE_TRIES:
-        taus.append(max(2.0 * taus[-1], 1e-10 * base))
+    t1 = 1e-10 * max(np.abs(np.diag(H)).max(), 1.0)
+
+    def term(k):  # the k-th term, k >= 1: doubling is exact
+        return t1 * 2.0 ** (k - 1)
+
     lo, hi = 0, RIDGE_TRIES - 1
-    L = cholesky_or_none(H + taus[hi] * eye)
+    L = cholesky_or_none(H + term(hi) * eye)
     if L is None:
         return None
-    while hi - lo > 1:  # taus[lo] fails, taus[hi] factors
+    while hi - lo > 1:  # term lo fails, term hi factors
         mid = (lo + hi) // 2
-        Lmid = cholesky_or_none(H + taus[mid] * eye)
+        Lmid = cholesky_or_none(H + term(mid) * eye)
         if Lmid is None:
             lo = mid
         else:
             hi, L = mid, Lmid
-    return taus[hi], L
+    return term(hi), L
 
 
 def _trsolve(Lt, b, trans):

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -61,10 +62,21 @@ def _inputs(args):
 
 
 def _emit(path, payload: dict) -> None:
-    """Write ``payload`` as JSON to ``path``, or to stdout when no path is given."""
+    """Write ``payload`` as strict JSON to ``path``, or to stdout when no path is given.
+
+    A NaN or infinite number is written as null.
+    """
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 # ---------------------------------------------------------------------------

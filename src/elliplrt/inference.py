@@ -223,12 +223,11 @@ class _Objective:
         return theta
 
     def evaluate(self, x):
-        theta = self.theta_of(x)
-        return theta, evaluate(self.model, theta, self.data)
+        return evaluate(self.model, self.theta_of(x), self.data)
 
     def eval(self, x):
-        theta, ev = self.evaluate(x)
-        return theta, ev, score_info(self.family, ev)
+        ev = self.evaluate(x)
+        return ev, score_info(self.family, ev)
 
     def converged(self, si) -> bool:
         """The stop test: ||U||_inf < SCORE_TOL (1 + |l|) over the free parameters."""
@@ -243,7 +242,7 @@ class _Objective:
 def _newton(obj: _Objective, x0):
     """Damped Newton ascent; returns (x, ev, si, converged, iterations)."""
     x = x0.copy()
-    theta, ev, si = obj.eval(x)
+    ev, si = obj.eval(x)
     iters = 0
     converged = False
     if x.size == 0:
@@ -269,7 +268,7 @@ def _newton(obj: _Objective, x0):
         accepted = False
         for _ in range(40):
             try:
-                theta2, ev2 = obj.evaluate(x + t * d)
+                ev2 = obj.evaluate(x + t * d)
             except NonSPDError:
                 t *= 0.5
                 continue
@@ -288,7 +287,7 @@ def _newton(obj: _Objective, x0):
             break
         rel_step = np.abs(t * d).max() / max(1.0, np.abs(x).max())
         x = x + t * d
-        theta, ev, si = theta2, ev2, si2
+        ev, si = ev2, si2
         if rel_step < STEP_TOL:
             converged = obj.converged(si)
             break
@@ -302,7 +301,7 @@ def _lbfgs(obj: _Objective, x0):
 
     def fun(x):
         try:
-            _, ev = obj.evaluate(x)
+            ev = obj.evaluate(x)
         except NonSPDError:
             return 1e15, np.zeros_like(x)
         # probes reach extreme theta where intermediate products overflow;

@@ -104,19 +104,17 @@ class ScoreInfo:
     score: np.ndarray  # (p,)
     info: np.ndarray | None  # (p,p), symmetrized
     per_obs_u: np.ndarray  # (n,)
-    per_obs_v: np.ndarray  # (n,)
     clamped: list  # observation indices where the weight clamp fired
 
 
 @dataclass
 class _Stage0:
-    """Per-block (terms, z, w, v, vdot), per-observation u and v, and the log-likelihood."""
+    """Per-block (terms, z, w, v, vdot), per-observation u, and the log-likelihood."""
 
     family: EllipticalFamily
     blocks: list
     loglik: float
     per_u: np.ndarray
-    per_v: np.ndarray
     clamped: list
 
 
@@ -132,8 +130,7 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     """Stage 0 of the assembly, cached on ``ev`` for the default residuals; it picks each block's path."""
     if z_blocks is None and ev.stage0 is not None and ev.stage0.family is family:
         return ev.stage0
-    n = ev.n
-    st = _Stage0(family, [], 0.0, np.empty(n), np.empty(n), [])
+    st = _Stage0(family, [], 0.0, np.empty(ev.n), [])
     zs = [be.data.y - be.mu for be in ev.blocks] if z_blocks is None else z_blocks
     for be, z in zip(ev.blocks, zs):
         q = be.data.q
@@ -147,7 +144,6 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
             w, u, v, vdot = _block_core(family, be, z)
             st.blocks.append((_block_terms, z, w, v, vdot))
         st.per_u[be.data.idx] = u
-        st.per_v[be.data.idx] = v
         st.clamped.extend(be.data.idx[family._clamped(u)].tolist())
         st.loglik += float((-0.5 * be.logdet + family._log_g(u, q)).sum())
     if z_blocks is None:
@@ -321,6 +317,5 @@ def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True, 
         score=U,
         info=info,
         per_obs_u=st.per_u,
-        per_obs_v=st.per_v,
         clamped=list(st.clamped),
     )

@@ -354,6 +354,35 @@ def test_fit_start_that_is_not_finite_is_input_error(one_dataset, capsys):
     assert "start must be finite" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_fit_writes_nonfinite_numbers_as_null(tmp_path, capsys):
+    # a start at sigma2 = 1e-300 leaves a fit whose standard errors are NaN
+    cfg = {"model": "model1", "family": "student_t", "nu": 3, "n": 15, "interest": [3],
+           "sided": "lower", "seed": 31415}
+    cfg_path = tmp_path / "t3.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data = tmp_path / "d.csv"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--emit-one", str(data)]) == 0
+    capsys.readouterr()
+    code = cli.main(["fit", "--model", "model1", "--family", "student_t", "--nu", "3", "--data", str(data),
+                     "--start=0.5,0.2,0,0,1e-300"])
+    assert code == 2
+    blob = _strict_json(capsys.readouterr().out)
+    assert set(blob["stderr"]) == {"beta0", "beta1", "beta2", "beta3", "sigma2"}
+    assert all(v is None for v in blob["stderr"].values())
+
+
+def test_emit_writes_every_nonfinite_float_as_null(capsys):
+    cli._emit(None, {"a": [1.5, np.nan, (np.inf, -np.inf)], "b": {"c": float("nan"), "d": 2}, "e": "nan"})
+    assert _strict_json(capsys.readouterr().out) == {"a": [1.5, None, [None, None]], "b": {"c": None, "d": 2},
+                                                     "e": "nan"}
+
+
 def test_fit_data_that_is_not_finite_is_input_error(tmp_path, capsys):
     bad = tmp_path / "nan.csv"
     bad.write_text("unit_id,row_index,y,x1,x2\n" + "".join(f"{i},1,{0.6 if i != 4 else 'nan'},0.3,0.{i}\n"

@@ -233,5 +233,4 @@ def test_per_observation_quantities_in_original_order():
         z = obs.y - obs_view(ev, i).mu
         u = float(z @ np.linalg.solve(obs_view(ev, i).sigma, z))
         assert si.per_obs_u[i] == pytest.approx(u, rel=1e-10)
-        assert si.per_obs_v[i] == pytest.approx((3.0 + obs.q) / (3.0 + u), rel=1e-12)
     assert np.all(si.per_obs_u >= 0)

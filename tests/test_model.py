@@ -152,16 +152,25 @@ def _first_failure_one_by_one(sigma, idx):
     return None
 
 
+def _stack_block(sigma, idx):
+    """A one-parameter model whose every evaluation gives the stack sigma, and a block of its size."""
+    m, q = sigma.shape[:2]
+    model = M.ModelSpec("stack", 1, ("t",), mu_fn=lambda t, blk: np.zeros((m, q)), sigma_fn=lambda t, blk: sigma)
+    return model, M.DataBlock(q=q, idx=idx, y=np.zeros((m, q)), cov={})
+
+
 def _check_chol_blocks(sigma, idx):
     want_fail = _first_failure_one_by_one(sigma, idx)
+    model, blk = _stack_block(sigma, idx)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if want_fail is not None:
             with pytest.raises(M.NonSPDError) as err:
-                M._chol_blocks(sigma, idx)
+                M.BlockEval(model, np.zeros(1), blk)
             assert err.value.index == want_fail
         else:
-            P, Sinv, logdet = M._chol_blocks(sigma, idx)
+            be = M.BlockEval(model, np.zeros(1), blk)
+            P, Sinv, logdet = be.P, be.sinv, be.logdet
             assert np.array_equal(P, np.linalg.cholesky(sigma))
             assert np.array_equal(Sinv, O.chol_inverse(P)) and not Sinv.flags.writeable
             assert np.array_equal(logdet, O.logdet_from_chol(P))
@@ -181,7 +190,7 @@ def test_scalar_blocks_factor_and_fail_as_lapack_does():
         _check_chol_blocks(values.reshape(m, 1, 1), np.arange(m) * 2 + 1)
 
 
-def test_bisected_failure_report_names_the_first_failing_observation():
+def test_scanned_failure_report_names_the_first_failing_observation():
     rng = np.random.default_rng(9)
     for q in (2, 3, 5):
         for m in (1, 2, 7, 16, 33):
@@ -198,6 +207,32 @@ def test_bisected_failure_report_names_the_first_failing_observation():
                     bad[j] = np.eye(q)
                     bad[j, :2, :2] = [[1e-320, 1e-9], [1e-9, 2e302]]
                 _check_chol_blocks(bad, idx)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_rejected_stack_is_scanned_from_the_front(q, monkeypatch):
+    # the full stack, rows 0..j one at a time, then rows :j together
+    calls = 0
+    real = linalg.cholesky_or_none
+
+    def counting(S):
+        nonlocal calls
+        calls += 1
+        return real(S)
+
+    monkeypatch.setattr(linalg, "cholesky_or_none", counting)
+    m = 12
+    sigma = np.broadcast_to(2.0 * np.eye(q), (m, q, q)).copy()
+    idx = np.arange(m) + 5
+    for j in (0, 1, 4, m - 1):  # every Sigma from row j on fails; at j = 0, all of them
+        bad = sigma.copy()
+        bad[j:, 0, 0] = -1.0
+        model, blk = _stack_block(bad, idx)
+        calls = 0
+        with pytest.raises(M.NonSPDError) as err:
+            M.BlockEval(model, np.zeros(1), blk)
+        assert err.value.index == idx[j]
+        assert calls == (2 if j == 0 else j + 3), j
 
 
 def test_cholesky_fails_on_a_nonfinite_factor():

@@ -81,7 +81,8 @@ class EllipticalFamily:
         Shape parameter; required iff kind == "power_exponential".
 
     A shape is stored as a float; a missing, non-finite or non-positive
-    shape, or one the kind does not take, is a ValueError naming it.
+    shape, or one the kind does not take, is a ValueError naming it
+    (``lam`` is named ``lambda``, as in ``--lambda`` and the config).
     """
 
     kind: str
@@ -92,12 +93,12 @@ class EllipticalFamily:
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}")
         takes = {"student_t": "nu", "power_exponential": "lam"}.get(self.kind)
-        for name in ("nu", "lam"):
+        for name, label in (("nu", "nu"), ("lam", "lambda")):
             value = getattr(self, name)
             if name == takes:
-                object.__setattr__(self, name, _shape(self.kind, name, value))
+                object.__setattr__(self, name, _shape(self.kind, label, value))
             elif value is not None:
-                raise ValueError(f"the {self.kind} family takes no {name}, got {value!r}")
+                raise ValueError(f"the {self.kind} family takes no {label}, got {value!r}")
 
     # -- constructors -----------------------------------------------------
 

@@ -225,10 +225,6 @@ class _Objective:
     def evaluate(self, x):
         return evaluate(self.model, self.theta_of(x), self.data)
 
-    def eval(self, x):
-        ev = self.evaluate(x)
-        return ev, score_info(self.family, ev)
-
     def converged(self, si) -> bool:
         """The stop test: ||U||_inf < SCORE_TOL (1 + |l|) over the free parameters."""
         return bool(np.abs(si.score[self.free]).max() < SCORE_TOL * (1.0 + abs(si.loglik)))
@@ -239,33 +235,36 @@ class _Objective:
         return s
 
 
-def _newton(obj: _Objective, x0):
-    """Damped Newton ascent; returns (x, ev, si, converged, iterations)."""
-    x = x0.copy()
-    ev, si = obj.eval(x)
-    iters = 0
-    converged = False
+def _newton(obj: _Objective, x):
+    """Damped Newton ascent from x; returns (x, ev, si, converged, iterations).
+
+    Converged: the stop test holds or no parameter is free.  Unconverged:
+    the ridged Newton matrix does not factor, the direction is not uphill,
+    40 halvings find no acceptable step, or NEWTON_MAX_ITER steps are taken.
+    A step below STEP_TOL returns the stop test's verdict at the new point.
+    ``iterations`` counts line searches, a final rejected one included.
+    """
+    ev = obj.evaluate(x)
+    si = score_info(obj.family, ev)
     if x.size == 0:
         return x, ev, si, True, 0
     free_block = np.ix_(obj.free, obj.free)
     diag = np.diag_indices(x.size)
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER):
         if obj.converged(si):
-            converged = True
-            break
+            return x, ev, si, True, it
         s = obj.scale(x)
         g = si.score[obj.free] * s  # gradient of the log-likelihood in internal coords
         H = s[:, None] * si.info[free_block] * s[None, :]
         H[diag] -= np.where(obj.is_log, g, 0.0)
         ridge = ridge_cholesky(H)
         if ridge is None:
-            break
+            return x, ev, si, False, it
         d = cho_solve(ridge[1], g)
         slope = float(g @ d)
         if not np.isfinite(slope) or slope <= 0:
-            break
+            return x, ev, si, False, it
         t = 1.0
-        accepted = False
         for _ in range(40):
             try:
                 ev2 = obj.evaluate(x + t * d)
@@ -279,19 +278,16 @@ def _newton(obj: _Objective, x0):
             if np.isfinite(ll2) and ll2 >= si.loglik + 1e-4 * t * slope:
                 si2 = score_info(obj.family, ev2)
                 if np.all(np.isfinite(si2.score[obj.free])):
-                    accepted = True
                     break
             t *= 0.5
-        iters += 1
-        if not accepted:
-            break
+        else:
+            return x, ev, si, False, it + 1
         rel_step = np.abs(t * d).max() / max(1.0, np.abs(x).max())
         x = x + t * d
         ev, si = ev2, si2
         if rel_step < STEP_TOL:
-            converged = obj.converged(si)
-            break
-    return x, ev, si, converged, iters
+            return x, ev, si, obj.converged(si), it + 1
+    return x, ev, si, False, NEWTON_MAX_ITER
 
 
 def _lbfgs(obj: _Objective, x0):
@@ -331,9 +327,12 @@ def fit(
     ``restriction`` is (interest_indices, psi0), checked against the model
     as a ``Hypothesis`` is; the psi block is pinned at psi0 and only the
     nuisance block is optimized.  Convergence requires the free-block
-    score to satisfy ||U||_inf < SCORE_TOL (1 + |l|).  Non-convergence is
-    reported in the result, never silently; a FitError is raised only
-    when no starting point is evaluable at all.
+    score to satisfy ||U||_inf < SCORE_TOL (1 + |l|).  One objective
+    serves every start: Newton, then L-BFGS and Newton again if unconverged.
+    A start where a Newton run begins at a non-SPD scatter is skipped for
+    the next jittered one; NonSPDError never leaves ``fit``.  Non-convergence
+    is reported in the result, never silently; a FitError is raised only
+    when every start fails.
     """
     p = model.p
     if not p < data.n:
@@ -361,6 +360,7 @@ def fit(
         if j in free_set and base_start[j] <= 0:
             base_start[j] = 1e-4
 
+    obj = _Objective(model, family, data, template, free)
     rng = None  # the deterministic jitter stream, created by the first restart
     best = None
     total_iters = 0
@@ -374,30 +374,24 @@ def fit(
                     theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
                 else:
                     theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
-        obj = _Objective(model, family, data, template, free)
-        x0 = _to_internal(theta0[free], obj.is_log)
         try:
-            x, ev, si, converged, iters = _newton(obj, x0)
-        except NonSPDError:
-            continue
-        total_iters += iters
-        if not converged and free.size:
-            x, lb_iters = _lbfgs(obj, x)
-            total_iters += lb_iters
-            try:
+            x, ev, si, converged, iters = _newton(obj, _to_internal(theta0[free], obj.is_log))
+            total_iters += iters
+            if not converged:
+                x, iters = _lbfgs(obj, x)
+                total_iters += iters
                 x, ev, si, converged, iters = _newton(obj, x)
                 total_iters += iters
-            except NonSPDError:
-                continue
-        cand = (converged, si.loglik, x, ev, si, obj)
-        if best is None or (cand[0], cand[1]) > (best[0], best[1]):
-            best = cand
+        except NonSPDError:
+            continue
+        if best is None or (converged, si.loglik) > best[:2]:
+            best = (converged, si.loglik, x, ev, si)
         if converged:
             break
     if best is None:
         raise FitError("every starting point failed model evaluation (non-SPD scatter)")
 
-    converged, _, x, ev, si, obj = best
+    converged, _, x, ev, si = best
     theta = obj.theta_of(x)
     score_norm = float(np.abs(si.score[obj.free]).max(initial=0.0))
 
@@ -673,8 +667,9 @@ def run_test(
     """Full pipeline: both fits, ancillary, adjustments, p-values.
 
     Raises HypothesisError before any fit when the hypothesis does not
-    fit the model, and StageError (with the offending stage) on fit
-    failures or singular adjustment systems.
+    fit the model, and StageError (with the offending stage) when a fit
+    raises FitError or does not converge, or an adjustment system is
+    singular.
     """
     hypothesis.check(model)
     interest = hypothesis.interest_indices
@@ -682,7 +677,7 @@ def run_test(
 
     try:
         fit_hat = fit(model, family, data, start=start)
-    except (FitError, NonSPDError) as exc:
+    except FitError as exc:
         raise StageError("unrestricted_fit", exc) from exc
     if not fit_hat.converged:
         raise StageError("unrestricted_fit", "did not converge")
@@ -691,7 +686,7 @@ def run_test(
     tilde_start[list(interest)] = hypothesis.psi0
     try:
         fit_tilde = fit(model, family, data, restriction=(interest, hypothesis.psi0), start=tilde_start)
-    except (FitError, NonSPDError) as exc:
+    except FitError as exc:
         raise StageError("restricted_fit", exc) from exc
     if not fit_tilde.converged:
         raise StageError("restricted_fit", "did not converge")

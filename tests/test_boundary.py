@@ -53,3 +53,20 @@ def test_skip_flags_are_the_flags_adjustment_factors_sets():
              if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "add"
              and getattr(call.func.value, "id", None) == "flags" and isinstance(call.args[0], ast.Constant)]
     assert sorted(added) == sorted(inference.SKIP_FLAGS)
+
+
+def test_nonspd_error_is_caught_only_where_evaluate_is_called():
+    # fit skips a start whose scatter is not SPD; nothing past it sees NonSPDError
+    allowed = {"inference._newton", "inference._lbfgs", "inference.fit", "montecarlo._Setup.__init__"}
+    catching = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        funcs += [(f"{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for name, func in funcs:
+            for handler in ast.walk(func):
+                if isinstance(handler, ast.ExceptHandler) and handler.type is not None and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "NonSPDError" for n in ast.walk(handler.type)):
+                    catching.add(f"{path.stem}.{name}")
+    assert catching <= allowed, "\n".join(sorted(catching - allowed))

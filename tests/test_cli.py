@@ -154,9 +154,10 @@ def test_family_shape_validation(one_dataset, capsys):
 
 @pytest.mark.parametrize("family, match", [
     (["--family", "normal", "--nu", "4"], "the normal family takes no nu"),
+    (["--family", "normal", "--lambda", "0.5"], "the normal family takes no lambda"),
     (["--family", "student_t", "--nu", "inf"], "student_t requires a finite nu > 0"),
-    (["--family", "power_exponential", "--lambda", "nan"], "power_exponential requires a finite lam > 0"),
-], ids=["normal_with_nu", "infinite_nu", "nan_lambda"])
+    (["--family", "power_exponential", "--lambda", "nan"], "power_exponential requires a finite lambda > 0"),
+], ids=["normal_with_nu", "normal_with_lambda", "infinite_nu", "nan_lambda"])
 def test_family_shape_outside_its_domain_is_input_error(one_dataset, capsys, family, match):
     code = cli.main(["fit", "--model", "model1", *family, "--data", str(one_dataset)])
     assert code == 1
@@ -238,6 +239,14 @@ def test_simulate_config_with_a_boolean_shape_is_input_error(tmp_path, capsys):
     bad.write_text(json.dumps(dict(SIM_CONFIG, family="student_t", nu=True)))
     assert cli.main(["simulate", "--config", str(bad), "--emit-one", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: student_t requires a finite nu > 0, got True")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_config_with_a_shape_its_family_does_not_take_names_the_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SIM_CONFIG, family="normal", **{"lambda": 0.5})))
+    assert cli.main(["simulate", "--config", str(bad), "--emit-one", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.strip() == "error: the normal family takes no lambda, got 0.5"
     assert not (tmp_path / "x.csv").exists()
 
 

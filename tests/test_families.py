@@ -48,10 +48,10 @@ def test_invalid_families_rejected(kwargs):
         EllipticalFamily(**kwargs)
 
 
-@pytest.mark.parametrize("kind, name", [("student_t", "nu"), ("power_exponential", "lam")])
+@pytest.mark.parametrize("kind, name, label", [("student_t", "nu", "nu"), ("power_exponential", "lam", "lambda")])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, None, "three", True, np.True_])
-def test_a_missing_nonfinite_or_nonpositive_shape_is_rejected_naming_it(kind, name, value):
-    with pytest.raises(ValueError, match=f"^{kind} requires a finite {name} > 0, got "):
+def test_a_missing_nonfinite_or_nonpositive_shape_is_rejected_naming_it(kind, name, label, value):
+    with pytest.raises(ValueError, match=f"^{kind} requires a finite {label} > 0, got "):
         EllipticalFamily(kind, **{name: value})
 
 
@@ -65,7 +65,7 @@ def test_the_shape_constructors_check_their_shape():
 def test_a_shape_the_kind_does_not_take_is_rejected_naming_it():
     with pytest.raises(ValueError, match="^the normal family takes no nu, got 4.0$"):
         EllipticalFamily("normal", nu=4.0)
-    with pytest.raises(ValueError, match="^the student_t family takes no lam, got 0.7$"):
+    with pytest.raises(ValueError, match="^the student_t family takes no lambda, got 0.7$"):
         EllipticalFamily("student_t", nu=3.0, lam=0.7)
 
 

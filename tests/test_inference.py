@@ -183,6 +183,47 @@ def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
     assert len(starts) == 4
 
 
+def test_a_fit_with_every_parameter_fixed_converges_without_iterating(monkeypatch):
+    def no_lbfgs(*args):
+        raise AssertionError("L-BFGS ran on a fit with no free parameter")
+
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
+    monkeypatch.setattr(inference, "_lbfgs", no_lbfgs)
+    res = fit(model, NORMAL, data, restriction=(range(model.p), [0.5, 0.2, 0.1, -0.1, 0.005]))
+    assert (res.converged, res.iterations) == (True, 0)
+
+
+def test_a_start_whose_newton_rerun_hits_a_nonspd_scatter_is_skipped(monkeypatch):
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
+    real_newton, real_objective = inference._newton, inference._Objective
+    calls, iterations, objectives = [], [], []
+
+    def newton(obj, x):
+        calls.append(x)
+        if len(calls) == 1:
+            return (*real_newton(obj, x)[:3], False, 1)
+        if len(calls) == 2:
+            raise M.NonSPDError(0)
+        out = real_newton(obj, x)
+        iterations.append(out[4])
+        return out
+
+    class Objective(real_objective):
+        def __init__(self, *args):
+            objectives.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(inference, "_newton", newton)
+    monkeypatch.setattr(inference, "_lbfgs", lambda obj, x: (x, 2))
+    monkeypatch.setattr(inference, "_Objective", Objective)
+    res = fit(model, NORMAL, data, start=np.array([0.5, 0.2, 0.1, -0.1, 0.005]))
+    assert res.converged
+    # start 0: Newton (1 iteration), L-BFGS (2), Newton raises; start 1: Newton
+    assert len(calls) == 3
+    assert len(objectives) == 1
+    assert res.iterations == 1 + 2 + iterations[0]
+
+
 def test_stderr_is_root_of_inverse_information_diagonal():
     for fam, kind in ((EllipticalFamily.student_t(4.0), "model2"), (NORMAL, "model1")):
         rng = np.random.default_rng(21)

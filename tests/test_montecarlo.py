@@ -36,6 +36,8 @@ def test_config_validation():
         dataclasses.replace(BASE, replications=0)
     with pytest.raises(SimulationError):
         dataclasses.replace(BASE, alpha_levels=(0.10, 0.05))
+    with pytest.raises(SimulationError, match="strictly increasing"):
+        dataclasses.replace(BASE, alpha_levels=(0.05, 0.05))
     with pytest.raises(SimulationError):
         dataclasses.replace(BASE, alpha_levels=(0.0, 0.05))
     with pytest.raises(SimulationError):
@@ -64,14 +66,14 @@ def test_config_errors_are_value_errors_and_name_the_field():
         dataclasses.replace(BASE, true_theta=(0.5, 0.2))
 
 
-@pytest.mark.parametrize("shapes, name", [({"nu": 4.0}, "nu"), ({"lam": 0.7}, "lam"), ({"nu": 4.0, "lam": 0.7}, "nu")])
+@pytest.mark.parametrize("shapes, name", [({"nu": 4.0}, "nu"), ({"lam": 0.7}, "lambda"), ({"nu": 4.0, "lam": 0.7}, "nu")])
 def test_config_rejects_a_shape_its_family_does_not_take(shapes, name):
     with pytest.raises(ConfigError, match=f"^the normal family takes no {name}, got "):
         dataclasses.replace(BASE, **shapes)
 
 
 @pytest.mark.parametrize("family, shapes, name", [("student_t", {"nu": float("inf")}, "nu"),
-                                                  ("power_exponential", {"lam": float("nan")}, "lam"),
+                                                  ("power_exponential", {"lam": float("nan")}, "lambda"),
                                                   ("student_t", {"nu": True}, "nu")])
 def test_config_rejects_a_nonfinite_shape_naming_it(family, shapes, name):
     with pytest.raises(ConfigError, match=f"^{family} requires a finite {name} > 0, got "):

@@ -141,14 +141,14 @@ class EllipticalFamily:
 
         Vectorized over u.  With ``clamp=True`` the power-exponential
         singularity at u = 0 (lam != 1) is guarded by flooring u at 1e-12;
-        callers doing likelihood evaluation use this and flag the
-        near-zero residual.  Without clamping, u = 0 raises
+        likelihood evaluation uses this, and ``fit`` flags the near-zero
+        residuals of the point it returns.  Without clamping, u = 0 raises
         SingularWeightError for power_exponential with lam != 1.
         """
         return self._weights(_check_uq(u, q), q, clamp)
 
     def _clamped(self, u: np.ndarray) -> np.ndarray:
-        """Where the weight clamp fires: u < 1e-12 for power_exponential with lam != 1, nowhere otherwise."""
+        """Where the clamp fires: u < 1e-12 for power_exponential with lam != 1; read by ``_weights`` and ``fit``."""
         if self.kind == "power_exponential" and self.lam != 1.0:
             return u < _U_CLAMP
         return np.zeros(u.shape, dtype=bool)

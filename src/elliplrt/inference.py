@@ -332,7 +332,9 @@ def fit(
     A start where a Newton run begins at a non-SPD scatter is skipped for
     the next jittered one; NonSPDError never leaves ``fit``.  Non-convergence
     is reported in the result, never silently; a FitError is raised only
-    when every start fails.
+    when every start fails.  All three diagnostics (``near_zero_residual
+    obs=i`` in observation order, ``nonpd_info``, ``boundary_fit``) are
+    computed at the returned point.
     """
     p = model.p
     if not p < data.n:
@@ -395,7 +397,7 @@ def fit(
     theta = obj.theta_of(x)
     score_norm = float(np.abs(si.score[obj.free]).max(initial=0.0))
 
-    diagnostics = list(dict.fromkeys(f"near_zero_residual obs={i}" for i in si.clamped))
+    diagnostics = [f"near_zero_residual obs={i}" for i in np.flatnonzero(family._clamped(si.per_obs_u))]
     L = cholesky_or_none(si.info)
     if L is None:
         stderr = np.full(p, np.nan)

@@ -103,8 +103,7 @@ class ScoreInfo:
     loglik: float
     score: np.ndarray  # (p,)
     info: np.ndarray | None  # (p,p), symmetrized
-    per_obs_u: np.ndarray  # (n,)
-    clamped: list  # observation indices where the weight clamp fired
+    per_obs_u: np.ndarray  # (n,) u in observation order, before the weight clamp
 
 
 @dataclass
@@ -115,7 +114,6 @@ class _Stage0:
     blocks: list
     loglik: float
     per_u: np.ndarray
-    clamped: list
 
 
 def _block_core(family: EllipticalFamily, be, z):
@@ -130,7 +128,7 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
     """Stage 0 of the assembly, cached on ``ev`` for the default residuals; it picks each block's path."""
     if z_blocks is None and ev.stage0 is not None and ev.stage0.family is family:
         return ev.stage0
-    st = _Stage0(family, [], 0.0, np.empty(ev.n), [])
+    st = _Stage0(family, [], 0.0, np.empty(ev.n))
     zs = [be.data.y - be.mu for be in ev.blocks] if z_blocks is None else z_blocks
     for be, z in zip(ev.blocks, zs):
         q = be.data.q
@@ -144,7 +142,6 @@ def _stage0(family: EllipticalFamily, ev: ModelEval, z_blocks=None) -> _Stage0:
             w, u, v, vdot = _block_core(family, be, z)
             st.blocks.append((_block_terms, z, w, v, vdot))
         st.per_u[be.data.idx] = u
-        st.clamped.extend(be.data.idx[family._clamped(u)].tolist())
         st.loglik += float((-0.5 * be.logdet + family._log_g(u, q)).sum())
     if z_blocks is None:
         ev.stage0 = st
@@ -317,5 +314,4 @@ def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True, 
         score=U,
         info=info,
         per_obs_u=st.per_u,
-        clamped=list(st.clamped),
     )

@@ -56,11 +56,11 @@ __all__ = [
 
 
 class NonSPDError(ValueError):
-    """Sigma_i has no finite Cholesky factor or no finite inverse at the current theta."""
+    """Sigma_i of observation ``index`` has no finite Cholesky factor or no finite inverse at the current theta."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"scatter matrix of observation {index} is not positive definite")
+        super().__init__(f"scatter matrix of observation {index} is not positive definite")
 
 
 # ---------------------------------------------------------------------------

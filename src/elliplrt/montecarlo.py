@@ -50,7 +50,12 @@ STAT_LABELS = ("r", "r*", "LR", "LR*", "LR**")
 MODEL1_TRUE = (0.5, 0.2, 0.0, 0.0, 0.005)
 MODEL2_TRUE = (0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)
 
-_DESIGN_KEY = (0,)  # spawn key of the design stream; replication k uses (1, k)
+_DESIGN_KEY = (0,)  # spawn key of the design stream
+
+
+def _replication_rng(seed: int, k: int) -> np.random.Generator:
+    """The stream of replication k, spawn key (1, k): disjoint from the design stream's."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
 
 
 class SimulationError(RuntimeError):
@@ -233,7 +238,7 @@ class _Setup:
 
         Adds its redraws to ``self.redraws`` and its skip flags to ``self.skips``.
         """
-        rng = np.random.default_rng(np.random.SeedSequence(self.config.seed, spawn_key=(1, rep_index)))
+        rng = _replication_rng(self.config.seed, rep_index)
         for attempt in range(self.config.max_refit_attempts):
             if attempt:
                 self.redraws += 1
@@ -302,8 +307,7 @@ def _run_range_star(args):
 def simulate_dataset(config: SimulationConfig, rep_index: int = 0) -> Dataset:
     """The dataset a given replication would see (for --emit-one and tests)."""
     setup = _Setup(config)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, rep_index)))
-    return setup.draw_dataset(rng)
+    return setup.draw_dataset(_replication_rng(config.seed, rep_index))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def exact_conditional_pvalue(a, t_obs, family):
     return upper / (upper + lower)
 
 
-def _draw(family, rng):
-    """A location-scale dataset of size N, its fit, configuration and an upper-sided report at T_OBS."""
+def _draw(family, rng, t_obs=T_OBS):
+    """A location-scale dataset of size N, its fit, configuration and an upper-sided report at t_obs."""
     model = make_locscale_model()
     y = 0.3 + 1.5 * family.sample_spherical(1, rng, size=N)[:, 0]
     data = scalar_dataset(y)
@@ -68,28 +68,40 @@ def _draw(family, rng):
     assert hat.converged
     mu_hat, sigma_hat = hat.theta[0], math.sqrt(hat.theta[1])
     a = (y - mu_hat) / sigma_hat
-    rep = run_test(model, family, data, Hypothesis((0,), [mu_hat - T_OBS * sigma_hat], "upper"))
+    rep = run_test(model, family, data, Hypothesis((0,), [mu_hat - t_obs * sigma_hat], "upper"))
     return a, rep
 
 
-def test_quadrature_matches_the_normal_closed_form():
+def _check_quadrature_against_the_normal_closed_form(t_obs, **tolerance):
     family = EllipticalFamily.normal()
     rng = np.random.default_rng(1934)
     for _ in range(3):
-        a, _ = _draw(family, rng)
-        want = scipy.stats.t.sf(T_OBS * math.sqrt(N - 1), N - 1)
-        assert exact_conditional_pvalue(a, T_OBS, family) == pytest.approx(want, abs=1e-6)
+        a, _ = _draw(family, rng, t_obs)
+        want = scipy.stats.t.sf(t_obs * math.sqrt(N - 1), N - 1)
+        assert exact_conditional_pvalue(a, t_obs, family) == pytest.approx(want, **tolerance)
 
 
-def _check_r_star_against_the_exact_conditional_pvalue(family, seed):
+def test_quadrature_matches_the_normal_closed_form():
+    _check_quadrature_against_the_normal_closed_form(T_OBS, abs=1e-6)
+
+
+def test_quadrature_matches_the_normal_closed_form_in_the_tail():
+    _check_quadrature_against_the_normal_closed_form(3.0, rel=1e-4)
+
+
+def _check_r_star_against_the_exact_conditional_pvalue(family, seed, t_obs=T_OBS):
+    """Check every draw against the exact p-value; return the (draw, p(r*), p_exact) triples."""
     rng = np.random.default_rng(seed)
+    checked = []
     for draw in range(DRAWS):
-        a, rep = _draw(family, rng)
+        a, rep = _draw(family, rng, t_obs)
         assert not rep.flags, (draw, rep.flags)
-        p_exact = exact_conditional_pvalue(a, T_OBS, family)
+        p_exact = exact_conditional_pvalue(a, t_obs, family)
         err_star, err_r = abs(rep.p_r_star - p_exact), abs(rep.p_r - p_exact)
         assert err_star <= P_BOUND, (draw, rep.p_r_star, p_exact)
         assert err_star < err_r, (draw, rep.p_r_star, rep.p_r, p_exact)
+        checked.append((draw, rep.p_r_star, p_exact))
+    return checked
 
 
 @pytest.mark.parametrize("nu, seed", [(3.0, 20151), (4.0, 20152)])
@@ -99,3 +111,10 @@ def test_r_star_matches_the_exact_conditional_pvalue(nu, seed):
 
 def test_r_star_matches_the_exact_conditional_pvalue_for_power_exponential_errors():
     _check_r_star_against_the_exact_conditional_pvalue(EllipticalFamily.power_exponential(0.9), 20153)
+
+
+def test_r_star_tracks_the_exact_conditional_pvalue_in_the_tail():
+    # at T = 3 the absolute bound P_BOUND says little; r* is held to 10% of the exact p-value
+    checked = _check_r_star_against_the_exact_conditional_pvalue(EllipticalFamily.student_t(3.0), 20154, t_obs=3.0)
+    for draw, p_star, p_exact in checked:
+        assert abs(p_star - p_exact) <= 0.1 * p_exact, (draw, p_star, p_exact)

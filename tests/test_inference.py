@@ -243,6 +243,26 @@ def test_infinite_final_information_is_flagged_not_raised():
     assert "nonpd_info" in res.diagnostics and np.isnan(res.stderr).all()
 
 
+def test_fit_reports_clamped_residuals_in_observation_order():
+    # observation 0 (q = 3) and observation 1 (q = 1) sit exactly on mu(theta), so u = 0 there;
+    # the q = 1 block is assembled first, the diagnostics still follow observation order
+    fam = EllipticalFamily.power_exponential(0.9)
+    rng = np.random.default_rng(6)
+    design = M.model2_design(12, rng)
+    design[0], design[1] = M._m2_unit(3, 1, M.MODEL2_TIMES[:3]), M._m2_unit(1, 2, M.MODEL2_TIMES[:1])
+    theta = np.array([0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0])
+    ys = [10.0 * rng.standard_normal(u["q"]) for u in design]
+    model = M.mixed_model2()
+    for be in M.evaluate(model, theta, M.model2_dataset(ys, design)).blocks:
+        for j, i in enumerate(be.data.idx):
+            if i < 2:
+                ys[i] = be.mu[j]
+    res = fit(model, fam, M.model2_dataset(ys, design), restriction=(range(model.p), theta))
+    assert (res.converged, res.iterations) == (True, 0)
+    near_zero = [d for d in res.diagnostics if d.startswith("near_zero_residual")]
+    assert near_zero == ["near_zero_residual obs=0", "near_zero_residual obs=1"]
+
+
 def test_fit_fully_restricted_evaluates_only():
     y = scalar_dataset([0.3, -0.2, 0.5])
     res = fit(make_mean_model(), NORMAL, y, restriction=((0,), (0.0,)))

@@ -40,7 +40,6 @@ from .model import (
     NonSPDError,
     Observation,
     evaluate,
-    fd_derivatives,
     mixed_model2,
     model1_dataset,
     model1_design,
@@ -89,7 +88,6 @@ __all__ = [
     "cholesky_lower",
     "doubletilde_info",
     "evaluate",
-    "fd_derivatives",
     "fit",
     "loglik",
     "lr_and_r",

@@ -178,7 +178,7 @@ def lower_inverse(P: np.ndarray) -> np.ndarray:
     return solve_lower(P, np.broadcast_to(np.eye(P.shape[-1]), P.shape).copy())
 
 
-def chol_derivative(P: np.ndarray, dS: np.ndarray, support=slice(None)) -> np.ndarray:
+def chol_derivative(P: np.ndarray, dS: np.ndarray, support: slice) -> np.ndarray:
     """dP_r = P Phi(P^{-1} dS_r P^{-T}), which solves dP_r P' + P dP_r' = dS_r, for P (m,q,q), dS (m,p,q,q).
 
     dP_r is formed for r in the range ``support`` and is zero off it,

@@ -60,7 +60,7 @@ def cholesky_derivative(P: np.ndarray, dS: np.ndarray) -> np.ndarray:
     dS = np.asarray(dS, dtype=float)
     if np.min(np.abs(np.diag(P))) == 0.0:
         raise ValueError("Cholesky factor is singular")
-    return chol_derivative(P[None], dS[None, None])[0, 0]
+    return chol_derivative(P[None], dS[None, None], slice(None))[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,7 @@ def _lbfgs(obj: _Objective, x0):
             ev = obj.evaluate(x)
         except NonSPDError:
             return 1e15, np.zeros_like(x)
-        # probes reach extreme theta where intermediate products overflow;
-        # a non-finite result is rejected below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            si = score_info(obj.family, ev, want_info=False)
+        si = score_info(obj.family, ev, want_info=False)
         g = si.score[obj.free] * obj.scale(x)
         if not (np.isfinite(si.loglik) and np.all(np.isfinite(g))):
             return 1e15, np.zeros_like(x)
@@ -376,14 +373,18 @@ def fit(
                     theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
                 else:
                     theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
+        # a start or probe at extreme theta overflows intermediate products:
+        # Newton and L-BFGS reject its non-finite results, and a non-finite
+        # final J is flagged nonpd_info below
         try:
-            x, ev, si, converged, iters = _newton(obj, _to_internal(theta0[free], obj.is_log))
-            total_iters += iters
-            if not converged:
-                x, iters = _lbfgs(obj, x)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                x, ev, si, converged, iters = _newton(obj, _to_internal(theta0[free], obj.is_log))
                 total_iters += iters
-                x, ev, si, converged, iters = _newton(obj, x)
-                total_iters += iters
+                if not converged:
+                    x, iters = _lbfgs(obj, x)
+                    total_iters += iters
+                    x, ev, si, converged, iters = _newton(obj, x)
+                    total_iters += iters
         except NonSPDError:
             continue
         if best is None or (converged, si.loglik) > best[:2]:

@@ -18,14 +18,14 @@ Two built-in models are provided:
   p = 9.
 
 Models without analytic derivative callbacks fall back to central finite
-differences (steps 1e-6 for first, 1e-4 for second derivatives, scaled by
-max(1, |theta_r|)).
+differences (steps FD_STEP_FIRST = 1e-6 for first and FD_STEP_SECOND = 1e-4
+for second derivatives, scaled by max(1, |theta_r|)).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -42,7 +42,6 @@ __all__ = [
     "ModelEval",
     "NonSPDError",
     "evaluate",
-    "fd_derivatives",
     "nonlinear_model1",
     "mixed_model2",
     "MODELS",
@@ -193,9 +192,12 @@ class ModelSpec:
     The callbacks operate on one DataBlock at a time and return stacked
     arrays: mu (m,q); dmu (m,p,q) with dmu[i,r] = d mu_i / d theta_r;
     d2mu (m,p,p,q); sigma (m,q,q); dsigma (m,p,q,q); d2sigma (m,p,p,q,q).
-    A derivative callback returning None (or left unset) means the
-    corresponding derivatives are identically zero (d2mu/d2sigma) or must
-    be obtained by finite differences (dmu/dsigma).  Callbacks may keep
+    An unset dmu_fn (dsigma_fn) means the first and second derivatives of
+    mu (Sigma) come from finite differences; with dmu_fn set, an unset
+    d2mu_fn or one returning None means d2mu is identically zero (likewise
+    for d2sigma).  So ``dataclasses.replace(model, dmu_fn=None,
+    d2mu_fn=None, dsigma_fn=None, d2sigma_fn=None)`` is the all-finite-
+    difference version of a model.  Callbacks may keep
     theta-independent arrays in ``blk.cached``; those are shared between
     evaluations and read-only.
     """
@@ -265,8 +267,6 @@ class BlockEval:
         if factors is None:
             raise NonSPDError(int(data.idx[k]))
         self.P, self.sinv, self.logdet = factors
-        self._analytic_mu = model.dmu_fn is not None
-        self._analytic_sigma = model.dsigma_fn is not None
 
     def _mu_at(self, t):
         return self.model.mu_fn(t, self.data)
@@ -276,13 +276,13 @@ class BlockEval:
 
     @cached_property
     def dmu(self) -> np.ndarray:
-        if self._analytic_mu:
+        if self.model.dmu_fn is not None:
             return self.model.dmu_fn(self.theta, self.data)
         return _fd_first(self._mu_at, self.theta)
 
     @cached_property
     def d2mu(self) -> np.ndarray | None:
-        if self._analytic_mu:
+        if self.model.dmu_fn is not None:
             fn = self.model.d2mu_fn
             d2mu = None if fn is None else fn(self.theta, self.data)
         else:
@@ -291,7 +291,7 @@ class BlockEval:
 
     @cached_property
     def dsigma(self) -> np.ndarray:
-        if self._analytic_sigma:
+        if self.model.dsigma_fn is not None:
             dsigma = self.model.dsigma_fn(self.theta, self.data)
         else:
             dsigma = _fd_first(self._sigma_at, self.theta)
@@ -300,7 +300,7 @@ class BlockEval:
 
     @cached_property
     def d2sigma(self) -> np.ndarray | None:
-        if self._analytic_sigma:
+        if self.model.dsigma_fn is not None:
             fn = self.model.d2sigma_fn
             d2sigma = None if fn is None else fn(self.theta, self.data)
         else:
@@ -320,13 +320,17 @@ class ModelEval:
     stage0: object = field(default=None, repr=False, compare=False)
 
 
+FD_STEP_FIRST = 1e-6
+FD_STEP_SECOND = 1e-4
+
+
 def _fd_steps(theta: np.ndarray, scale: float) -> np.ndarray:
     return scale * np.maximum(1.0, np.abs(theta))
 
 
-def _fd_first(fn: Callable, theta: np.ndarray, h_scale: float = 1e-6):
+def _fd_first(fn: Callable, theta: np.ndarray):
     """Central differences of fn(theta) (block-shaped) in every theta_r."""
-    h = _fd_steps(theta, h_scale)
+    h = _fd_steps(theta, FD_STEP_FIRST)
     cols = []
     for r in range(theta.size):
         tp, tm = theta.copy(), theta.copy()
@@ -336,10 +340,10 @@ def _fd_first(fn: Callable, theta: np.ndarray, h_scale: float = 1e-6):
     return np.moveaxis(np.stack(cols), 0, 1)  # (m, p, ...)
 
 
-def _fd_second(fn: Callable, theta: np.ndarray, h_scale: float = 1e-4):
+def _fd_second(fn: Callable, theta: np.ndarray):
     """Nested central differences; symmetrized over the (s, r) pair."""
     p = theta.size
-    h = _fd_steps(theta, h_scale)
+    h = _fd_steps(theta, FD_STEP_SECOND)
     base = fn(theta)
     out = np.empty((p, p) + base.shape, dtype=float)
     for s in range(p):
@@ -380,12 +384,6 @@ def evaluate(model: ModelSpec, theta, data: Dataset) -> ModelEval:
         raise ValueError(f"theta has shape {theta.shape}, expected ({model.p},)")
     blocks = [BlockEval(model, theta, blk) for blk in data.blocks()]
     return ModelEval(theta=theta, p=model.p, n=data.n, blocks=blocks)
-
-
-def fd_derivatives(model: ModelSpec, theta, data: Dataset) -> ModelEval:
-    """Like evaluate() but with all derivatives from finite differences."""
-    fd_model = replace(model, dmu_fn=None, d2mu_fn=None, dsigma_fn=None, d2sigma_fn=None)
-    return evaluate(fd_model, theta, data)
 
 
 # ---------------------------------------------------------------------------

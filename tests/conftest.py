@@ -1,6 +1,7 @@
 """Shared fixtures: toy models, seeded instances and session-level simulations."""
 
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,11 @@ def make_linreg_model(pcols):
         dsigma_fn=lambda t, blk: np.zeros((blk.m, pcols, 1, 1)),
         start_fn=lambda data: np.zeros(pcols),
     )
+
+
+def fd_model(model):
+    """``model`` with every derivative callback unset: its derivatives come from finite differences."""
+    return replace(model, dmu_fn=None, d2mu_fn=None, dsigma_fn=None, d2sigma_fn=None)
 
 
 def obs_view(ev, i):

@@ -428,7 +428,6 @@ def test_fit_data_with_a_two_row_model1_unit_is_input_error(tmp_path, capsys):
     assert f"{bad}: row 9: unit 7: model1 units must have one row; this one has 2" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_start_where_the_mean_is_infinite_is_no_input_error(tmp_path):
     # 1 + beta0 = 0 at this start, so mu and the Newton matrix there are not finite
     cfg = dict(model="model1", family="student_t", nu=3.0, n=15, interest=[3], sided="lower", seed=31415)

@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import transcription as T
 from conftest import (
     ALL_FAMILIES,
+    fd_model,
     make_linreg_model,
     make_locscale_model,
     make_mean_model,
@@ -63,14 +64,22 @@ def test_fit_gaussian_closed_form():
     assert res.stderr[0] == pytest.approx(np.sqrt(res.theta[1] / n), rel=1e-8)
 
 
-def test_lbfgs_probe_at_overflowing_point_is_silent():
-    fam = EllipticalFamily.student_t(3.0)
-    obj = inference._Objective(make_locscale_model(), fam, scalar_dataset(np.linspace(-1, 1, 8)),
-                               np.zeros(2), np.arange(2))
-    x0 = inference._to_internal(np.array([1e200, 1e-200]), obj.is_log)
+def test_lbfgs_probe_at_overflowing_point_is_silent(monkeypatch):
+    # fit runs L-BFGS under its np.errstate; Newton cannot step from this start, so L-BFGS begins there
+    runs, real = [], inference._lbfgs
+
+    def recorded(obj, x0):
+        x, iters = real(obj, x0)
+        runs.append((x0, x))
+        return x, iters
+
+    monkeypatch.setattr(inference, "_lbfgs", recorded)
+    monkeypatch.setattr(inference, "RESTARTS", 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, _ = inference._lbfgs(obj, x0)
+        fit(make_locscale_model(), EllipticalFamily.student_t(3.0), scalar_dataset(np.linspace(-1, 1, 8)),
+            start=np.array([1e200, 1e-200]))
+    x0, x = runs[0]
     np.testing.assert_array_equal(x, x0)  # the probe is rejected, not accepted
 
 
@@ -132,12 +141,14 @@ def test_fit_reports_nonconvergence_not_silently(monkeypatch):
 NONFINITE_NEWTON_STARTS = ([-1.0, 0.0, 0.0, 0.0, 0.01], [0.5, 0.2, 0.0, 0.0, 1e-300])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("start", NONFINITE_NEWTON_STARTS, ids=["infinite_mean", "tiny_sigma2"])
 def test_fit_from_a_start_with_a_nonfinite_newton_matrix_returns_a_result(start):
     config = SimulationConfig(model="model1", family="student_t", nu=3.0, n=15, interest=(3,), sided="lower",
                               seed=31415)
-    res = fit(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 0), start=np.array(start))
+    # the starts run under np.errstate: their overflows are rejected, not printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fit(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 0), start=np.array(start))
     assert isinstance(res, FitResult)
 
 
@@ -621,6 +632,20 @@ def test_sign_skips_have_their_own_flags():
     assert rep.gamma == 1.0 and rep.rho == 1.0
     assert rep.r_star == rep.r and rep.LR_star == rep.LR_star2 == rep.LR
     assert rep.p_r_star == rep.p_r and rep.p_LR_star == rep.p_LR
+
+
+def test_run_test_on_finite_differences_matches_the_analytic_model():
+    # criterion 5's config started at the true theta; the five statistics of the
+    # all-finite-difference model 1 agree with the analytic ones to 1e-4 relative
+    config = SimulationConfig(model="model1", family="student_t", nu=3.0, n=15, replications=8,
+                              interest=(3,), psi0=(0.0,), sided="lower", seed=31415)
+    model, start = M.nonlinear_model1(), np.asarray(config.true_theta)
+    for rep in range(8):
+        data = simulate_dataset(config, rep)
+        want = run_test(model, config.family_obj(), data, config.hypothesis(), start=start)
+        got = run_test(fd_model(model), config.family_obj(), data, config.hypothesis(), start=start)
+        for name in ("LR", "r", "r_star", "LR_star", "LR_star2"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-4), (rep, name)
 
 
 def test_negative_determinant_is_noted_once():

@@ -19,6 +19,7 @@ import pytest
 
 import kernel_oracle as O
 from conftest import (
+    fd_model,
     make_locscale_model,
     scalar_dataset,
     simulate_model1,
@@ -186,13 +187,15 @@ def _assert_kernel_equals_oracle(fam, ev_hat, ev_tilde, equal_nan=False):
     assert eq(L.score_info(fam, ev_tilde).info, O.score_and_info(fam, ev_tilde)[1])
 
 
-@pytest.mark.parametrize("derivs", [M.evaluate, M.fd_derivatives], ids=["analytic", "fd"])
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
 @pytest.mark.parametrize("kind", KINDS)
-def test_kernel_equals_full_support_oracle(kind, fam, derivs):
+def test_kernel_equals_full_support_oracle(kind, fam, fd):
     for seed in range(3):
         model, data, th_hat, th_tilde = _case(kind, fam, seed)
-        _assert_kernel_equals_oracle(fam, derivs(model, th_hat, data), derivs(model, th_tilde, data))
+        if fd:
+            model = fd_model(model)
+        _assert_kernel_equals_oracle(fam, M.evaluate(model, th_hat, data), M.evaluate(model, th_tilde, data))
 
 
 def test_sigma_support_shapes():
@@ -207,12 +210,12 @@ def test_sigma_support_shapes():
     }
     for kind in KINDS:
         model, data, th, _ = _case(kind, fam, 0)
-        for derivs in (M.evaluate, M.fd_derivatives):
-            for be in derivs(model, th, data).blocks:
+        for spec in (model, fd_model(model)):
+            for be in M.evaluate(spec, th, data).blocks:
                 S = L._sigma_support(be)[0]
                 assert isinstance(S, slice) and S == expect.get(kind, S)
     model, data, th, _ = _case("gapped", fam, 0)
-    (be,) = M.fd_derivatives(model, th, data).blocks
+    (be,) = M.evaluate(fd_model(model), th, data).blocks
     S, C_bk = L._sigma_support(be)
     assert S == slice(0, 3)
     assert C_bk.shape == (13, 2, 6)
@@ -280,8 +283,7 @@ def test_sigma_inverse_is_computed_once_per_evaluation():
 def test_nonfinite_residuals_propagate_as_in_full_support(kind, bad):
     fam = FAMILIES[1]
     model, data, th, _ = _case(kind, fam, 2)
-    derivs = M.fd_derivatives if kind == "gapped" else M.evaluate
-    ev = derivs(model, th, data)
+    ev = M.evaluate(fd_model(model) if kind == "gapped" else model, th, data)
     z_blocks = [be.data.y - be.mu for be in ev.blocks]
     z_blocks[-1][0, 0] = bad
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -408,7 +410,7 @@ def test_theta_independent_dsigma_is_symmetrized_once_per_block(kind):
         assert b2.dsigma is b1.dsigma and not b1.dsigma.flags.writeable
         assert L._sigma_support(b2)[1] is L._sigma_support(b1)[1]
     # finite-difference derivatives are fresh arrays: rebuilt per evaluation
-    f1, f2 = M.fd_derivatives(model, th, data), M.fd_derivatives(model, th2, data)
+    f1, f2 = M.evaluate(fd_model(model), th, data), M.evaluate(fd_model(model), th2, data)
     assert f2.blocks[0].dsigma is not f1.blocks[0].dsigma
     assert L._sigma_support(f2.blocks[0])[1] is not L._sigma_support(f1.blocks[0])[1]
 
@@ -417,7 +419,7 @@ def test_theta_independent_dsigma_is_symmetrized_once_per_block(kind):
 def test_writeable_dsigma_gives_the_same_support_on_every_call(kind):
     # a finite-difference dSigma is writeable, so its support is rebuilt on each call, to equal values
     model, data, th, _ = _case(kind, FAMILIES[0], 0)
-    for be in M.fd_derivatives(model, th, data).blocks:
+    for be in M.evaluate(fd_model(model), th, data).blocks:
         assert be.dsigma.flags.writeable
         (S1, C1), (S2, C2) = L._sigma_support(be), L._sigma_support(be)
         assert S1 == S2 and np.array_equal(C1, C2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kernel_oracle as O
-from conftest import obs_view
+from conftest import fd_model, obs_view
 from elliplrt import _linalg as linalg
 from elliplrt import model as M
 
@@ -92,13 +92,13 @@ def _compare_evals(ev_a, ev_fd, rtol1, rtol2):
 def test_model1_fd_agreement():
     data = _model1_data()
     model = M.nonlinear_model1()
-    _compare_evals(M.evaluate(model, THETA1, data), M.fd_derivatives(model, THETA1, data), 1e-5, 1e-3)
+    _compare_evals(M.evaluate(model, THETA1, data), M.evaluate(fd_model(model), THETA1, data), 1e-5, 1e-3)
 
 
 def test_model2_fd_agreement():
     data, _ = _model2_data()
     model = M.mixed_model2()
-    _compare_evals(M.evaluate(model, THETA2, data), M.fd_derivatives(model, THETA2, data), 1e-5, 1e-3)
+    _compare_evals(M.evaluate(model, THETA2, data), M.evaluate(fd_model(model), THETA2, data), 1e-5, 1e-3)
 
 
 def test_fd_constant_model_all_zero():
@@ -110,7 +110,7 @@ def test_fd_constant_model_all_zero():
         sigma_fn=lambda t, blk: np.ones((blk.m, 1, 1)),
     )
     data = M.Dataset([M.Observation(np.array([1.0]), {})])
-    ev = M.fd_derivatives(spec, np.array([0.3, -1.2]), data)
+    ev = M.evaluate(spec, np.array([0.3, -1.2]), data)
     assert np.all(ev.blocks[0].dmu == 0.0)
     assert np.all(ev.blocks[0].d2mu == 0.0)
     assert np.all(ev.blocks[0].d2sigma == 0.0)
@@ -118,7 +118,7 @@ def test_fd_constant_model_all_zero():
 
 def test_fd_linear_sigma_second_derivative_zero():
     data = _model1_data()
-    ev = M.fd_derivatives(M.nonlinear_model1(), THETA1, data)
+    ev = M.evaluate(fd_model(M.nonlinear_model1()), THETA1, data)
     np.testing.assert_allclose(ev.blocks[0].d2sigma, 0.0, atol=1e-7)
 
 

@@ -59,7 +59,7 @@ data = simulate(model, theta_true, template, family, rng,
 
 result = fit(model, family, data)
 print(f"\nMLE (converged={result.converged}, {result.iterations} iterations,"
-      f" |score| = {result.score_norm:.2e})")
+      f" {result.evaluations} model evaluations, |score| = {result.score_norm:.2e})")
 for name, val, se in zip(model.param_names, result.theta, result.stderr):
     print(f"  {name:8s} {val:10.5f}  (se {se:.5f})")
 

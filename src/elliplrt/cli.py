@@ -98,6 +98,7 @@ def cmd_fit(args) -> int:
         "score_norm": result.score_norm,
         "converged": result.converged,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "info": [[float(v) for v in row] for row in result.info],
         "diagnostics": result.diagnostics,
     })

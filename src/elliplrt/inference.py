@@ -4,7 +4,8 @@ Fitting maximizes the log-likelihood with a damped Newton iteration on
 internally transformed coordinates (variance-type parameters move on the
 log scale, everything else on the natural scale), using the analytic
 score and observed information; an L-BFGS-B stage plus jittered restarts
-back it up when Newton stalls.  Reported quantities (theta, score,
+back it up when Newton stalls, all within one fit's budget of FIT_EVALS
+model evaluations.  Reported quantities (theta, score,
 information, standard errors) are always on the natural scale.
 
 Tests: for interest block psi of dimension q,
@@ -41,6 +42,7 @@ J-hat; it skips nothing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -71,12 +73,11 @@ __all__ = [
 R_DEGENERATE = 1e-4
 LR_DEGENERATE = 1e-8
 BOUNDARY_EPS = 1e-10
-# Newton's score and relative step tolerances and iteration cap (see fit and _newton); the L-BFGS
-# fallback's iteration cap; the jittered restarts after the first start
+# Newton's score and relative step tolerances (see fit and _newton); the model evaluations one fit
+# may make, over every start, Newton probe and L-BFGS call; the jittered restarts after the first start
 SCORE_TOL = 1e-8
 STEP_TOL = 1e-10
-NEWTON_MAX_ITER = 500
-LBFGS_MAXITER = 300
+FIT_EVALS = 500
 RESTARTS = 5
 # adjustment factors within rounding noise of 1 are treated as exactly 1,
 # so exact cases (Gaussian, known Sigma) report identical adjusted statistics
@@ -175,7 +176,8 @@ class FitResult:
 
     ``restriction`` is the (interest_indices, psi0) a restricted fit held
     fixed, None for an unrestricted one; ``score`` is the full score
-    vector at ``eval_``.
+    vector at ``eval_``.  ``evaluations`` is the number of model
+    evaluations the fit made, non-SPD ones included (at most FIT_EVALS).
     """
 
     theta: np.ndarray
@@ -184,6 +186,7 @@ class FitResult:
     info: np.ndarray
     converged: bool
     iterations: int
+    evaluations: int
     stderr: np.ndarray
     diagnostics: list = field(default_factory=list)
     restriction: tuple | None = None
@@ -209,13 +212,14 @@ def _from_internal(x, is_log):
 
 
 class _Objective:
-    """Evaluation cache for one fit: natural theta from free internal coords."""
+    """One fit's objective: natural theta from free internal coords, and its evaluation budget."""
 
     def __init__(self, model, family, data, template, free):
         self.model, self.family, self.data = model, family, data
         self.template = template.copy()
         self.free = free
         self.is_log = np.array([j in model.positive for j in free], dtype=bool)
+        self.evaluations = 0
 
     def theta_of(self, x):
         theta = self.template.copy()
@@ -223,7 +227,13 @@ class _Objective:
         return theta
 
     def evaluate(self, x):
+        self.evaluations += 1  # counted before the call, so a non-SPD scatter counts too
         return evaluate(self.model, self.theta_of(x), self.data)
+
+    @property
+    def left(self) -> int:
+        """Model evaluations left of the fit's FIT_EVALS."""
+        return FIT_EVALS - self.evaluations
 
     def converged(self, si) -> bool:
         """The stop test: ||U||_inf < SCORE_TOL (1 + |l|) over the free parameters."""
@@ -240,8 +250,9 @@ def _newton(obj: _Objective, x):
 
     Converged: the stop test holds or no parameter is free.  Unconverged:
     the ridged Newton matrix does not factor, the direction is not uphill,
-    40 halvings find no acceptable step, or NEWTON_MAX_ITER steps are taken.
-    A step below STEP_TOL returns the stop test's verdict at the new point.
+    40 halvings find no acceptable step, or the fit's evaluation budget is
+    spent, which ends a line search at its current point.  A step below
+    STEP_TOL returns the stop test's verdict at the new point.
     ``iterations`` counts line searches, a final rejected one included.
     """
     ev = obj.evaluate(x)
@@ -250,9 +261,11 @@ def _newton(obj: _Objective, x):
         return x, ev, si, True, 0
     free_block = np.ix_(obj.free, obj.free)
     diag = np.diag_indices(x.size)
-    for it in range(NEWTON_MAX_ITER):
+    for it in itertools.count():
         if obj.converged(si):
             return x, ev, si, True, it
+        if not obj.left:
+            return x, ev, si, False, it
         s = obj.scale(x)
         g = si.score[obj.free] * s  # gradient of the log-likelihood in internal coords
         H = s[:, None] * si.info[free_block] * s[None, :]
@@ -266,6 +279,8 @@ def _newton(obj: _Objective, x):
             return x, ev, si, False, it
         t = 1.0
         for _ in range(40):
+            if not obj.left:
+                return x, ev, si, False, it + 1
             try:
                 ev2 = obj.evaluate(x + t * d)
             except NonSPDError:
@@ -287,7 +302,6 @@ def _newton(obj: _Objective, x):
         ev, si = ev2, si2
         if rel_step < STEP_TOL:
             return x, ev, si, obj.converged(si), it + 1
-    return x, ev, si, False, NEWTON_MAX_ITER
 
 
 def _lbfgs(obj: _Objective, x0):
@@ -295,7 +309,12 @@ def _lbfgs(obj: _Objective, x0):
     # whose fits all converge never loads scipy.optimize (about 17 MB)
     import scipy.optimize
 
+    # L-BFGS-B checks maxfun only between iterations, and its line search can
+    # make 20 more calls, so calls past the budget are refused; one evaluation
+    # is kept for the Newton run that starts where L-BFGS stops
     def fun(x):
+        if obj.left <= 1:
+            return 1e15, np.zeros_like(x)
         try:
             ev = obj.evaluate(x)
         except NonSPDError:
@@ -307,7 +326,7 @@ def _lbfgs(obj: _Objective, x0):
         return -si.loglik, -g
 
     res = scipy.optimize.minimize(
-        fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": LBFGS_MAXITER, "ftol": 1e-14, "gtol": 1e-10}
+        fun, x0, jac=True, method="L-BFGS-B", options={"maxfun": obj.left - 1, "ftol": 1e-14, "gtol": 1e-10}
     )
     return res.x, int(res.nit)
 
@@ -327,11 +346,14 @@ def fit(
     score to satisfy ||U||_inf < SCORE_TOL (1 + |l|).  One objective
     serves every start: Newton, then L-BFGS and Newton again if unconverged.
     A start where a Newton run begins at a non-SPD scatter is skipped for
-    the next jittered one; NonSPDError never leaves ``fit``.  Non-convergence
-    is reported in the result, never silently; a FitError is raised only
-    when every start fails.  All three diagnostics (``near_zero_residual
-    obs=i`` in observation order, ``nonpd_info``, ``boundary_fit``) are
-    computed at the returned point.
+    the next jittered one; NonSPDError never leaves ``fit``.  Every model
+    evaluation, over all starts, counts against FIT_EVALS: once it is spent,
+    Newton stops at its current point, L-BFGS gets no more calls and no
+    restart begins, and an unconverged fit carries ``evaluation_budget``.
+    Non-convergence is reported in the result, never silently; a FitError
+    is raised only when every start fails.  The other diagnostics
+    (``near_zero_residual obs=i`` in observation order, ``nonpd_info``,
+    ``boundary_fit``) are computed at the returned point.
     """
     p = model.p
     if not p < data.n:
@@ -364,6 +386,8 @@ def fit(
     best = None
     total_iters = 0
     for attempt in range(RESTARTS + 1):
+        if not obj.left:
+            break
         theta0 = base_start.copy()
         if attempt > 0:
             if rng is None:
@@ -380,7 +404,7 @@ def fit(
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 x, ev, si, converged, iters = _newton(obj, _to_internal(theta0[free], obj.is_log))
                 total_iters += iters
-                if not converged:
+                if not converged and obj.left > 1:
                     x, iters = _lbfgs(obj, x)
                     total_iters += iters
                     x, ev, si, converged, iters = _newton(obj, x)
@@ -399,6 +423,8 @@ def fit(
     score_norm = float(np.abs(si.score[obj.free]).max(initial=0.0))
 
     diagnostics = [f"near_zero_residual obs={i}" for i in np.flatnonzero(family._clamped(si.per_obs_u))]
+    if not converged and not obj.left:
+        diagnostics.append("evaluation_budget")
     L = cholesky_or_none(si.info)
     if L is None:
         stderr = np.full(p, np.nan)
@@ -415,6 +441,7 @@ def fit(
         info=si.info,
         converged=bool(converged),
         iterations=total_iters,
+        evaluations=obj.evaluations,
         stderr=stderr,
         diagnostics=diagnostics,
         restriction=(interest, psi0) if restriction is not None else None,
@@ -660,6 +687,12 @@ class TestReport:
         return getattr(self, key)
 
 
+def _unconverged(res: FitResult) -> str:
+    if "evaluation_budget" in res.diagnostics:
+        return f"did not converge within {FIT_EVALS} model evaluations (evaluation_budget)"
+    return "did not converge"
+
+
 def run_test(
     model: ModelSpec,
     family: EllipticalFamily,
@@ -671,8 +704,8 @@ def run_test(
 
     Raises HypothesisError before any fit when the hypothesis does not
     fit the model, and StageError (with the offending stage) when a fit
-    raises FitError or does not converge, or an adjustment system is
-    singular.
+    raises FitError or does not converge (its message names a spent
+    evaluation budget), or an adjustment system is singular.
     """
     hypothesis.check(model)
     interest = hypothesis.interest_indices
@@ -683,7 +716,7 @@ def run_test(
     except FitError as exc:
         raise StageError("unrestricted_fit", exc) from exc
     if not fit_hat.converged:
-        raise StageError("unrestricted_fit", "did not converge")
+        raise StageError("unrestricted_fit", _unconverged(fit_hat))
 
     tilde_start = fit_hat.theta.copy()
     tilde_start[list(interest)] = hypothesis.psi0
@@ -692,7 +725,7 @@ def run_test(
     except FitError as exc:
         raise StageError("restricted_fit", exc) from exc
     if not fit_tilde.converged:
-        raise StageError("restricted_fit", "did not converge")
+        raise StageError("restricted_fit", _unconverged(fit_tilde))
 
     # the restricted optimum can only be bettered by the unrestricted one
     if fit_tilde.loglik > fit_hat.loglik + 1e-10 * (1.0 + abs(fit_hat.loglik)):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from elliplrt import cli
+from elliplrt.inference import FIT_EVALS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -52,6 +53,7 @@ def test_fit_roundtrip_model1(one_dataset, tmp_path):
     blob = json.loads(out.read_text())
     assert blob["converged"] is True
     assert blob["score_norm"] < 1e-8 * (1 + abs(blob["loglik"]))
+    assert blob["iterations"] < blob["evaluations"] <= FIT_EVALS
     assert set(blob["theta"]) == {"beta0", "beta1", "beta2", "beta3", "sigma2"}
     assert np.isfinite(list(blob["stderr"].values())).all()
 

@@ -129,12 +129,72 @@ def test_restricted_fit_nested_likelihood():
 def test_fit_reports_nonconvergence_not_silently(monkeypatch):
     rng = np.random.default_rng(4)
     model, data = simulate_model1(NORMAL, 12, rng)
-    monkeypatch.setattr(inference, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(inference, "FIT_EVALS", 3)
     monkeypatch.setattr(inference, "RESTARTS", 0)
     res = fit(model, NORMAL, data, start=np.array([50.0, -30.0, 20.0, -10.0, 1e4]))
-    assert isinstance(res.converged, bool)
-    if not res.converged:
-        assert res.score_norm > 0
+    assert res.converged is False and res.evaluations == 3
+    assert "evaluation_budget" in res.diagnostics
+    assert res.score_norm > 0
+
+
+# criterion 5's configuration; its replication 72, fitted from the true theta, runs Newton, L-BFGS and Newton again
+T3_LOWER = SimulationConfig(model="model1", family="student_t", nu=3.0, n=15, interest=(3,), sided="lower", seed=31415)
+
+
+def counting_evaluate(monkeypatch) -> list:
+    """Wrap ``inference.evaluate``; the returned list gets True per call that raised NonSPDError, else False."""
+    calls, real = [], inference.evaluate
+
+    def counted(*args):
+        calls.append(True)
+        out = real(*args)
+        calls[-1] = False
+        return out
+
+    monkeypatch.setattr(inference, "evaluate", counted)
+    return calls
+
+
+def test_fit_counts_every_model_evaluation_against_its_budget(monkeypatch):
+    model, fam, data = M.nonlinear_model1(), T3_LOWER.family_obj(), simulate_dataset(T3_LOWER, 72)
+    start = np.asarray(T3_LOWER.true_theta)
+    calls = counting_evaluate(monkeypatch)
+    needed = fit(model, fam, data, start=start)
+    assert needed.converged and needed.evaluations == len(calls)
+    # a budget spent in the first Newton run, in L-BFGS or in the Newton run after it; a cut L-BFGS run
+    # can leave the last Newton run a point it converges from sooner (a budget of 15 does)
+    for budget in range(1, needed.evaluations):
+        monkeypatch.setattr(inference, "FIT_EVALS", budget)
+        calls.clear()
+        res = fit(model, fam, data, start=start)
+        assert res.evaluations == len(calls) <= budget
+        assert res.converged != ("evaluation_budget" in res.diagnostics)
+
+
+def test_a_model2_fit_that_cannot_converge_stops_at_the_budget(monkeypatch):
+    # the model-2 fit of the FOUND defect: cold-started, it made 1,119 evaluations before the budget
+    config = SimulationConfig(model="model2", family="student_t", nu=4.0, n=16, interest=(4,), seed=2718)
+    data = simulate_dataset(config, 1)
+    calls = counting_evaluate(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "observed information asymmetry")
+        res = fit(M.mixed_model2(), config.family_obj(), data)
+        assert not res.converged and "evaluation_budget" in res.diagnostics
+        assert res.evaluations == len(calls) <= inference.FIT_EVALS
+        assert any(calls)  # non-SPD probes count too
+        with pytest.raises(StageError, match=r"did not converge within 500 model evaluations \(evaluation_budget\)"
+                           ) as exc:
+            run_test(M.mixed_model2(), config.family_obj(), data, config.hypothesis())
+    assert exc.value.stage == "unrestricted_fit"
+
+
+def test_a_power_exponential_fit_with_an_unbounded_weight_stops_at_the_budget():
+    # lambda = 0.5: the weight is unbounded at a zero residual; this fit made 17,825 evaluations before the budget
+    config = dataclasses.replace(T3_LOWER, family="power_exponential", nu=None, lam=0.5)
+    res = fit(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 0),
+              start=np.asarray(config.true_theta))
+    assert not res.converged and res.evaluations == inference.FIT_EVALS
+    assert "evaluation_budget" in res.diagnostics
 
 
 # mu = 1 / (1 + beta0 + ...) is infinite at beta0 = -1 on this dataset; sigma2 = 1e-300 overflows the information
@@ -664,7 +724,8 @@ def test_near_zero_statistics_skip_the_factors_before_any_determinant():
     # no sample-space derivatives are needed when both factors are skipped
     def fitted(theta, ll, restriction=None):
         return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(3),
-                                   converged=True, iterations=0, stderr=np.ones(3), restriction=restriction)
+                                   converged=True, iterations=0, evaluations=1, stderr=np.ones(3),
+                                   restriction=restriction)
 
     hat = fitted([0.0, 1.0, 2e-5], -10.0)
     tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, ((2,), np.array([0.0])))
@@ -678,7 +739,7 @@ def test_nonpositive_score_quadratic_form_has_its_own_flag():
     # J-doubletilde = -I makes U~' JJ^{-1} U~ negative while gamma's ratio is positive
     def fitted(theta, ll, **tilde):
         return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(2),
-                                   converged=True, iterations=0, stderr=np.ones(2), **tilde)
+                                   converged=True, iterations=0, evaluations=1, stderr=np.ones(2), **tilde)
 
     derivs = inference.SampleSpaceDerivs(ell_hat_prime=np.array([0.0, 1.0]), ell_tilde_prime=np.zeros(2),
                                          U_tilde_prime=np.eye(2), J_doubletilde=-np.eye(2))

@@ -7,7 +7,8 @@ how the library reports bad input), 2 numerical failure (fit did not
 converge, a test stage failed, simulation failure rate too high).  All
 randomness flows from the simulation seed (``SimulationConfig``'s default
 unless the config or ``--seed`` sets one); no wall-clock entropy is ever
-used.
+used.  ``simulate --threads`` is passed to ``run_simulation`` as its
+worker count and changes no output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -42,9 +42,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
-# config JSON key -> SimulationConfig field; the worker count comes from the command line
-_CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f.name
-               for f in dataclasses.fields(SimulationConfig) if f.name != "threads"}
+# config JSON key -> SimulationConfig field
+_CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f.name for f in dataclasses.fields(SimulationConfig)}
 
 
 class InputError(Exception):
@@ -128,22 +127,13 @@ def _load_sim_config(args) -> SimulationConfig:
     kwargs = {_CONFIG_KEYS[key]: value for key, value in raw.items()}
     if isinstance(kwargs.get("interest"), str):
         kwargs["interest"] = _split(kwargs["interest"])
-    overrides = {"replications": args.reps, "seed": args.seed,
-                 "threads": _env_threads() if args.threads is None else args.threads}
+    overrides = {"replications": args.reps, "seed": args.seed}
     kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     missing = [f.name for f in dataclasses.fields(SimulationConfig)
                if f.default is dataclasses.MISSING and f.name not in kwargs]
     if missing:
         raise InputError(f"{args.config}: missing required key(s) {missing}")
     return SimulationConfig(**kwargs)
-
-
-def _env_threads() -> int | None:
-    """Worker count from ELLIP_LRT_THREADS (None when unset)."""
-    env = os.environ.get("ELLIP_LRT_THREADS")
-    if env and (not env.strip().isdecimal() or int(env) < 1):
-        raise InputError(f"ELLIP_LRT_THREADS must be a positive integer, got {env!r}")
-    return int(env) if env else None
 
 
 def cmd_simulate(args) -> int:
@@ -153,7 +143,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     if not (args.out_summary and args.out_pvalues):
         raise InputError("simulate requires --out-summary and --out-pvalues (or --emit-one)")
-    summary = run_simulation(config)
+    summary = run_simulation(config, threads=args.threads)
     write_summary_csv(args.out_summary, summary)
     write_pvalues_csv(args.out_pvalues, summary)
     return EXIT_OK
@@ -204,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
     p_sim.add_argument("--seed", type=int, default=None, help="override run seed")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker processes, at most the CPU count (default: ELLIP_LRT_THREADS or 1)")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="worker processes, at most the CPU count; the CSVs do not depend on it (default: 1)")
     p_sim.add_argument("--out-summary", default=None)
     p_sim.add_argument("--out-pvalues", default=None)
     p_sim.add_argument("--emit-one", default=None, metavar="CSV",

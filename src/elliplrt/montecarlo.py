@@ -5,8 +5,9 @@ covariates, model-2 dimensions and groups), then repeatedly simulates
 null datasets, runs the full test pipeline and records the p-value of
 every statistic.  Per-replication randomness comes from a splittable
 seed sequence keyed by (seed, replication index), so results are
-bit-identical for a given seed regardless of how replications are
-distributed over worker processes.  Replications whose fits fail are
+bit-identical for a given seed whatever the worker count: that count,
+``run_simulation``'s ``threads``, is a setting of the run and not of the
+``SimulationConfig``.  Replications whose fits fail are
 redrawn up to ``max_refit_attempts`` times.  The summary counts the
 redraws, the replications that ran out of them, and, per flag of
 ``inference.SKIP_FLAGS``, the replications whose r*, LR* or LR** p-value
@@ -96,13 +97,12 @@ class SimulationConfig:
     true_theta: tuple | None = None
     seed: int = 42
     max_refit_attempts: int = 10
-    threads: int = 1
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r} (expected one of {', '.join(MODELS)})")
         spec = MODELS[self.model]()
-        least = {"n": spec.p + 1, "replications": 1, "seed": 0, "max_refit_attempts": 1, "threads": 1}
+        least = {"n": spec.p + 1, "replications": 1, "seed": 0, "max_refit_attempts": 1}
         for name, low in least.items():
             value = getattr(self, name)
             try:
@@ -259,11 +259,18 @@ def _run_range(config: SimulationConfig, lo: int, hi: int):
     return results, setup.redraws, setup.skips
 
 
-def run_simulation(config: SimulationConfig) -> SimulationSummary:
-    """Execute the configured run; raises SimulationError on >2% failures."""
+def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
+    """Execute the configured run on at most ``threads`` worker processes.
+
+    ``threads`` is an integer >= 1, capped at the CPU count; another value
+    is a ValueError naming it, before any replication runs.  The results
+    do not depend on it.  Raises SimulationError on >2% failures.
+    """
     t0 = time.perf_counter()
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     R = config.replications
-    workers = min(config.threads, os.cpu_count() or 1)  # the CSVs do not depend on it
+    workers = min(threads, os.cpu_count() or 1)
     if workers == 1:
         parts = [_run_range(config, 0, R)]
     else:

@@ -185,9 +185,9 @@ def sim_model1_normal_n15():
     """Model 1, normal, n=15, two-sided (beta2, beta3), 2000 reps."""
     cfg = SimulationConfig(
         model="model1", family="normal", n=15, replications=2000,
-        interest=(2, 3), psi0=(0.0, 0.0), sided="two", seed=20260811, threads=SIM_THREADS,
+        interest=(2, 3), psi0=(0.0, 0.0), sided="two", seed=20260811,
     )
-    return run_simulation(cfg)
+    return run_simulation(cfg, threads=SIM_THREADS)
 
 
 @pytest.fixture(scope="session")
@@ -195,9 +195,9 @@ def sim_model1_t3_onesided_n15():
     """Model 1, Student-t(3), n=15, one-sided beta3, 2000 reps."""
     cfg = SimulationConfig(
         model="model1", family="student_t", nu=3.0, n=15, replications=2000,
-        interest=(3,), psi0=(0.0,), sided="lower", seed=31415, threads=SIM_THREADS,
+        interest=(3,), psi0=(0.0,), sided="lower", seed=31415,
     )
-    return run_simulation(cfg)
+    return run_simulation(cfg, threads=SIM_THREADS)
 
 
 @pytest.fixture(scope="session")
@@ -205,9 +205,9 @@ def sim_model2_normal_n16():
     """Model 2, normal, n=16, q=3 interest block, 1000 reps."""
     cfg = SimulationConfig(
         model="model2", family="normal", n=16, replications=1000,
-        interest=(2, 3, 4), psi0=(0.0, 0.0, 0.0), sided="two", seed=271828, threads=SIM_THREADS,
+        interest=(2, 3, 4), psi0=(0.0, 0.0, 0.0), sided="two", seed=271828,
     )
-    return run_simulation(cfg)
+    return run_simulation(cfg, threads=SIM_THREADS)
 
 
 @pytest.fixture(scope="session")
@@ -215,6 +215,6 @@ def sim_model1_normal_n100():
     """Model 1, normal, n=100, scalar two-sided interest, 2000 reps."""
     cfg = SimulationConfig(
         model="model1", family="normal", n=100, replications=2000,
-        interest=(3,), psi0=(0.0,), sided="two", seed=808, threads=SIM_THREADS,
+        interest=(3,), psi0=(0.0,), sided="two", seed=808,
     )
-    return run_simulation(cfg)
+    return run_simulation(cfg, threads=SIM_THREADS)

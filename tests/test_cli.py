@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -295,28 +296,24 @@ def test_test_exit_code_on_fit_failure(one_dataset, monkeypatch, capsys):
     assert "unrestricted_fit" in capsys.readouterr().err
 
 
-def test_threads_env_validated(monkeypatch, sim_config_path, one_dataset, tmp_path, capsys):
+def test_every_config_field_is_a_config_key():
+    # the worker count changes no output, so it is a setting of the run and not of the config
+    fields = {f.name for f in dataclasses.fields(cli.SimulationConfig)}
+    assert set(cli._CONFIG_KEYS.values()) == fields and "threads" not in fields
+
+
+def test_threads_option_reaches_run_simulation(monkeypatch, sim_config_path, tmp_path):
     seen = []
 
-    def record(config):
-        seen.append(config.threads)
+    def record(config, threads):
+        seen.append(threads)
         raise cli.SimulationError("stop")
 
     monkeypatch.setattr(cli, "run_simulation", record)
     sim = ["simulate", "--config", str(sim_config_path), "--out-summary", str(tmp_path / "s.csv"),
            "--out-pvalues", str(tmp_path / "p.csv")]
-    monkeypatch.setenv("ELLIP_LRT_THREADS", "3")
-    assert cli.main(sim) == cli.main([*sim, "--threads", "2"]) == 2
-    assert seen == [3, 2]
-    for bad in ("four", "0", "-3"):
-        monkeypatch.setenv("ELLIP_LRT_THREADS", bad)
-        capsys.readouterr()
-        assert cli.main(sim) == 1
-        assert "ELLIP_LRT_THREADS" in capsys.readouterr().err
-        assert cli.main([*sim, "--threads", "2"]) == 2  # the explicit option wins
-    # fit and test do not read the variable
-    assert cli.main(["fit", "--model", "model1", "--family", "normal", "--data", str(one_dataset),
-                     "--out", str(tmp_path / "fit.json")]) == 0
+    assert cli.main([*sim, "--threads", "2"]) == cli.main(sim) == 2
+    assert seen == [2, 1]
 
 
 def test_console_script_entry_point(tmp_path, sim_config_path):

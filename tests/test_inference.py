@@ -171,6 +171,23 @@ def test_fit_counts_every_model_evaluation_against_its_budget(monkeypatch):
         assert res.converged != ("evaluation_budget" in res.diagnostics)
 
 
+def test_the_restricted_fit_of_replication_613_stays_at_its_maximum():
+    # a line search that accepts any step not below Armijo's sends the first restricted step to
+    # sigma2 = 28, and the fit ends at a local maximum with l~ = -14.56 and LR = 69.6
+    model, fam, data = M.nonlinear_model1(), T3_LOWER.family_obj(), simulate_dataset(T3_LOWER, 613)
+    hyp = T3_LOWER.hypothesis()
+    fit_hat = fit(model, fam, data, start=np.asarray(T3_LOWER.true_theta))
+    tilde_start = fit_hat.theta.copy()
+    tilde_start[list(hyp.interest_indices)] = hyp.psi0
+    fit_tilde = fit(model, fam, data, restriction=(hyp.interest_indices, hyp.psi0), start=tilde_start)
+    assert fit_tilde.converged
+    assert fit_tilde.loglik == pytest.approx(18.98235, abs=1e-4)
+    assert fit_tilde.theta[4] == pytest.approx(0.00251, abs=1e-5)
+    report = run_test(model, fam, data, hyp, start=np.asarray(T3_LOWER.true_theta))
+    assert report.LR == pytest.approx(2.48218, abs=1e-4)
+    assert report.LR == lr_and_r(fit_hat, fit_tilde)[0]
+
+
 def test_a_model2_fit_that_cannot_converge_stops_at_the_budget(monkeypatch):
     # the model-2 fit of the FOUND defect: cold-started, it made 1,119 evaluations before the budget
     config = SimulationConfig(model="model2", family="student_t", nu=4.0, n=16, interest=(4,), seed=2718)

@@ -49,7 +49,7 @@ def test_config_validation():
         dataclasses.replace(BASE, interest=(7,), psi0=(0.0,))
 
 
-@pytest.mark.parametrize("field, value", [("n", 3), ("n", 5), ("threads", 0), ("threads", -3), ("seed", -1)])
+@pytest.mark.parametrize("field, value", [("n", 3), ("n", 5), ("seed", -1)])
 def test_config_rejects_counts_below_their_least_value(field, value):
     with pytest.raises(SimulationError, match=f"{field} must be >= "):
         dataclasses.replace(BASE, **{field: value})
@@ -110,9 +110,9 @@ def test_a_true_theta_outside_the_model_fails_before_any_replication(model, n, t
 
 
 @pytest.mark.parametrize("field, value", [("n", 15.7), ("replications", 15.7), ("seed", 15.7),
-                                          ("max_refit_attempts", 15.7), ("threads", 15.7), ("n", float("inf")),
+                                          ("max_refit_attempts", 15.7), ("n", float("inf")),
                                           ("n", True), ("replications", True), ("seed", True),
-                                          ("max_refit_attempts", True), ("threads", True)])
+                                          ("max_refit_attempts", True)])
 def test_config_rejects_a_non_integral_count(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
         dataclasses.replace(BASE, **{field: value})
@@ -175,8 +175,8 @@ def test_single_replication_degenerate_summary():
 
 
 def test_reproducible_across_thread_counts():
-    s1 = run_simulation(dataclasses.replace(BASE, threads=1))
-    s2 = run_simulation(dataclasses.replace(BASE, threads=2))
+    s1 = run_simulation(BASE, threads=1)
+    s2 = run_simulation(BASE, threads=2)
     for label in BASE.stat_labels():
         np.testing.assert_array_equal(s1.pvalues[label], s2.pvalues[label])
     assert s1.failure_count == s2.failure_count
@@ -202,14 +202,24 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     cfg = dataclasses.replace(BASE, replications=6)
-    capped = run_simulation(dataclasses.replace(cfg, threads=1000))
+    capped = run_simulation(cfg, threads=1000)
     assert seen == [2]
     serial = run_simulation(cfg)
     for label in BASE.stat_labels():
         np.testing.assert_array_equal(capped.pvalues[label], serial.pvalues[label])
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
-    run_simulation(dataclasses.replace(cfg, threads=1000))
+    run_simulation(cfg, threads=1000)
     assert seen == [2]  # one CPU: no pool
+
+
+@pytest.mark.parametrize("threads", [0, -3, 15.7, True])
+def test_run_simulation_rejects_a_bad_worker_count_before_any_replication(monkeypatch, threads):
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "_run_range", no_replication)
+    with pytest.raises(ValueError, match=f"^threads must be an integer >= 1, got {threads!r}$"):
+        run_simulation(BASE, threads=threads)
 
 
 def test_same_seed_same_results():

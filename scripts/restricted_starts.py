@@ -2,21 +2,22 @@
 
     python3 scripts/restricted_starts.py [--only NAME] [--reps N]
 
-``run_test`` starts the restricted fit at theta-hat with the interest block
-set to psi0.  This script runs each pool op as the benchmark runs it (pool
-entries in order) and keeps the op's restricted ``FitResult`` and dataset
-by wrapping ``inference.fit`` from outside, as ``bench/tracing.py`` wraps
-the program's functions; nothing under ``src/`` or ``bench/`` changes.  It
-then refits the restricted model on that dataset from the workload
-config's true theta, which satisfies the null.
+``run_test`` starts the restricted fit at theta-hat; the restriction pins
+the interest block at psi0.  This script runs each pool op as the
+benchmark runs it (pool entries in order) and keeps the op's restricted
+``FitResult`` and dataset by wrapping ``inference.fit`` from outside, as
+``bench/tracing.py`` wraps the program's functions; nothing under
+``src/`` or ``bench/`` changes.  It then refits the restricted model on
+that dataset from the workload config's true theta, which satisfies the
+null.
 
 It lists every op where that refit converges above the op's own restricted
 log-likelihood l~ by more than 1e-6 (1 + |l~|).  For each it prints the
 reported LR, 2 (l-hat - l~) with the better restricted fit, the op's skip
 flags (``inference.SKIP_FLAGS``), whether the report carries the note
 ``restricted fit: nonpd_info``, and whether a restricted fit from
-``model.start(data)`` with psi0, the start of a cold ``elliplrt test``
-call, reaches the better optimum too.  ``--only`` runs one workload,
+``model.start(data)``, the start of a cold ``elliplrt test`` call,
+reaches the better optimum too.  ``--only`` runs one workload,
 ``--reps`` the first N pool entries of each.  The last line is JSON.
 """
 
@@ -84,9 +85,7 @@ def main(argv=None) -> int:
                     if not (refit.converged and better(refit.loglik, own.loglik)):
                         continue
                     l_hat = own.loglik + report.LR / 2.0
-                    cold_start = s.model.start(data)
-                    cold_start[list(hyp[0])] = hyp[1]
-                    cold = real(s.model, s.family, data, restriction=hyp, start=cold_start)
+                    cold = real(s.model, s.family, data, restriction=hyp, start=s.model.start(data))
                     row = {
                         "entry": rep,
                         "LR": report.LR,

@@ -221,28 +221,29 @@ class _Objective:
         self.is_log = np.array([j in model.positive for j in free], dtype=bool)
         self.evaluations = 0
 
-    def theta_of(self, x):
+    def evaluate(self, x):
+        """The model at the natural theta of x; its ``theta`` is what ``scale`` and ``fit`` read."""
+        self.evaluations += 1  # counted before the call, so a non-SPD scatter counts too
         theta = self.template.copy()
         theta[self.free] = _from_internal(x, self.is_log)
-        return theta
-
-    def evaluate(self, x):
-        self.evaluations += 1  # counted before the call, so a non-SPD scatter counts too
-        return evaluate(self.model, self.theta_of(x), self.data)
+        return evaluate(self.model, theta, self.data)
 
     @property
     def left(self) -> int:
         """Model evaluations left of the fit's FIT_EVALS."""
         return FIT_EVALS - self.evaluations
 
+    def score_norm(self, si) -> float:
+        """||U||_inf over the free parameters (0 when none is free)."""
+        return float(np.abs(si.score[self.free]).max(initial=0.0))
+
     def converged(self, si) -> bool:
         """The stop test: ||U||_inf < SCORE_TOL (1 + |l|) over the free parameters."""
-        return bool(np.abs(si.score[self.free]).max() < SCORE_TOL * (1.0 + abs(si.loglik)))
+        return self.score_norm(si) < SCORE_TOL * (1.0 + abs(si.loglik))
 
-    def scale(self, x):
-        s = np.ones_like(x)
-        s[self.is_log] = _from_internal(x, self.is_log)[self.is_log]
-        return s
+    def scale(self, ev):
+        """d theta / d x at the evaluated point: theta_j for a log-scale coordinate, 1 otherwise."""
+        return np.where(self.is_log, ev.theta[self.free], 1.0)
 
 
 def _newton(obj: _Objective, x):
@@ -266,7 +267,7 @@ def _newton(obj: _Objective, x):
             return x, ev, si, True, it
         if not obj.left:
             return x, ev, si, False, it
-        s = obj.scale(x)
+        s = obj.scale(ev)
         g = si.score[obj.free] * s  # gradient of the log-likelihood in internal coords
         H = s[:, None] * si.info[free_block] * s[None, :]
         H[diag] -= np.where(obj.is_log, g, 0.0)
@@ -320,7 +321,7 @@ def _lbfgs(obj: _Objective, x0):
         except NonSPDError:
             return 1e15, np.zeros_like(x)
         si = score_info(obj.family, ev, want_info=False)
-        g = si.score[obj.free] * obj.scale(x)
+        g = si.score[obj.free] * obj.scale(ev)
         if not (np.isfinite(si.loglik) and np.all(np.isfinite(g))):
             return 1e15, np.zeros_like(x)
         return -si.loglik, -g
@@ -342,7 +343,8 @@ def fit(
 
     ``restriction`` is (interest_indices, psi0), checked against the model
     as a ``Hypothesis`` is; the psi block is pinned at psi0 and only the
-    nuisance block is optimized.  Convergence requires the free-block
+    nuisance block is optimized, so a restricted fit reads only the free
+    entries of its start.  Convergence requires the free-block
     score to satisfy ||U||_inf < SCORE_TOL (1 + |l|).  One objective
     serves every start: Newton, then L-BFGS and Newton again if unconverged.
     A start where a Newton run begins at a non-SPD scatter is skipped for
@@ -376,12 +378,10 @@ def fit(
         raise ValueError(f"start has shape {base_start.shape}, expected ({p},)")
     if not np.isfinite(base_start).all():
         raise ValueError(f"start must be finite, got {base_start}")
-    free_set = set(free.tolist())
-    for j in model.positive:
-        if j in free_set and base_start[j] <= 0:
-            base_start[j] = 1e-4
-
     obj = _Objective(model, family, data, template, free)
+    for j in free[obj.is_log]:
+        if base_start[j] <= 0:
+            base_start[j] = 1e-4
     rng = None  # the deterministic jitter stream, created by the first restart
     best = None
     total_iters = 0
@@ -392,8 +392,8 @@ def fit(
         if attempt > 0:
             if rng is None:
                 rng = np.random.default_rng(0x5EED)
-            for j in free:
-                if j in model.positive:
+            for j, is_log in zip(free, obj.is_log):
+                if is_log:
                     theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
                 else:
                     theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
@@ -412,15 +412,14 @@ def fit(
         except NonSPDError:
             continue
         if best is None or (converged, si.loglik) > best[:2]:
-            best = (converged, si.loglik, x, ev, si)
+            best = (converged, si.loglik, ev, si)
         if converged:
             break
     if best is None:
         raise FitError("every starting point failed model evaluation (non-SPD scatter)")
 
-    converged, _, x, ev, si = best
-    theta = obj.theta_of(x)
-    score_norm = float(np.abs(si.score[obj.free]).max(initial=0.0))
+    converged, _, ev, si = best
+    theta = ev.theta.copy()  # ev derives its lazy derivatives from its own theta
 
     diagnostics = [f"near_zero_residual obs={i}" for i in np.flatnonzero(family._clamped(si.per_obs_u))]
     if not converged and not obj.left:
@@ -431,13 +430,13 @@ def fit(
         diagnostics.append("nonpd_info")
     else:
         stderr = np.sqrt(inverse_diag(L))
-    if any(theta[j] < BOUNDARY_EPS for j in model.positive if j in free_set):
+    if np.any(theta[free[obj.is_log]] < BOUNDARY_EPS):
         diagnostics.append("boundary_fit")
 
     return FitResult(
         theta=theta,
         loglik=float(si.loglik),
-        score_norm=score_norm,
+        score_norm=obj.score_norm(si),
         info=si.info,
         converged=bool(converged),
         iterations=total_iters,
@@ -718,10 +717,8 @@ def run_test(
     if not fit_hat.converged:
         raise StageError("unrestricted_fit", _unconverged(fit_hat))
 
-    tilde_start = fit_hat.theta.copy()
-    tilde_start[list(interest)] = hypothesis.psi0
     try:
-        fit_tilde = fit(model, family, data, restriction=(interest, hypothesis.psi0), start=tilde_start)
+        fit_tilde = fit(model, family, data, restriction=(interest, hypothesis.psi0), start=fit_hat.theta)
     except FitError as exc:
         raise StageError("restricted_fit", exc) from exc
     if not fit_tilde.converged:

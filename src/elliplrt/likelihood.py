@@ -19,9 +19,9 @@ equals the negative Hessian of the log-likelihood.  The T term comes from
 module shares.  J is symmetrized by averaging after assembly; raw
 relative asymmetry above 1e-8 triggers a warning.
 
-The two entry points, ``loglik`` and ``score_info``, accept a residual
-override so that J can be evaluated with residuals reconstructed through
-the ancillary (z_i = P_i a_i) instead of y_i - mu_i.
+Only ``score_info``, not ``loglik``, takes a residual override
+(``z_blocks``), so that J can be evaluated with residuals reconstructed
+through the ancillary (z_i = P_i a_i) instead of y_i - mu_i.
 
 Every block arrives with its Cholesky factor P, Sigma^{-1} and
 log|Sigma| (``BlockEval``), all finite, so no step here forms an inverse

@@ -1,11 +1,14 @@
 """Module boundaries of the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 from elliplrt import inference, likelihood
+from elliplrt.montecarlo import SimulationConfig, _Setup
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "elliplrt"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "elliplrt"
 
 # Cholesky factorizations and triangular solves run in _linalg.py alone
 LINALG_ONLY = ("np.linalg.cholesky", "dtrtrs", "solve_triangular", "scipy.linalg")
@@ -70,3 +73,23 @@ def test_nonspd_error_is_caught_only_where_evaluate_is_called():
                         getattr(n, "id", getattr(n, "attr", None)) == "NonSPDError" for n in ast.walk(handler.type)):
                     catching.add(f"{path.stem}.{name}")
     assert catching <= allowed, "\n".join(sorted(catching - allowed))
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py skips a name the program no longer has, and the per-layer metrics that need it read 0
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    setup = _Setup(SimulationConfig(model="model1", family="normal", n=12, interest=(3,)))
+    tracer = Tracer()
+    tracer.install(setup)
+    patches = list(tracer._patches)
+    tracer.uninstall()
+    patched = sorted(("_Setup" if owner is setup else owner.__name__, attr) for owner, attr, _ in patches)
+    wrapped = ("run_test", "fit", "_newton", "evaluate", "score_info", "build_ancillary", "sample_space_gradients",
+               "doubletilde_info", "adjusted_statistics", "p_values")
+    assert patched == sorted([*(("elliplrt.inference", name) for name in wrapped),
+                              ("elliplrt.likelihood", "chol_solve"), ("_Setup", "draw_dataset")])
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in patches)

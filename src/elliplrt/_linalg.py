@@ -107,10 +107,8 @@ def _trsolve(Lt, b, trans):
     """Solve L x = b (trans=1) or L' x = b (trans=0) given Lt = L', lower L.
 
     The LAPACK call ``scipy.linalg.solve_triangular`` makes for a C-ordered
-    L, with its finiteness check and without its argument handling.
+    L, without its argument handling.
     """
-    if not (np.isfinite(Lt).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     x, info = _dtrtrs(Lt, b, lower=0, trans=trans)
     if info:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")

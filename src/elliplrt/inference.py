@@ -743,7 +743,6 @@ def run_test(
                 flags.add("nonpd_info")
             else:
                 notes.append(f"{label} fit: {msg}")
-    notes = list(dict.fromkeys(notes))
 
     bundle = build_ancillary(fit_hat)
     ell_hat = _ell_prime(fit_hat.eval_, bundle, family)

@@ -16,8 +16,7 @@ assembled per observation from
 with A_ir = -Sigma_i^{-1} C_ir Sigma_i^{-1} and the T/B/E terms below; it
 equals the negative Hessian of the log-likelihood.  The T term comes from
 ``_t_kernel``, which the sample-space derivative U' of the ancillary
-module shares.  J is symmetrized by averaging after assembly; raw
-relative asymmetry above 1e-8 triggers a warning.
+module shares.  J is symmetrized by averaging after assembly.
 
 Only ``score_info``, not ``loglik``, takes a residual override
 (``z_blocks``), so that J can be evaluated with residuals reconstructed
@@ -41,8 +40,9 @@ them leaves every other float unchanged; a zero C_r inside S gives the
 products the full-support assembly forms for it.  S and C on S are
 computed here alone (``_sigma_support``), once per block through
 ``DataBlock.derived`` when dSigma does not depend on theta and on every
-call otherwise; they serve J, the score, U' and the double-tilde J, and S
-restricts the ancillary bundle's dP_r (``_linalg.chol_derivative``).
+call otherwise; they serve J, U' and the double-tilde J (the score reads
+the full dSigma), and S restricts the ancillary bundle's dP_r
+(``_linalg.chol_derivative``).
 NaN and inf in the residuals, dmu or dSigma propagate into J, the score,
 dP, l', U' and the double-tilde J as in the full-support oracle; the
 cases are in ``tests/test_kernel.py``, ``test_nonfinite_*``.
@@ -81,8 +81,6 @@ they add in the same order.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +90,6 @@ from .families import EllipticalFamily
 from .model import ModelEval
 
 __all__ = ["ScoreInfo", "loglik", "score_info"]
-
-ASYMMETRY_WARN = 1e-8
 
 
 @dataclass
@@ -276,8 +272,7 @@ def loglik(family: EllipticalFamily, ev: ModelEval) -> float:
 
     Runs stage 0 only: no derivative of mu or Sigma is computed.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _stage0(family, ev).loglik
+    return _stage0(family, ev).loglik
 
 
 def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True, z_blocks=None) -> ScoreInfo:
@@ -295,23 +290,9 @@ def score_info(family: EllipticalFamily, ev: ModelEval, want_info: bool = True, 
     for be, (terms, *block) in zip(ev.blocks, st.blocks):
         terms(be, *block, U, J if want_info else None)
 
-    info = None
-    if want_info:
-        sym = 0.5 * (J + J.T)
-        # one reduction over the symmetric and antisymmetric parts
-        scale, asym = np.abs((sym, J - J.T)).max(axis=(1, 2)).tolist()
-        if 0.0 < scale < math.inf:
-            raw_asym = asym / scale
-            if ASYMMETRY_WARN < raw_asym < math.inf:
-                warnings.warn(
-                    f"observed information asymmetry {raw_asym:.2e} exceeds {ASYMMETRY_WARN:.0e}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        info = sym
     return ScoreInfo(
         loglik=st.loglik,
         score=U,
-        info=info,
+        info=0.5 * (J + J.T) if want_info else None,
         per_obs_u=st.per_u,
     )

@@ -58,21 +58,37 @@ def test_skip_flags_are_the_flags_adjustment_factors_sets():
     assert sorted(added) == sorted(inference.SKIP_FLAGS)
 
 
+def _functions():
+    """(module.function or module.Class.method, its node) for every top-level function and method of the source."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{f.name}", f
+
+
 def test_nonspd_error_is_caught_only_where_evaluate_is_called():
     # fit skips a start whose scatter is not SPD; nothing past it sees NonSPDError
     allowed = {"inference._newton", "inference._lbfgs", "inference.fit", "montecarlo._Setup.__init__"}
     catching = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        funcs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        funcs += [(f"{cls.name}.{node.name}", node) for cls in tree.body if isinstance(cls, ast.ClassDef)
-                  for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for name, func in funcs:
-            for handler in ast.walk(func):
-                if isinstance(handler, ast.ExceptHandler) and handler.type is not None and any(
-                        getattr(n, "id", getattr(n, "attr", None)) == "NonSPDError" for n in ast.walk(handler.type)):
-                    catching.add(f"{path.stem}.{name}")
+    for name, func in _functions():
+        for handler in ast.walk(func):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None and any(
+                    getattr(n, "id", getattr(n, "attr", None)) == "NonSPDError" for n in ast.walk(handler.type)):
+                catching.add(name)
     assert catching <= allowed, "\n".join(sorted(catching - allowed))
+
+
+def test_the_floating_point_policy_is_set_only_by_its_owners():
+    # fit for its probes, cholesky_blocks for evaluate's failure rule, _Setup for the true theta
+    owners = {"inference.fit", "_linalg.cholesky_blocks", "montecarlo._Setup.__init__"}
+    setting = {name for name, func in _functions() for node in ast.walk(func)
+               if isinstance(node, ast.Attribute) and node.attr == "errstate"}
+    assert setting == owners
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():

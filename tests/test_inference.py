@@ -228,15 +228,12 @@ def test_a_model2_fit_that_cannot_converge_stops_at_the_budget(monkeypatch):
     config = SimulationConfig(model="model2", family="student_t", nu=4.0, n=16, interest=(4,), seed=2718)
     data = simulate_dataset(config, 1)
     calls = counting_evaluate(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "observed information asymmetry")
-        res = fit(M.mixed_model2(), config.family_obj(), data)
-        assert not res.converged and "evaluation_budget" in res.diagnostics
-        assert res.evaluations == len(calls) <= inference.FIT_EVALS
-        assert any(calls)  # non-SPD probes count too
-        with pytest.raises(StageError, match=r"did not converge within 500 model evaluations \(evaluation_budget\)"
-                           ) as exc:
-            run_test(M.mixed_model2(), config.family_obj(), data, config.hypothesis())
+    res = fit(M.mixed_model2(), config.family_obj(), data)
+    assert not res.converged and "evaluation_budget" in res.diagnostics
+    assert res.evaluations == len(calls) <= inference.FIT_EVALS
+    assert any(calls)  # non-SPD probes count too
+    with pytest.raises(StageError, match=r"did not converge within 500 model evaluations \(evaluation_budget\)") as exc:
+        run_test(M.mixed_model2(), config.family_obj(), data, config.hypothesis())
     assert exc.value.stage == "unrestricted_fit"
 
 
@@ -262,6 +259,24 @@ def test_fit_from_a_start_with_a_nonfinite_newton_matrix_returns_a_result(start)
         warnings.simplefilter("error", RuntimeWarning)
         res = fit(M.nonlinear_model1(), config.family_obj(), simulate_dataset(config, 0), start=np.array(start))
     assert isinstance(res, FitResult)
+
+
+def test_a_newton_gradient_that_is_not_finite_stops_newton_without_raising(monkeypatch):
+    # the Newton matrix still factors; its solve against g is NaN, so the slope test stops the first Newton run
+    # unconverged, and L-BFGS and Newton go on from the start
+    real, calls = inference.score_info, []
+
+    def spoiled(*args, **kwargs):
+        si = real(*args, **kwargs)
+        if not calls:
+            si.score[0] = np.nan
+        calls.append(True)
+        return si
+
+    monkeypatch.setattr(inference, "score_info", spoiled)
+    res = fit(M.nonlinear_model1(), T3_LOWER.family_obj(), simulate_dataset(T3_LOWER, 0),
+              start=np.asarray(T3_LOWER.true_theta))
+    assert res.converged and res.loglik == pytest.approx(6.9488, abs=1e-4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -657,6 +672,30 @@ def test_run_test_stage_identification(monkeypatch):
     monkeypatch.setattr("elliplrt.inference.fit", failing_fit)
     with pytest.raises(StageError, match="unrestricted_fit"):
         run_test(model, NORMAL, data, Hypothesis((3,), [0.0], "two"))
+
+
+def test_run_test_refits_from_theta_tilde_when_the_restricted_fit_is_better(monkeypatch):
+    # the unrestricted fit reports a log-likelihood 5 too low, so the restricted optimum beats it
+    data, start = simulate_dataset(T3_LOWER, 0), np.asarray(T3_LOWER.true_theta)
+    model, fam, hyp = M.nonlinear_model1(), T3_LOWER.family_obj(), T3_LOWER.hypothesis()
+    want = run_test(model, fam, data, hyp, start=start)
+    real_fit, calls = fit, []
+
+    def low_first_fit(*args, **kwargs):
+        res = real_fit(*args, **kwargs)
+        if not calls:
+            res = dataclasses.replace(res, loglik=res.loglik - 5.0)
+        calls.append((kwargs, res))
+        return res
+
+    monkeypatch.setattr(inference, "fit", low_first_fit)
+    got = run_test(model, fam, data, hyp, start=start)
+    assert len(calls) == 3
+    (_, fake_hat), (tilde_kwargs, tilde), (refit_kwargs, _) = calls
+    assert tilde_kwargs["restriction"] is not None and tilde.loglik > fake_hat.loglik
+    assert refit_kwargs.get("restriction") is None and np.array_equal(refit_kwargs["start"], tilde.theta)
+    assert got.LR == pytest.approx(want.LR, abs=1e-6 * (1.0 + want.LR))
+    assert len(got.notes) == len(set(got.notes))
 
 
 def test_report_json_roundtrip():

@@ -26,10 +26,12 @@ from conftest import (
     simulate_model2,
 )
 from elliplrt import _linalg as linalg
+from elliplrt import ancillary, inference
 from elliplrt import likelihood as L
 from elliplrt import model as M
 from elliplrt.ancillary import build_ancillary, doubletilde_info, sample_space_gradients
 from elliplrt.families import EllipticalFamily
+from elliplrt.montecarlo import SimulationConfig, simulate_dataset
 
 FAMILIES = (
     EllipticalFamily.normal(),
@@ -235,6 +237,50 @@ def test_q1_blocks_take_the_scalar_path():
             assert z.shape == w.shape == v.shape == (be.data.m,)
         else:
             assert terms is L._block_terms
+
+
+# raw asymmetry of J is round-off: max|J - J'| / max|J| reads at most 1.2e-8 on the cases below
+J_ASYMMETRY = 1e-6
+
+
+def _assert_info_is_symmetric(fam, ev, z_blocks=None):
+    """The raw J, summed from each block's terms on stage 0, is symmetric to J_ASYMMETRY; ``info`` exactly."""
+    si = L.score_info(fam, ev, z_blocks=z_blocks)
+    U, J = np.zeros(ev.p), np.zeros((ev.p, ev.p))
+    for be, (terms, *block) in zip(ev.blocks, L._stage0(fam, ev, z_blocks).blocks):
+        terms(be, *block, U, J)
+    assert np.abs(J - J.T).max() <= J_ASYMMETRY * np.abs(J).max()
+    assert np.array_equal(si.info, 0.5 * (J + J.T)) and np.array_equal(si.info, si.info.T)
+    return si
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+@pytest.mark.parametrize("kind", KINDS)
+def test_observed_information_is_symmetric(kind, fam, fd):
+    for seed in range(3):
+        model, data, th_hat, th_tilde = _case(kind, fam, seed)
+        if fd:
+            model = fd_model(model)
+        for th in (th_hat, th_tilde):
+            _assert_info_is_symmetric(fam, M.evaluate(model, th, data))
+
+
+def test_every_information_of_a_model2_test_is_symmetric(monkeypatch):
+    # model 2, normal, n = 16, replication 2: its fits assemble the largest raw asymmetry seen, 1.15e-8
+    seen = []
+
+    def checked(family, ev, want_info=True, z_blocks=None):
+        seen.append(want_info)
+        if want_info:
+            return _assert_info_is_symmetric(family, ev, z_blocks)
+        return L.score_info(family, ev, want_info, z_blocks)
+
+    monkeypatch.setattr(inference, "score_info", checked)
+    monkeypatch.setattr(ancillary, "score_info", checked)
+    config = SimulationConfig(model="model2", family="normal", n=16, interest=(4,), psi0=(0.0,), seed=2718)
+    inference.run_test(M.mixed_model2(), config.family_obj(), simulate_dataset(config, 2), config.hypothesis())
+    assert seen.count(True) > 100
 
 
 def test_scalar_exact_fit_hits_the_power_exponential_clamp():

@@ -285,17 +285,14 @@ def adjust_fingerprint() -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore:observed information asymmetry")
 def test_fits_match_pinned_fingerprint():
     assert fit_fingerprint() == FIT_FINGERPRINT
 
 
-@pytest.mark.filterwarnings("ignore:observed information asymmetry")
 def test_adjusted_statistics_match_pinned_fingerprint():
     assert adjust_fingerprint() == ADJUST_FINGERPRINT
 
 
-@pytest.mark.filterwarnings("ignore:observed information asymmetry")
 def test_fit_keeps_the_score_of_its_final_evaluation():
     # run_test takes U-tilde from the restricted fit instead of assembling it again
     for config, model, fam, start, data in _fingerprint_datasets():

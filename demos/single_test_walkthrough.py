@@ -17,28 +17,14 @@ import numpy as np
 from elliplrt import (
     EllipticalFamily,
     Hypothesis,
-    evaluate,
+    Sampler,
+    design_template,
     fit,
     mixed_model2,
-    model1_dataset,
-    model1_design,
-    model2_dataset,
-    model2_design,
     nonlinear_model1,
     run_test,
 )
-
-
-def simulate(model, theta, data_template, family, rng, rebuild):
-    """Draw y_i = mu_i + P_i s_i with spherical s_i and rebuild the dataset."""
-    ev = evaluate(model, theta, data_template)
-    ys = {}
-    for be in ev.blocks:
-        for j, i in enumerate(be.data.idx):
-            s = family.sample_spherical(be.data.q, rng)
-            ys[int(i)] = be.mu[j] + be.P[j] @ s
-    return rebuild([ys[i] for i in range(len(ys))])
-
+from elliplrt.montecarlo import NULL_THETA
 
 rng = np.random.default_rng(7)
 
@@ -48,14 +34,10 @@ rng = np.random.default_rng(7)
 print("=" * 72)
 print("Model 1: mu = 1/(1 + b0 + b1 x1 + b2 x2 + b3 x2^2), Student-t(4) errors")
 print("=" * 72)
-n = 14
 family = EllipticalFamily.student_t(4.0)
-design = model1_design(n, rng)
-theta_true = np.array([0.5, 0.2, 0.0, 0.0, 0.005])
 model = nonlinear_model1()
-template = model1_dataset(np.zeros(n), design["x1"], design["x2"])
-data = simulate(model, theta_true, template, family, rng,
-                lambda ys: model1_dataset(np.array([y[0] for y in ys]), design["x1"], design["x2"]))
+# y_i = mu_i + P_i s_i at the null setting, on a design of n = 14 drawn from rng
+data = Sampler(model, NULL_THETA["model1"], design_template("model1", 14, rng), family).draw(rng)
 
 result = fit(model, family, data)
 print(f"\nMLE (converged={result.converged}, {result.iterations} iterations,"
@@ -81,13 +63,9 @@ print()
 print("=" * 72)
 print("Model 2: mu = X beta, Sigma = Z Delta Z' + sigma2 I, normal errors")
 print("=" * 72)
-n2 = 16
 family2 = EllipticalFamily.normal()
-design2 = model2_design(n2, rng)
-theta2 = np.array([0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0])
 model2 = mixed_model2()
-template2 = model2_dataset([np.zeros(u["q"]) for u in design2], design2)
-data2 = simulate(model2, theta2, template2, family2, rng, lambda ys: model2_dataset(ys, design2))
+data2 = Sampler(model2, NULL_THETA["model2"], design_template("model2", 16, rng), family2).draw(rng)
 
 result2 = fit(model2, family2, data2)
 print(f"\nMLE (converged={result2.converged}, |score| = {result2.score_norm:.2e})")

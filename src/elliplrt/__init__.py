@@ -50,9 +50,11 @@ from .model import (
     write_dataset_csv,
 )
 from .montecarlo import (
+    Sampler,
     SimulationConfig,
     SimulationError,
     SimulationSummary,
+    design_template,
     pvalue_discrepancy,
     run_simulation,
     simulate_dataset,
@@ -74,6 +76,7 @@ __all__ = [
     "NonSPDError",
     "Observation",
     "SampleSpaceDerivs",
+    "Sampler",
     "ScoreInfo",
     "SimulationConfig",
     "SimulationError",
@@ -86,6 +89,7 @@ __all__ = [
     "build_ancillary",
     "cholesky_derivative",
     "cholesky_lower",
+    "design_template",
     "doubletilde_info",
     "evaluate",
     "fit",

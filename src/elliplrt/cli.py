@@ -125,8 +125,6 @@ def _load_sim_config(args) -> SimulationConfig:
     if unknown:
         raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
     kwargs = {_CONFIG_KEYS[key]: value for key, value in raw.items()}
-    if isinstance(kwargs.get("interest"), str):
-        kwargs["interest"] = _split(kwargs["interest"])
     overrides = {"replications": args.reps, "seed": args.seed}
     kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     missing = [f.name for f in dataclasses.fields(SimulationConfig)

@@ -561,10 +561,7 @@ def adjustment_factors(fit_hat: FitResult, fit_tilde: FitResult, derivs: SampleS
             + 0.5 * _logabsdet(JJ, notes, "J_doubletilde")
         )
         U_star = fit_tilde.score / s
-        try:
-            quad = float(U_star @ np.linalg.solve(JJ, U_star))
-        except np.linalg.LinAlgError:
-            raise StageError("adjustment", "singular double-tilde information") from None
+        quad = float(U_star @ np.linalg.solve(JJ, U_star))  # _logabsdet factored this JJ: it is not singular
         denom = float(vec @ U_star)
         if quad <= 0.0:
             notes.append("nonpositive score quadratic form; adjustment skipped")

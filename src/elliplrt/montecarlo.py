@@ -1,18 +1,19 @@
 """Seeded Monte Carlo studies of null rejection rates and p-value calibration.
 
-A simulation run draws one fixed design from the run seed (model-1
-covariates, model-2 dimensions and groups), then repeatedly simulates
-null datasets, runs the full test pipeline and records the p-value of
-every statistic.  Per-replication randomness comes from a splittable
-seed sequence keyed by (seed, replication index), so results are
-bit-identical for a given seed whatever the worker count: that count,
-``run_simulation``'s ``threads``, is a setting of the run and not of the
-``SimulationConfig``.  Replications whose fits fail are
-redrawn up to ``max_refit_attempts`` times.  The summary counts the
-redraws, the replications that ran out of them, and, per flag of
-``inference.SKIP_FLAGS``, the replications whose r*, LR* or LR** p-value
-is unadjusted because a correction factor was skipped; none of these
-counts enters the CSVs.
+A simulation run draws one fixed design from the run seed
+(``design_template``: model-1 covariates, model-2 dimensions and groups),
+then repeatedly simulates null datasets y_i = mu_i(theta0) + P_i s_i
+(``Sampler``, the one rule every simulated dataset follows), runs the full
+test pipeline and records the p-value of every statistic.  Per-replication
+randomness comes from a splittable seed sequence keyed by (seed,
+replication index), so results are bit-identical for a given seed whatever
+the worker count: that count, ``run_simulation``'s ``threads``, is a
+setting of the run and not of the ``SimulationConfig``.  Replications whose
+fits fail are redrawn up to ``max_refit_attempts`` times.  The summary
+counts the redraws, the replications that ran out of them, and, per flag
+of ``inference.SKIP_FLAGS``, the replications whose r*, LR* or LR**
+p-value is unadjusted because a correction factor was skipped; none of
+these counts enters the CSVs.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ import numpy as np
 
 from .families import EllipticalFamily
 from .inference import SKIP_FLAGS, FitError, Hypothesis, StageError, run_test
-from .model import MODELS, Dataset, NonSPDError, Observation, _integral, evaluate, model1_dataset, model1_design
-from .model import model2_dataset, model2_design
+from .model import MODELS, Dataset, ModelSpec, NonSPDError, Observation, _integral, evaluate
+from .model import model1_dataset, model1_design, model2_dataset, model2_design
 
 __all__ = [
+    "NULL_THETA",
+    "Sampler",
+    "design_template",
     "SimulationConfig",
     "SimulationSummary",
     "SimulationError",
@@ -48,8 +52,7 @@ __all__ = [
 
 STAT_LABELS = ("r", "r*", "LR", "LR*", "LR**")
 
-MODEL1_TRUE = (0.5, 0.2, 0.0, 0.0, 0.005)
-MODEL2_TRUE = (0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)
+NULL_THETA = {"model1": (0.5, 0.2, 0.0, 0.0, 0.005), "model2": (0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)}
 
 _DESIGN_KEY = (0,)  # spawn key of the design stream
 
@@ -94,7 +97,7 @@ class SimulationConfig:
     nu: float | None = None
     lam: float | None = None
     alpha_levels: tuple = (0.01, 0.05, 0.10)  # strictly increasing, each in (0, 1)
-    true_theta: tuple | None = None
+    true_theta: tuple | None = None  # None: NULL_THETA[model], the built-in null setting
     seed: int = 42
     max_refit_attempts: int = 10
 
@@ -124,8 +127,7 @@ class SimulationConfig:
             self.hypothesis().check(spec)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        default = MODEL1_TRUE if self.model == "model1" else MODEL2_TRUE
-        true = _listed("true_theta", default if self.true_theta is None else self.true_theta)
+        true = _listed("true_theta", NULL_THETA[self.model] if self.true_theta is None else self.true_theta)
         object.__setattr__(self, "true_theta", true)
         if len(true) != spec.p:
             raise ConfigError(f"true_theta has {len(true)} values; {self.model} has p={spec.p}")
@@ -185,13 +187,41 @@ class SimulationSummary:
 # ---------------------------------------------------------------------------
 
 
-class _Setup:
-    """Fixed design, model and true-parameter evaluation for one run.
+def design_template(name: str, n: int, rng: np.random.Generator) -> Dataset:
+    """The fixed design of built-in model ``name``, drawn from rng: its n units with zero responses."""
+    if name == "model1":
+        design = model1_design(n, rng)
+        return model1_dataset(np.zeros(n), design["x1"], design["x2"])
+    if name == "model2":
+        design = model2_design(n, rng)
+        return model2_dataset([np.zeros(u["q"]) for u in design], design)
+    raise ValueError(f"unknown model {name!r} (expected one of {', '.join(MODELS)})")
 
-    ``template`` is the design's dataset with zero responses; a
-    replication keeps its covariates and draws new responses.  A true
-    theta that gives an observation a non-SPD Sigma or a non-finite mean
-    is a ConfigError that names the observation.
+
+class Sampler:
+    """Datasets y_i = mu_i + P_i s_i, spherical s_i, with mu_i and P_i of ``model`` at theta on ``template``.
+
+    The model is evaluated once, here (a non-SPD Sigma raises
+    NonSPDError); ``rows`` holds (mu_i, P_i) in observation order.
+    """
+
+    def __init__(self, model: ModelSpec, theta, template: Dataset, family: EllipticalFamily):
+        self.template, self.family = template, family
+        self.rows = [None] * template.n
+        for be in evaluate(model, theta, template).blocks:
+            for j, i in enumerate(be.data.idx):
+                self.rows[i] = (be.mu[j], be.P[j])
+
+    def draw(self, rng: np.random.Generator) -> Dataset:
+        """One dataset on the template's covariates, its s_i drawn in observation order."""
+        return Dataset([Observation(mu + P @ self.family.sample_spherical(mu.size, rng), o.covariates)
+                        for (mu, P), o in zip(self.rows, self.template.observations)])
+
+
+class _Setup:
+    """One run's model and its null ``Sampler`` at the true theta, on the design the run seed draws.
+
+    A non-SPD Sigma or a non-finite mean there is a ConfigError that names the observation.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -201,37 +231,20 @@ class _Setup:
         self.family = config.family_obj()
         self.hyp = config.hypothesis()
         self.true_theta = np.asarray(config.true_theta)
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=_DESIGN_KEY))
         self.model = MODELS[config.model]()
-        if config.model == "model1":
-            design = model1_design(config.n, rng)
-            self.template = model1_dataset(np.zeros(config.n), design["x1"], design["x2"])
-        else:
-            design = model2_design(config.n, rng)
-            self.template = model2_dataset([np.zeros(u["q"]) for u in design], design)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=_DESIGN_KEY))
+        template = design_template(config.model, config.n, rng)
         try:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                ev = evaluate(self.model, self.true_theta, self.template)
+                self.sampler = Sampler(self.model, self.true_theta, template, self.family)
         except NonSPDError as exc:
             raise ConfigError(f"true_theta: {exc}") from None
-        # per original observation: q_i, mu_i, Cholesky factor of Sigma_i
-        self.obs_mu = [None] * config.n
-        self.obs_P = [None] * config.n
-        for be in ev.blocks:
-            for j, i in enumerate(be.data.idx):
-                self.obs_mu[int(i)] = be.mu[j]
-                self.obs_P[int(i)] = be.P[j]
-        for i, mu in enumerate(self.obs_mu):
+        for i, (mu, _) in enumerate(self.sampler.rows):
             if not np.isfinite(mu).all():
                 raise ConfigError(f"true_theta: the mean of observation {i} is not finite")
 
     def draw_dataset(self, rng: np.random.Generator) -> Dataset:
-        """One null dataset: y_i = mu_i + P_i s_i with spherical s_i, on the template's covariates."""
-        obs = []
-        for mu, P, o in zip(self.obs_mu, self.obs_P, self.template.observations):
-            s = self.family.sample_spherical(mu.size, rng)
-            obs.append(Observation(mu + P @ s, o.covariates))
-        return Dataset(obs)
+        return self.sampler.draw(rng)
 
     def run_one(self, rep_index: int):
         """p-values for replication rep_index, or None after exhausted redraws.

@@ -9,7 +9,7 @@ import pytest
 
 from elliplrt import model as M
 from elliplrt.families import EllipticalFamily
-from elliplrt.montecarlo import SimulationConfig, run_simulation
+from elliplrt.montecarlo import NULL_THETA, Sampler, SimulationConfig, design_template, run_simulation
 
 SIM_THREADS = max(1, min(2, os.cpu_count() or 1))
 
@@ -112,16 +112,17 @@ ALL_FAMILIES = (
 )
 
 
-def simulate_model1(family, n, rng, theta=(0.5, 0.2, 0.0, 0.0, 0.005)):
-    """One model-1 dataset at theta with the given family's errors."""
-    theta = np.asarray(theta, dtype=float)
+def simulate_model1(family, n, rng, theta=NULL_THETA["model1"]):
+    """One model-1 dataset at theta with the given family's errors.
+
+    Its s_i are one (n, 1) draw, not ``Sampler.draw``'s one per
+    observation: the tests' seeded model-1 data (t3 and PE(0.9) among them)
+    come from this stream, which differs from Sampler's for those families.
+    """
     design = M.model1_design(n, rng)
     model = M.nonlinear_model1()
-    tmpl = M.model1_dataset(np.zeros(n), design["x1"], design["x2"])
-    ev = M.evaluate(model, theta, tmpl)
-    mu = ev.blocks[0].mu[:, 0]
-    sd = ev.blocks[0].P[:, 0, 0]
-    y = mu + sd * family.sample_spherical(1, rng, size=n)[:, 0]
+    blk = M.evaluate(model, theta, M.model1_dataset(np.zeros(n), design["x1"], design["x2"])).blocks[0]
+    y = blk.mu[:, 0] + blk.P[:, 0, 0] * family.sample_spherical(1, rng, size=n)[:, 0]
     return model, M.model1_dataset(y, design["x1"], design["x2"])
 
 
@@ -144,35 +145,13 @@ def gentle_model2_data(n, rng):
         units.append(M._m2_unit(q, (i % 4) + 1, M.MODEL2_TIMES[:q] / 10.0))
     model = M.mixed_model2()
     tmpl = M.model2_dataset([np.zeros(u["q"]) for u in units], units)
-    ev = M.evaluate(model, GENTLE_THETA2, tmpl)
-    fam = EllipticalFamily.normal()
-    ys = []
-    per_obs = {}
-    for be in ev.blocks:
-        for j, i in enumerate(be.data.idx):
-            per_obs[int(i)] = (be.mu[j], be.P[j])
-    for i in range(n):
-        mu, P = per_obs[i]
-        ys.append(mu + P @ fam.sample_spherical(mu.size, rng))
-    return model, M.model2_dataset(ys, units)
+    return model, Sampler(model, GENTLE_THETA2, tmpl, EllipticalFamily.normal()).draw(rng)
 
 
-def simulate_model2(family, n, rng, theta=(0.7, 0.5, 0.0, 0.0, 0.0, 500.0, 2.0, 200.0, 5.0)):
+def simulate_model2(family, n, rng, theta=NULL_THETA["model2"]):
     """One model-2 dataset at theta with the given family's errors."""
-    theta = np.asarray(theta, dtype=float)
-    design = M.model2_design(n, rng)
     model = M.mixed_model2()
-    tmpl = M.model2_dataset([np.zeros(u["q"]) for u in design], design)
-    ev = M.evaluate(model, theta, tmpl)
-    per_obs = {}
-    for be in ev.blocks:
-        for j, i in enumerate(be.data.idx):
-            per_obs[int(i)] = (be.mu[j], be.P[j])
-    ys = []
-    for i in range(n):
-        mu, P = per_obs[i]
-        ys.append(mu + P @ family.sample_spherical(mu.size, rng))
-    return model, M.model2_dataset(ys, design)
+    return model, Sampler(model, theta, design_template("model2", n, rng), family).draw(rng)
 
 
 # ---------------------------------------------------------------------------

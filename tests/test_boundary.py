@@ -83,6 +83,20 @@ def test_nonspd_error_is_caught_only_where_evaluate_is_called():
     assert catching <= allowed, "\n".join(sorted(catching - allowed))
 
 
+def test_one_rule_draws_every_simulated_dataset():
+    # the designs are drawn in design_template and the spherical s_i in Sampler.draw, nowhere else
+    owners = {"sample_spherical": {"montecarlo.Sampler.draw"},
+              "model1_design": {"montecarlo.design_template"}, "model2_design": {"montecarlo.design_template"}}
+    callers = {name: set() for name in owners}
+    for name, func in _functions():
+        for call in ast.walk(func):
+            if isinstance(call, ast.Call):
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if callee in callers:
+                    callers[callee].add(name)
+    assert callers == owners
+
+
 def test_the_floating_point_policy_is_set_only_by_its_owners():
     # fit for its probes, cholesky_blocks for evaluate's failure rule, _Setup for the true theta
     owners = {"inference.fit", "_linalg.cholesky_blocks", "montecarlo._Setup.__init__"}

@@ -255,7 +255,8 @@ def test_simulate_config_with_a_shape_its_family_does_not_take_names_the_key(tmp
 
 @pytest.mark.parametrize("key, value", [("n", 15.7), ("seed", 7.5), ("interest", [2.9]),
                                         ("interest", 3), ("psi0", 0.0), ("seed", True), ("replications", True),
-                                        ("interest", [True]), ("psi0", [True, 0]), ("alpha_levels", [])])
+                                        ("interest", [True]), ("psi0", [True, 0]), ("alpha_levels", []),
+                                        ("interest", "beta3")])
 def test_simulate_config_value_of_the_wrong_kind_is_input_error_naming_its_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(SIM_CONFIG, **{key: value})))

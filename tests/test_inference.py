@@ -279,6 +279,16 @@ def test_a_newton_gradient_that_is_not_finite_stops_newton_without_raising(monke
     assert res.converged and res.loglik == pytest.approx(6.9488, abs=1e-4)
 
 
+def test_a_newton_line_search_that_rejects_every_trial_point_stops_after_40_halvings(monkeypatch):
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
+    obj = inference._Objective(model, NORMAL, data, np.zeros(model.p), np.arange(model.p))
+    x0 = inference._to_internal(model.start(data), obj.is_log)
+    monkeypatch.setattr(inference, "loglik", lambda family, ev: np.nan)  # judged on loglik first: never accepted
+    x, ev, si, converged, iterations = inference._newton(obj, x0)
+    assert not converged and iterations == 1 and obj.evaluations == 1 + 40
+    assert np.array_equal(x, x0) and ev.theta == pytest.approx(model.start(data), rel=1e-12)  # the start
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_rejects_a_start_that_is_not_finite(bad):
     model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
@@ -698,6 +708,45 @@ def test_run_test_refits_from_theta_tilde_when_the_restricted_fit_is_better(monk
     assert len(got.notes) == len(set(got.notes))
 
 
+@pytest.mark.parametrize("restricted, failure", [(False, "error"), (True, "error"), (True, "budget")],
+                         ids=["unrestricted_error", "restricted_error", "restricted_budget"])
+def test_run_test_names_the_fit_that_failed(restricted, failure, monkeypatch):
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(14))
+    real_fit = fit
+
+    def failing_fit(*args, **kwargs):
+        if (kwargs.get("restriction") is not None) != restricted:
+            return real_fit(*args, **kwargs)
+        if failure == "error":
+            raise inference.FitError("every starting point failed model evaluation (non-SPD scatter)")
+        res = real_fit(*args, **kwargs)
+        return dataclasses.replace(res, converged=False, diagnostics=[*res.diagnostics, "evaluation_budget"])
+
+    monkeypatch.setattr(inference, "fit", failing_fit)
+    with pytest.raises(StageError) as exc:
+        run_test(model, NORMAL, data, Hypothesis((3,), [0.0], "two"))
+    stage = "restricted_fit" if restricted else "unrestricted_fit"
+    detail = ("every starting point failed model evaluation (non-SPD scatter)" if failure == "error" else
+              f"did not converge within {inference.FIT_EVALS} model evaluations (evaluation_budget)")
+    assert exc.value.stage == stage and str(exc.value) == f"stage {stage!r}: {detail}"
+
+
+def test_run_test_flags_the_health_diagnostics_and_notes_the_rest_by_fit(monkeypatch):
+    # boundary_fit is a flag from either fit, nonpd_info only from the unrestricted one
+    data, start = simulate_dataset(T3_LOWER, 0), np.asarray(T3_LOWER.true_theta)
+    model, fam, hyp = M.nonlinear_model1(), T3_LOWER.family_obj(), T3_LOWER.hypothesis()
+    want = run_test(model, fam, data, hyp, start=start)
+    assert not any(" fit: " in note for note in want.notes)
+    real_fit = fit
+    diagnostics = ["boundary_fit", "nonpd_info", "near_zero_residual obs=3"]
+    monkeypatch.setattr(inference, "fit", lambda *a, **k: dataclasses.replace(real_fit(*a, **k), diagnostics=diagnostics))
+    got = run_test(model, fam, data, hyp, start=start)
+    assert got.flags == sorted({"boundary_fit", "nonpd_info", *want.flags})
+    assert got.notes == ["unrestricted fit: near_zero_residual obs=3", "restricted fit: nonpd_info",
+                         "restricted fit: near_zero_residual obs=3", *want.notes]
+    assert (got.LR, got.r_star, got.LR_star2) == (want.LR, want.r_star, want.LR_star2)
+
+
 def test_report_json_roundtrip():
     rng = np.random.default_rng(15)
     model, data = simulate_model1(NORMAL, 15, rng)
@@ -837,33 +886,56 @@ def test_negative_determinant_is_noted_once():
     assert rep.notes.count("negative raw determinant: U_tilde_prime") == 1
 
 
+def fitted(theta, ll, **tilde):
+    """A converged fit at theta with J = I; ``tilde`` holds a restricted fit's restriction and score."""
+    p = len(theta)
+    return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(p), converged=True,
+                               iterations=0, evaluations=1, stderr=np.ones(p), **tilde)
+
+
 def test_near_zero_statistics_skip_the_factors_before_any_determinant():
     # no sample-space derivatives are needed when both factors are skipped
-    def fitted(theta, ll, restriction=None):
-        return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(3),
-                                   converged=True, iterations=0, evaluations=1, stderr=np.ones(3),
-                                   restriction=restriction)
-
     hat = fitted([0.0, 1.0, 2e-5], -10.0)
-    tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, ((2,), np.array([0.0])))
+    tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, restriction=((2,), np.array([0.0])))
     assert adjustment_factors(hat, tilde, None) == (1.0, 1.0, {"near_zero_r", "near_zero_LR"}, [])
     # r exists only for a scalar interest: a vector block gets no gamma and no near_zero_r
-    tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, ((1, 2), np.array([1.0, 0.0])))
+    tilde = fitted([0.0, 1.0, 0.0], -10.0 - 1e-10, restriction=((1, 2), np.array([1.0, 0.0])))
     assert adjustment_factors(hat, tilde, None) == (None, 1.0, {"near_zero_LR"}, [])
 
 
 def test_nonpositive_score_quadratic_form_has_its_own_flag():
     # J-doubletilde = -I makes U~' JJ^{-1} U~ negative while gamma's ratio is positive
-    def fitted(theta, ll, **tilde):
-        return inference.FitResult(theta=np.asarray(theta), loglik=ll, score_norm=0.0, info=np.eye(2),
-                                   converged=True, iterations=0, evaluations=1, stderr=np.ones(2), **tilde)
-
     derivs = inference.SampleSpaceDerivs(ell_hat_prime=np.array([0.0, 1.0]), ell_tilde_prime=np.zeros(2),
                                          U_tilde_prime=np.eye(2), J_doubletilde=-np.eye(2))
     tilde = fitted([0.0, 0.0], -11.0, restriction=((1,), np.array([0.0])), score=np.array([0.5, 0.0]))
     gamma, rho, flags, notes = adjustment_factors(fitted([0.0, 1.0], -10.0), tilde, derivs)
     assert flags == {"nonpositive_score_quadratic_form"} and rho == 1.0 and gamma != 1.0
     assert "nonpositive score quadratic form; adjustment skipped" in notes
+
+
+# singular, but rounding leaves its LU pivots nonzero while its transpose's reach an exact zero
+SINGULAR_TRANSPOSE = np.array([[1 / 2, -3 / 2, 1 / 2], [0.0, 1 / 6, -1 / 3], [-1 / 6, 1 / 6, 1 / 2]])
+
+
+@pytest.mark.parametrize("U_prime, JJ, detail", [
+    (np.zeros((3, 3)), np.eye(3), "singular matrix in U_tilde_prime"),
+    (SINGULAR_TRANSPOSE, np.eye(3), "singular U_tilde_prime"),
+    (np.eye(3), np.diag([1.0, 0.0, 1.0]), "singular matrix in J_doubletilde_nuisance"),
+    (np.eye(3), np.diag([1.0, 1.0, 0.0]), "singular matrix in J_doubletilde"),
+], ids=["U_prime", "U_prime_transpose", "J_doubletilde_nuisance", "J_doubletilde"])
+def test_a_singular_adjustment_system_is_a_stage_error_naming_it(U_prime, JJ, detail):
+    derivs = inference.SampleSpaceDerivs(ell_hat_prime=np.array([0.0, 0.0, 1.0]), ell_tilde_prime=np.zeros(3),
+                                         U_tilde_prime=U_prime, J_doubletilde=JJ)
+    tilde = fitted([0.0, 0.0, 0.0], -11.0, restriction=((2,), np.array([0.0])), score=np.array([0.0, 0.0, 0.5]))
+    with pytest.raises(StageError) as exc:
+        adjustment_factors(fitted([0.0, 0.0, 1.0], -10.0), tilde, derivs)
+    assert exc.value.stage == "adjustment" and str(exc.value) == f"stage 'adjustment': {detail}"
+
+
+def test_the_curvature_scale_is_one_without_a_positive_finite_diagonal():
+    assert inference._curvature_scale(np.diag([4.0, 9.0])).tolist() == [2.0, 3.0]
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        assert inference._curvature_scale(np.diag([4.0, bad])).tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import obs_view
 from elliplrt import inference, montecarlo
+from elliplrt.families import EllipticalFamily
+from elliplrt.model import evaluate, mixed_model2
 from elliplrt.montecarlo import (
+    NULL_THETA,
     ConfigError,
+    Sampler,
     SimulationConfig,
     SimulationError,
+    design_template,
     pvalue_discrepancy,
     read_pvalues_csv,
     run_simulation,
@@ -284,6 +290,25 @@ def test_emit_one_matches_first_replication():
     y1 = np.concatenate([o.y for o in d1.observations])
     np.testing.assert_array_equal(y0, y0b)
     assert np.any(y0 != y1)
+
+
+def test_a_sampler_draws_the_s_i_in_observation_order():
+    # the mixed-q design's blocks group its observations by q; the s_i still come from the stream in turn
+    template = design_template("model2", 12, np.random.default_rng(5))
+    qs = [o.q for o in template.observations]
+    assert qs != sorted(qs)
+    model, family = mixed_model2(), EllipticalFamily.student_t(3.0)
+    data = Sampler(model, NULL_THETA["model2"], template, family).draw(np.random.default_rng(6))
+    ev, rng = evaluate(model, NULL_THETA["model2"], template), np.random.default_rng(6)
+    for i, (o, t) in enumerate(zip(data.observations, template.observations)):
+        view = obs_view(ev, i)
+        np.testing.assert_array_equal(o.y, view.mu + view.P @ family.sample_spherical(t.q, rng))
+        assert o.covariates is t.covariates
+
+
+def test_design_template_names_an_unknown_model():
+    with pytest.raises(ValueError, match="unknown model 'model3'"):
+        design_template("model3", 10, np.random.default_rng(0))
 
 
 def test_summary_stderr_recomputable_and_csv_roundtrip(tmp_path):

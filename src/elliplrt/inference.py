@@ -1,11 +1,11 @@
 """Maximum-likelihood fitting and standard/adjusted likelihood ratio tests.
 
 Fitting maximizes the log-likelihood with a damped Newton iteration on
-internally transformed coordinates (variance-type parameters move on the
-log scale, everything else on the natural scale), using the analytic
-score and observed information; an L-BFGS-B stage plus jittered restarts
-back it up when Newton stalls, all within one fit's budget of FIT_EVALS
-model evaluations.  Reported quantities (theta, score,
+internal coordinates x owned by one ``_Objective`` (the free parameters,
+variance-type ones on the log scale), using the analytic score and
+observed information carried over to x; an L-BFGS-B stage plus jittered
+restarts back it up when Newton stalls, all within one fit's budget of
+FIT_EVALS model evaluations.  Reported quantities (theta, score,
 information, standard errors) are always on the natural scale.
 
 Tests: for interest block psi of dimension q,
@@ -199,33 +199,60 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _to_internal(theta_free, is_log):
-    x = theta_free.copy()
-    x[is_log] = np.log(theta_free[is_log])
-    return x
-
-
-def _from_internal(x, is_log):
-    t = x.copy()
-    t[is_log] = np.exp(np.minimum(x[is_log], 700.0))
-    return t
-
-
 class _Objective:
-    """One fit's objective: natural theta from free internal coords, and its evaluation budget."""
+    """One fit's coordinates and evaluation budget.
 
-    def __init__(self, model, family, data, template, free):
+    A ``fit`` restriction's psi0 stays pinned; x is the ``free`` parameters, variance-type ones (``log_free``) logged.
+    """
+
+    def __init__(self, model, family, data, restriction):
         self.model, self.family, self.data = model, family, data
-        self.template = template.copy()
-        self.free = free
-        self.is_log = np.array([j in model.positive for j in free], dtype=bool)
+        self.template = np.zeros(model.p)
+        self.restriction, fixed = None, ()
+        if restriction is not None:
+            try:
+                interest, psi0 = restriction
+            except (TypeError, ValueError):
+                raise ValueError(f"restriction must be (interest_indices, psi0), got {restriction!r}") from None
+            self.restriction = _interest_block(interest, psi0, model)
+            fixed, psi0 = self.restriction
+            self.template[list(fixed)] = psi0
+        self.free = np.array([j for j in range(model.p) if j not in fixed], dtype=int)
+        self.is_log = np.array([j in model.positive for j in self.free], dtype=bool)
+        self.log_free = self.free[self.is_log]
         self.evaluations = 0
 
+    def starts(self, base_start):
+        """x of each start while budget is left: ``base_start`` (a free variance-type entry <= 0 at 1e-4), then
+        RESTARTS copies jittered from one stream seeded 0x5EED, log-normal on the log scale, additive elsewhere."""
+        theta = base_start.copy()
+        theta[self.log_free[theta[self.log_free] <= 0]] = 1e-4
+        rng = None
+        for attempt in range(RESTARTS + 1):
+            if not self.left:
+                return
+            theta0 = theta.copy()
+            if attempt:
+                rng = rng or np.random.default_rng(0x5EED)
+                for j, is_log in zip(self.free, self.is_log):
+                    if is_log:
+                        theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
+                    else:
+                        theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
+            yield self.internal(theta0)
+
+    def internal(self, theta):
+        """x of the natural theta."""
+        x = theta[self.free]
+        x[self.is_log] = np.log(x[self.is_log])
+        return x
+
     def evaluate(self, x):
-        """The model at the natural theta of x; its ``theta`` is what ``scale`` and ``fit`` read."""
+        """The model at the natural theta of x; its ``theta`` is what ``gradient`` and ``fit`` read."""
         self.evaluations += 1  # counted before the call, so a non-SPD scatter counts too
         theta = self.template.copy()
-        theta[self.free] = _from_internal(x, self.is_log)
+        theta[self.free] = x
+        theta[self.log_free] = np.exp(np.minimum(x[self.is_log], 700.0))
         return evaluate(self.model, theta, self.data)
 
     @property
@@ -241,9 +268,16 @@ class _Objective:
         """The stop test: ||U||_inf < SCORE_TOL (1 + |l|) over the free parameters."""
         return self.score_norm(si) < SCORE_TOL * (1.0 + abs(si.loglik))
 
-    def scale(self, ev):
-        """d theta / d x at the evaluated point: theta_j for a log-scale coordinate, 1 otherwise."""
-        return np.where(self.is_log, ev.theta[self.free], 1.0)
+    def gradient(self, ev, si):
+        """g = U s, the log-likelihood's gradient in x: s = d theta / d x is theta on the log scale, 1 elsewhere."""
+        return si.score[self.free] * np.where(self.is_log, ev.theta[self.free], 1.0)
+
+    def newton_matrix(self, ev, si, g):
+        """H = s J s - diag(g) on the log scale: minus the log-likelihood's Hessian in x, given g at ev."""
+        s = np.where(self.is_log, ev.theta[self.free], 1.0)
+        H = s[:, None] * si.info[np.ix_(self.free, self.free)] * s
+        H[self.is_log, self.is_log] -= g[self.is_log]  # two equal masks index the diagonal
+        return H
 
 
 def _newton(obj: _Objective, x):
@@ -260,18 +294,13 @@ def _newton(obj: _Objective, x):
     si = score_info(obj.family, ev)
     if x.size == 0:
         return x, ev, si, True, 0
-    free_block = np.ix_(obj.free, obj.free)
-    diag = np.diag_indices(x.size)
     for it in itertools.count():
         if obj.converged(si):
             return x, ev, si, True, it
         if not obj.left:
             return x, ev, si, False, it
-        s = obj.scale(ev)
-        g = si.score[obj.free] * s  # gradient of the log-likelihood in internal coords
-        H = s[:, None] * si.info[free_block] * s[None, :]
-        H[diag] -= np.where(obj.is_log, g, 0.0)
-        ridge = ridge_cholesky(H)
+        g = obj.gradient(ev, si)
+        ridge = ridge_cholesky(obj.newton_matrix(ev, si, g))
         if ridge is None:
             return x, ev, si, False, it
         d = cho_solve(ridge[1], g)
@@ -293,7 +322,7 @@ def _newton(obj: _Objective, x):
             ll2 = loglik(obj.family, ev2)
             if np.isfinite(ll2) and ll2 >= si.loglik + 1e-4 * t * slope:
                 si2 = score_info(obj.family, ev2)
-                if np.all(np.isfinite(si2.score[obj.free])):
+                if math.isfinite(obj.score_norm(si2)):
                     break
             t *= 0.5
         else:
@@ -321,7 +350,7 @@ def _lbfgs(obj: _Objective, x0):
         except NonSPDError:
             return 1e15, np.zeros_like(x)
         si = score_info(obj.family, ev, want_info=False)
-        g = si.score[obj.free] * obj.scale(ev)
+        g = obj.gradient(ev, si)
         if not (np.isfinite(si.loglik) and np.all(np.isfinite(g))):
             return 1e15, np.zeros_like(x)
         return -si.loglik, -g
@@ -360,61 +389,33 @@ def fit(
     p = model.p
     if not p < data.n:
         raise ValueError(f"model has p={p} parameters but only n={data.n} observations (need p < n)")
-    template = np.zeros(p)
-    if restriction is not None:
-        try:
-            interest, psi0 = restriction
-        except (TypeError, ValueError):
-            raise ValueError(f"restriction must be (interest_indices, psi0), got {restriction!r}") from None
-        interest, psi0 = _interest_block(interest, psi0, model)
-        fixed = set(interest)
-        free = np.array([j for j in range(p) if j not in fixed], dtype=int)
-        template[list(interest)] = psi0
-    else:
-        free = np.arange(p)
-
-    base_start = np.asarray(start, dtype=float).copy() if start is not None else model.start(data)
+    obj = _Objective(model, family, data, restriction)
+    base_start = np.asarray(start, dtype=float) if start is not None else model.start(data)
     if base_start.shape != (p,):
         raise ValueError(f"start has shape {base_start.shape}, expected ({p},)")
     if not np.isfinite(base_start).all():
         raise ValueError(f"start must be finite, got {base_start}")
-    obj = _Objective(model, family, data, template, free)
-    for j in free[obj.is_log]:
-        if base_start[j] <= 0:
-            base_start[j] = 1e-4
-    rng = None  # the deterministic jitter stream, created by the first restart
     best = None
     total_iters = 0
-    for attempt in range(RESTARTS + 1):
-        if not obj.left:
-            break
-        theta0 = base_start.copy()
-        if attempt > 0:
-            if rng is None:
-                rng = np.random.default_rng(0x5EED)
-            for j, is_log in zip(free, obj.is_log):
-                if is_log:
-                    theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
-                else:
-                    theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
-        # a start or probe at extreme theta overflows intermediate products:
-        # Newton and L-BFGS reject its non-finite results, and a non-finite
-        # final J is flagged nonpd_info below
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                x, ev, si, converged, iters = _newton(obj, _to_internal(theta0[free], obj.is_log))
+    # a start or probe at extreme theta overflows intermediate products:
+    # Newton and L-BFGS reject its non-finite results, and a non-finite
+    # final J is flagged nonpd_info below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for x0 in obj.starts(base_start):
+            try:
+                x, ev, si, converged, iters = _newton(obj, x0)
                 total_iters += iters
                 if not converged and obj.left > 1:
                     x, iters = _lbfgs(obj, x)
                     total_iters += iters
                     x, ev, si, converged, iters = _newton(obj, x)
                     total_iters += iters
-        except NonSPDError:
-            continue
-        if best is None or (converged, si.loglik) > best[:2]:
-            best = (converged, si.loglik, ev, si)
-        if converged:
-            break
+            except NonSPDError:
+                continue
+            if best is None or (converged, si.loglik) > best[:2]:
+                best = (converged, si.loglik, ev, si)
+            if converged:
+                break
     if best is None:
         raise FitError("every starting point failed model evaluation (non-SPD scatter)")
 
@@ -430,7 +431,7 @@ def fit(
         diagnostics.append("nonpd_info")
     else:
         stderr = np.sqrt(inverse_diag(L))
-    if np.any(theta[free[obj.is_log]] < BOUNDARY_EPS):
+    if np.any(theta[obj.log_free] < BOUNDARY_EPS):
         diagnostics.append("boundary_fit")
 
     return FitResult(
@@ -443,7 +444,7 @@ def fit(
         evaluations=obj.evaluations,
         stderr=stderr,
         diagnostics=diagnostics,
-        restriction=(interest, psi0) if restriction is not None else None,
+        restriction=obj.restriction,
         eval_=ev,
         score=si.score,
     )

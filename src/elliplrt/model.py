@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -274,14 +273,19 @@ class BlockEval:
     def _sigma_at(self, t):
         return self.model.sigma_fn(t, self.data)
 
-    @cached_property
-    def dmu(self) -> np.ndarray:
+    def __getattr__(self, name):
+        # reached only by a name missing from the instance dict, which then holds the derivative: no lock
+        if name not in ("dmu", "d2mu", "dsigma", "d2sigma"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = getattr(self, "_" + name)()
+        return value
+
+    def _dmu(self) -> np.ndarray:
         if self.model.dmu_fn is not None:
             return self.model.dmu_fn(self.theta, self.data)
         return _fd_first(self._mu_at, self.theta)
 
-    @cached_property
-    def d2mu(self) -> np.ndarray | None:
+    def _d2mu(self) -> np.ndarray | None:
         if self.model.dmu_fn is not None:
             fn = self.model.d2mu_fn
             d2mu = None if fn is None else fn(self.theta, self.data)
@@ -289,8 +293,7 @@ class BlockEval:
             d2mu = _fd_second(self._mu_at, self.theta)
         return None if d2mu is None else 0.5 * (d2mu + np.swapaxes(d2mu, 1, 2))
 
-    @cached_property
-    def dsigma(self) -> np.ndarray:
+    def _dsigma(self) -> np.ndarray:
         if self.model.dsigma_fn is not None:
             dsigma = self.model.dsigma_fn(self.theta, self.data)
         else:
@@ -298,8 +301,7 @@ class BlockEval:
         # dsigma must be exactly symmetric in its matrix indices
         return self.data.derived("dsigma", dsigma, lambda d: 0.5 * (d + np.swapaxes(d, -1, -2)))
 
-    @cached_property
-    def d2sigma(self) -> np.ndarray | None:
+    def _d2sigma(self) -> np.ndarray | None:
         if self.model.dsigma_fn is not None:
             fn = self.model.d2sigma_fn
             d2sigma = None if fn is None else fn(self.theta, self.data)

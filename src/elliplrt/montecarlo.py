@@ -290,7 +290,7 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationSumm
         bounds = np.linspace(0, R, workers + 1).astype(int)
         chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_run_range_star, [(config, a, b) for a, b in chunks]))
+            parts = list(pool.map(_run_range, [config] * len(chunks), *zip(*chunks)))
     results = sorted((kr for part, _, _ in parts for kr in part), key=lambda kr: kr[0])
     skips = sum((part_skips for _, _, part_skips in parts), Counter())
 
@@ -318,10 +318,6 @@ def run_simulation(config: SimulationConfig, threads: int = 1) -> SimulationSumm
         redraw_count=sum(redraws for _, redraws, _ in parts),
         adjustment_skips=dict(sorted(skips.items())),
     )
-
-
-def _run_range_star(args):
-    return _run_range(*args)
 
 
 def simulate_dataset(config: SimulationConfig, rep_index: int = 0) -> Dataset:

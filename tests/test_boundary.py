@@ -97,6 +97,17 @@ def test_one_rule_draws_every_simulated_dataset():
     assert callers == owners
 
 
+def test_a_fits_coordinates_have_one_owner():
+    # _Objective moves between theta and x: fit reads its starts, Newton and L-BFGS its x, g and H
+    tree = ast.parse((SRC / "inference.py").read_text())
+    assert not {"_to_internal", "_from_internal"} & {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    hits = [f"{name}: {ast.unparse(node)}" for name, func in _functions()
+            if name in ("inference.fit", "inference._newton", "inference._lbfgs")
+            for node in ast.walk(func) if isinstance(node, ast.Attribute)
+            and (node.attr == "is_log" or ast.unparse(node) in ("np.log", "np.exp", "math.exp"))]
+    assert hits == []
+
+
 def test_the_floating_point_policy_is_set_only_by_its_owners():
     # fit for its probes, cholesky_blocks for evaluate's failure rule, _Setup for the true theta
     owners = {"inference.fit", "_linalg.cholesky_blocks", "montecarlo._Setup.__init__"}

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -281,12 +282,39 @@ def test_a_newton_gradient_that_is_not_finite_stops_newton_without_raising(monke
 
 def test_a_newton_line_search_that_rejects_every_trial_point_stops_after_40_halvings(monkeypatch):
     model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
-    obj = inference._Objective(model, NORMAL, data, np.zeros(model.p), np.arange(model.p))
-    x0 = inference._to_internal(model.start(data), obj.is_log)
+    obj = inference._Objective(model, NORMAL, data, None)
+    x0 = obj.internal(model.start(data))
     monkeypatch.setattr(inference, "loglik", lambda family, ev: np.nan)  # judged on loglik first: never accepted
     x, ev, si, converged, iterations = inference._newton(obj, x0)
     assert not converged and iterations == 1 and obj.evaluations == 1 + 40
     assert np.array_equal(x, x0) and ev.theta == pytest.approx(model.start(data), rel=1e-12)  # the start
+
+
+def test_the_newton_matrix_is_the_scaled_information_bit_for_bit():
+    # model 2 with b1 pinned: free (0, 2, 3, 4, 5, 6, 7, 8), variance-type 5, 7 and 8 on the log scale
+    model = M.mixed_model2()
+    obj = inference._Objective(model, NORMAL, None, ((1,), (0.3,)))
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.1, 3.0, model.p)
+    score = rng.normal(size=model.p)
+    score[[0, 2]] = np.nan, np.inf
+    info = rng.normal(size=(model.p, model.p))
+    info += info.T
+    info[[0, 2, 3, 4, 6], [0, 2, 3, 4, 6]] = -0.0, np.inf, -np.inf, np.nan, -0.0  # the non-log diagonal
+    info[0, 3] = info[3, 0] = -0.0
+    ev, si = types.SimpleNamespace(theta=theta), types.SimpleNamespace(score=score.copy(), info=info.copy())
+    g = obj.gradient(ev, si)
+    H = obj.newton_matrix(ev, si, g)
+    # the formula the fitter used before the objective owned it
+    free = obj.free
+    is_log = np.isin(free, model.positive)
+    s = np.where(is_log, theta[free], 1.0)
+    want_g = score[free] * s
+    want_H = s[:, None] * info[np.ix_(free, free)] * s[None, :]
+    want_H[np.diag_indices(free.size)] -= np.where(is_log, want_g, 0.0)
+    for got, want in ((g, want_g), (H, want_H)):
+        assert np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert si.score.tobytes() == score.tobytes() and si.info.tobytes() == info.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -307,7 +335,7 @@ def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
         return default_rng(*args)
 
     def failing_newton(obj, x0, *args):
-        starts.append((x0, obj.is_log))
+        starts.append((x0, obj))
         raise M.NonSPDError(0)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
@@ -319,7 +347,7 @@ def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
         fit(model, NORMAL, data, start=start)
     assert made == [(0x5EED,)]
     rng = default_rng(0x5EED)
-    for attempt, (x0, is_log) in enumerate(starts):
+    for attempt, (x0, obj) in enumerate(starts):
         theta0 = start.copy()
         if attempt > 0:
             for j in range(model.p):
@@ -327,8 +355,25 @@ def test_restarts_draw_their_jitter_from_a_fresh_seeded_stream(monkeypatch):
                     theta0[j] = theta0[j] * math.exp(0.25 * rng.standard_normal())
                 else:
                     theta0[j] = theta0[j] + 0.2 * max(1.0, abs(theta0[j])) * rng.standard_normal()
-        assert np.array_equal(x0, inference._to_internal(theta0, is_log))
+        assert np.array_equal(x0, obj.internal(theta0))
+        assert x0[4] == np.log(theta0[4]) and np.array_equal(x0[:4], theta0[:4])  # sigma2 on the log scale
     assert len(starts) == 4
+
+
+def test_a_fit_whose_budget_runs_out_before_a_restart_creates_no_generator(monkeypatch):
+    model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args):
+        made.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(inference, "FIT_EVALS", 3)
+    res = fit(model, NORMAL, data, start=np.array([0.2, 0.6, -0.3, 0.3, 0.02]))
+    assert not res.converged and res.evaluations == 3 and "evaluation_budget" in res.diagnostics
+    assert made == []
 
 
 @pytest.mark.parametrize("bad", [0.0, -5.0])
@@ -336,7 +381,7 @@ def test_a_free_variance_start_at_or_below_zero_reaches_newton_as_1e_4(bad, monk
     starts = []
 
     def failing_newton(obj, x0, *args):
-        starts.append((x0, obj.is_log))
+        starts.append((x0, obj))
         raise M.NonSPDError(0)
 
     model, data = simulate_model1(NORMAL, 12, np.random.default_rng(4))
@@ -344,8 +389,9 @@ def test_a_free_variance_start_at_or_below_zero_reaches_newton_as_1e_4(bad, monk
     monkeypatch.setattr(inference, "RESTARTS", 0)
     with pytest.raises(inference.FitError):
         fit(model, NORMAL, data, start=np.array([0.5, 0.2, 0.1, -0.1, bad]))
-    (x0, is_log), = starts
-    assert np.array_equal(x0, inference._to_internal(np.array([0.5, 0.2, 0.1, -0.1, 1e-4]), is_log))
+    (x0, obj), = starts
+    assert np.array_equal(x0, obj.internal(np.array([0.5, 0.2, 0.1, -0.1, 1e-4])))
+    assert x0[4] == np.log(1e-4)
 
 
 def test_a_pinned_variance_keeps_its_psi0_and_is_not_a_boundary_fit():

@@ -202,8 +202,8 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
